@@ -1,0 +1,55 @@
+"""Equivalence gate: seeded runs of both engines and a small ``mfopt bench``
+must reproduce the SHA-256 digests recorded in ``golden/digests.json``.
+
+A change that is meant to alter seeded output regenerates the digests with
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from mfopt.cli import main
+from mfopt.engines import EngineConfig, run_dmfea2, run_mfea
+from mfopt.harness import load_environment
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+# Even budgets only: an odd budget changes where a run stops.
+BENCH_ARGV = ["bench", "TE_4_3", "--reps", "2", "--budget", "1000",
+              "--pop", "20", "--seed", "7"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_digests(workdir: Path) -> dict[str, str]:
+    digests = {}
+    config = EngineConfig(population_size=20, eval_budget=1000)
+    for env_name in ("TE_4_1", "TE_4_2", "TE_8"):
+        tasks = load_environment(env_name).tasks
+        for label, runner in (("MFEA", run_mfea), ("dMFEA_II", run_dmfea2)):
+            _, trace = runner(tasks, config, np.random.default_rng(0))
+            digests[f"{env_name}__{label}.jsonl"] = _sha256(trace.to_jsonl().encode())
+
+    assert main(BENCH_ARGV + ["--outdir", str(workdir)]) == 0
+    for path in sorted(workdir.glob("*.jsonl")) + [workdir / "summary.csv"]:
+        digests[f"bench/{path.name}"] = _sha256(path.read_bytes())
+    return digests
+
+
+def test_seeded_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(DIGESTS.read_text())
+    assert golden_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        DIGESTS.parent.mkdir(exist_ok=True)
+        DIGESTS.write_text(json.dumps(golden_digests(Path(tmp)), indent=2,
+                                      sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
