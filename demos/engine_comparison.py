@@ -22,9 +22,8 @@ def main():
 
     env = load_environment("TE_8")
     plan = ExperimentPlan(
-        environment=env, repetitions=args.reps, budget=args.budget,
-        base_seed=0, output_dir=args.outdir,
-        config=EngineConfig(eval_budget=args.budget))
+        environment=env, repetitions=args.reps, output_dir=args.outdir,
+        config=EngineConfig(eval_budget=args.budget, seed=0))
     rows = run_experiment(plan)
 
     print(f"\n{'instance':12} {'engine':10} {'mean':>10} {'std':>9} "

@@ -12,8 +12,6 @@ import argparse
 import logging
 from pathlib import Path
 
-import numpy as np
-
 from .engines import EngineConfig
 from .harness import (
     ENGINES,
@@ -24,30 +22,34 @@ from .harness import (
     reaggregate,
     repetition_seed,
     run_experiment,
+    trace_filename,
+)
+
+# (flag, EngineConfig field, help); each flag's type and default come from
+# the field's default, so EngineConfig stays the one source of truth.
+ENGINE_FLAGS = (
+    ("--budget", "eval_budget", "objective evaluation budget per run"),
+    ("--pop", "population_size", "population size"),
+    ("--seed", "seed", "base seed"),
+    ("--w", "w", "dOX window fraction"),
+    ("--pm", "p_m", "mutation probability"),
+    ("--rmp", "rmp_scalar", "scalar RMP (MFEA)"),
+    ("--rmp-init", "rmp_init", "initial transfer-matrix value (dMFEA-II)"),
+    ("--delta-inc", "delta_inc", "transfer-matrix growth factor (dMFEA-II)"),
+    ("--delta-dec", "delta_dec", "transfer-matrix decay factor (dMFEA-II)"),
 )
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=600_000,
-                   help="objective evaluation budget per run")
-    p.add_argument("--pop", type=int, default=200, help="population size")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--w", type=float, default=0.5, help="dOX window fraction")
-    p.add_argument("--pm", type=float, default=0.2, help="mutation probability")
-    p.add_argument("--rmp", type=float, default=0.9, help="scalar RMP (MFEA)")
-    p.add_argument("--rmp-init", type=float, default=0.95,
-                   help="initial transfer-matrix value (dMFEA-II)")
-    p.add_argument("--delta-inc", type=float, default=0.99)
-    p.add_argument("--delta-dec", type=float, default=0.99)
+    for flag, name, help_text in ENGINE_FLAGS:
+        default = getattr(EngineConfig, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default,
+                       metavar=flag[2:].upper().replace("-", "_"), help=help_text)
     p.add_argument("--outdir", type=Path, default=Path("results"))
 
 
 def _config(args) -> EngineConfig:
-    return EngineConfig(
-        population_size=args.pop, eval_budget=args.budget,
-        rmp_scalar=args.rmp, rmp_init=args.rmp_init, p_m=args.pm, w=args.w,
-        delta_inc=args.delta_inc, delta_dec=args.delta_dec, seed=args.seed,
-    )
+    return EngineConfig(**{name: getattr(args, name) for _, name, _ in ENGINE_FLAGS})
 
 
 def main(argv=None) -> int:
@@ -77,12 +79,26 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
+    # Bad parameters, environments and trace sets are usage errors: exit 2
+    # with a one-line message rather than a traceback.
+    try:
+        if args.command == "report":
+            rows = reaggregate(args.outdir, args.environment)
+        else:
+            config = _config(args)
+            env = load_environment(args.environment)
+        if args.command == "bench":
+            plan = ExperimentPlan(
+                environment=env, engines=tuple(args.engines),
+                repetitions=args.reps, output_dir=args.outdir, config=config)
+    except ValueError as exc:
+        parser.error(str(exc))
+
     if args.command == "run":
-        env = load_environment(args.environment)
-        seed_seq = repetition_seed(args.seed, args.engine, 0)
-        best, trace = _run_one(args.engine, env.tasks, _config(args), seed_seq)
+        seed_seq = repetition_seed(config.seed, args.engine, 0)
+        best, trace = _run_one(args.engine, env.tasks, config, seed_seq)
         args.outdir.mkdir(parents=True, exist_ok=True)
-        trace_path = args.outdir / f"{env.name}__{args.engine.replace('-', '_')}__single.jsonl"
+        trace_path = args.outdir / trace_filename(env.name, args.engine, "single")
         trace_path.write_text(trace.to_jsonl())
         for task, result in zip(env.tasks, best):
             print(f"{env.name} {args.engine} {task.name}: best cost {result.cost:g}")
@@ -90,21 +106,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "bench":
-        env = load_environment(args.environment)
-        plan = ExperimentPlan(
-            environment=env, engines=tuple(args.engines),
-            repetitions=args.reps, budget=args.budget, base_seed=args.seed,
-            output_dir=args.outdir, config=_config(args),
-        )
         rows = run_experiment(plan)
-        paths = emit_report(rows, args.outdir)
-        for r in rows:
-            print(f"{r.environment} {r.engine:9s} {r.instance:10s} "
-                  f"mean={r.mean:10.2f} std={r.std:8.2f} {r.wilcoxon}")
-        print(f"summary written to {paths['summary']}")
-        return 0
-
-    rows = reaggregate(args.outdir, args.environment)
     paths = emit_report(rows, args.outdir)
     for r in rows:
         print(f"{r.environment} {r.engine:9s} {r.instance:10s} "

@@ -10,7 +10,7 @@ on which the individual ranks best).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,45 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import draw_window, dynamic_ox, order_crossover, two_opt
+from .operators import dynamic_ox, order_crossover, two_opt
 
 log = logging.getLogger(__name__)
+
+
+@dataclass
+class EngineConfig:
+    """Every engine parameter with its default and valid range; the
+    command line and experiment plans take their values from here."""
+    population_size: int = 200
+    eval_budget: int = 600_000
+    rmp_scalar: float = 0.9      # MFEA only
+    rmp_init: float = 0.95       # dMFEA-II initial matrix value
+    p_m: float = 0.2
+    w: float = 0.5               # dOX cutting-window fraction
+    delta_inc: float = 0.99
+    delta_dec: float = 0.99
+    rmp_floor: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        # Written so that NaN fails every range check.
+        checks = (
+            (self.population_size >= 2 and self.population_size % 2 == 0,
+             f"population size must be even and at least 2 (offspring are "
+             f"paired), got {self.population_size}"),
+            (0 <= self.rmp_scalar <= 1, f"rmp_scalar must be in [0, 1], got {self.rmp_scalar}"),
+            (0 <= self.p_m <= 1, f"p_m must be in [0, 1], got {self.p_m}"),
+            (0 < self.w <= 1, f"w must be in (0, 1], got {self.w}"),
+            (0 < self.delta_inc <= 1, f"delta_inc must be in (0, 1], got {self.delta_inc}"),
+            (0 < self.delta_dec <= 1, f"delta_dec must be in (0, 1], got {self.delta_dec}"),
+            (0 <= self.rmp_floor <= self.rmp_init <= 1,
+             f"need 0 <= rmp_floor <= rmp_init <= 1, got rmp_floor="
+             f"{self.rmp_floor} and rmp_init={self.rmp_init}"),
+            (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass
@@ -39,13 +76,13 @@ class RmpMatrix:
     knowledge exchange between any two tasks.
     """
     entries: np.ndarray
-    delta_inc: float = 0.99
-    delta_dec: float = 0.99
-    floor: float = 0.1
+    delta_inc: float = EngineConfig.delta_inc
+    delta_dec: float = EngineConfig.delta_dec
+    floor: float = EngineConfig.rmp_floor
 
     @classmethod
     def initial(cls, k_tasks: int, value: float, delta_inc: float, delta_dec: float,
-                floor: float = 0.1) -> "RmpMatrix":
+                floor: float = EngineConfig.rmp_floor) -> "RmpMatrix":
         return cls(entries=np.full((k_tasks, k_tasks), value),
                    delta_inc=delta_inc, delta_dec=delta_dec, floor=floor)
 
@@ -78,24 +115,6 @@ def transfer_outcome(child: Individual, parent: Individual) -> bool:
         log.info("parent has no cost on task %d; counting transfer as positive", k)
         return True
     return child.factorial_costs[k] < parent_cost
-
-
-@dataclass
-class EngineConfig:
-    population_size: int = 200
-    eval_budget: int = 600_000
-    rmp_scalar: float = 0.9      # MFEA only
-    rmp_init: float = 0.95       # dMFEA-II initial matrix value
-    p_m: float = 0.2
-    w: float = 0.5               # dOX cutting-window fraction
-    delta_inc: float = 0.99
-    delta_dec: float = 0.99
-    rmp_floor: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.population_size % 2:
-            raise ValueError("population size must be even (offspring are paired)")
 
 
 @dataclass
@@ -170,6 +189,7 @@ def _maybe_mutate(genome: np.ndarray, p_m: float, rng) -> np.ndarray:
 
 
 def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
+    rng = np.random.default_rng(config.seed if rng is None else rng)
     k_tasks = len(tasks)
     dims = [t.dimension for t in tasks]
     d_max = max(dims)
@@ -211,7 +231,11 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
                                     rmp, dims, config, tasks, counter, rng)
             else:
                 kids = _mfea_pair(pa, pb, config, tasks, counter, rng)
-            offspring.extend(kids)
+            # Children come lazily: the budget binds per child, odd ones too.
+            for child in kids:
+                offspring.append(child)
+                if counter.exhausted:
+                    break
 
         pop = elitist_select(pop, Population(offspring, k_tasks),
                              config.population_size)
@@ -231,7 +255,7 @@ def _make_child(genome: np.ndarray, skill: int, tasks, counter) -> Individual:
     return evaluate_skill_task(child, tasks, counter)
 
 
-def _mfea_pair(pa, pb, config, tasks, counter, rng) -> list[Individual]:
+def _mfea_pair(pa, pb, config, tasks, counter, rng) -> Iterator[Individual]:
     """One parent pair under the baseline scalar-RMP scheme."""
     if pa.skill_factor == pb.skill_factor:
         ga, gb = order_crossover(pa.genome, pb.genome, rng=rng)
@@ -244,25 +268,25 @@ def _mfea_pair(pa, pb, config, tasks, counter, rng) -> list[Individual]:
         ga = two_opt(pa.genome, rng=rng)
         gb = two_opt(pb.genome, rng=rng)
         skills = (pa.skill_factor, pb.skill_factor)
-    return [_make_child(ga, skills[0], tasks, counter),
-            _make_child(gb, skills[1], tasks, counter)]
+    yield _make_child(ga, skills[0], tasks, counter)
+    yield _make_child(gb, skills[1], tasks, counter)
 
 
 def _dmfea2_pair(pa, pb, ia, ib, pop, by_skill, rmp, dims, config, tasks,
-                 counter, rng) -> list[Individual]:
+                 counter, rng) -> Iterator[Individual]:
     """One parent pair under the adaptive matrix scheme."""
     ta, tb = pa.skill_factor, pb.skill_factor
     if ta == tb:
         ga, gb = order_crossover(pa.genome, pb.genome, rng=rng)
         ga = _maybe_mutate(ga, config.p_m, rng)
         gb = _maybe_mutate(gb, config.p_m, rng)
-        return [_make_child(ga, ta, tasks, counter),
-                _make_child(gb, ta, tasks, counter)]
+        yield _make_child(ga, ta, tasks, counter)
+        yield _make_child(gb, ta, tasks, counter)
+        return
 
     if rng.random() <= rmp.get(ta, tb):
         # Inter-task parent-centric crossover; both children update (ta, tb).
         entry = rmp.get(ta, tb)
-        kids = []
         for dominant, donor, d_k in ((pa, pb, dims[ta]), (pb, pa, dims[tb])):
             genome = dynamic_ox(dominant.genome, donor.genome, entry,
                                 config.w, d_k, rng)
@@ -271,19 +295,18 @@ def _dmfea2_pair(pa, pb, ia, ib, pop, by_skill, rmp, dims, config, tasks,
             child = _make_child(genome, skill, tasks, counter)
             skill_parent = pa if skill == ta else pb
             rmp_update(rmp, ta, tb, transfer_outcome(child, skill_parent))
-            kids.append(child)
-        return kids
+            yield child
+        return
 
     # Intra-task branch: each parent crosses with a random same-skill mate
     # and updates the diagonal entry of its own task.
-    kids = []
     for parent, idx in ((pa, ia), (pb, ib)):
         t = parent.skill_factor
         mates = [i for i in by_skill.get(t, []) if i != idx]
         if not mates:
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
             genome = two_opt(parent.genome, rng=rng)
-            kids.append(_make_child(genome, t, tasks, counter))
+            yield _make_child(genome, t, tasks, counter)
             continue
         mate = pop.members[mates[int(rng.integers(len(mates)))]]
         genome = dynamic_ox(parent.genome, mate.genome, rmp.get(t, t),
@@ -291,20 +314,15 @@ def _dmfea2_pair(pa, pb, ia, ib, pop, by_skill, rmp, dims, config, tasks,
         genome = _maybe_mutate(genome, config.p_m, rng)
         child = _make_child(genome, t, tasks, counter)
         rmp_update(rmp, t, t, transfer_outcome(child, parent))
-        kids.append(child)
-    return kids
+        yield child
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):
     """Baseline multifactorial loop with a fixed scalar mating probability."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     return _evolve(tasks, config, rng, adaptive=False)
 
 
 def run_dmfea2(tasks, config: EngineConfig, rng: np.random.Generator | None = None):
     """Adaptive loop: learned transfer matrix plus dynamic parent-centric
     crossover sized by its entries."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     return _evolve(tasks, config, rng, adaptive=True)

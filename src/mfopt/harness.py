@@ -59,11 +59,11 @@ class Environment:
 
 @dataclass
 class ExperimentPlan:
+    """Every engine x repetition of one environment; each run gets ``config``
+    unchanged and a stream paired across engines from ``config.seed``."""
     environment: Environment
     engines: tuple[str, ...] = ENGINES
     repetitions: int = 20
-    budget: int = 600_000
-    base_seed: int = 0
     output_dir: Path = Path("results")
     config: EngineConfig = field(default_factory=EngineConfig)
 
@@ -134,8 +134,10 @@ def _run_one(engine: str, tasks, config: EngineConfig, seed_seq) -> tuple[list, 
     return runner(tasks, config, rng)
 
 
-def _trace_filename(env: str, engine: str, rep: int) -> str:
-    return f"{env}__{engine.replace('-', '_')}__rep{rep:03d}.jsonl"
+def trace_filename(env: str, engine: str, run: str) -> str:
+    """Name of one run's JSONL trace; ``run`` is ``rep007``, ``single``,
+    or the glob pattern ``rep*`` matching every repetition."""
+    return f"{env}__{engine.replace('-', '_')}__{run}.jsonl"
 
 
 def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
@@ -143,25 +145,15 @@ def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
     aggregate per-instance means, stds and Wilcoxon markers."""
     env = plan.environment
     plan.output_dir.mkdir(parents=True, exist_ok=True)
-    config = EngineConfig(
-        population_size=plan.config.population_size,
-        eval_budget=plan.budget,
-        rmp_scalar=plan.config.rmp_scalar,
-        rmp_init=plan.config.rmp_init,
-        p_m=plan.config.p_m,
-        w=plan.config.w,
-        delta_inc=plan.config.delta_inc,
-        delta_dec=plan.config.delta_dec,
-    )
 
     finals: dict[str, np.ndarray] = {}
     for engine in plan.engines:
         costs = np.empty((plan.repetitions, len(env.tasks)))
         for rep in range(plan.repetitions):
-            seed_seq = repetition_seed(plan.base_seed, engine, rep)
-            best, trace = _run_one(engine, env.tasks, config, seed_seq)
+            seed_seq = repetition_seed(plan.config.seed, engine, rep)
+            best, trace = _run_one(engine, env.tasks, plan.config, seed_seq)
             costs[rep] = [b.cost for b in best]
-            trace_path = plan.output_dir / _trace_filename(env.name, engine, rep)
+            trace_path = plan.output_dir / trace_filename(env.name, engine, f"rep{rep:03d}")
             trace_path.write_text(trace.to_jsonl())
             log.info("%s %s rep %d: %s", env.name, engine, rep, costs[rep])
         finals[engine] = costs
@@ -224,8 +216,7 @@ def reaggregate(output_dir: Path, environment: str) -> list[ReportRow]:
     finals: dict[str, np.ndarray] = {}
     engines = []
     for engine in ENGINES:
-        paths = sorted(output_dir.glob(
-            f"{env.name}__{engine.replace('-', '_')}__rep*.jsonl"))
+        paths = sorted(output_dir.glob(trace_filename(env.name, engine, "rep*")))
         if not paths:
             continue
         engines.append(engine)

@@ -302,9 +302,8 @@ def test_criterion_8_reproducibility(tmp_path):
     for attempt in ("first", "second"):
         outdir = tmp_path / attempt
         plan = ExperimentPlan(
-            environment=env, repetitions=2, budget=2000, base_seed=7,
-            output_dir=outdir,
-            config=EngineConfig(population_size=20, eval_budget=2000))
+            environment=env, repetitions=2, output_dir=outdir,
+            config=EngineConfig(population_size=20, eval_budget=2000, seed=7))
         rows = run_experiment(plan)
         paths = emit_report(rows, outdir)
         texts.append(paths["summary"].read_bytes())

@@ -48,3 +48,19 @@ def test_bench_and_report_subcommands(env_file, tmp_path, capsys):
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "TE_99"],
+    ["run", "TE_4_1", "--pop", "7"],
+    ["bench", "TE_4_1", "--rmp-init", "1.5"],
+    ["bench", "TE_4_1", "--reps", "0"],
+    ["report", "TE_99"],
+], ids=" ".join)
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("mfopt: error: ")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mfopt.core import Individual, is_valid_genome
@@ -88,6 +88,21 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(population_size=7)
 
+    @pytest.mark.parametrize("bad", [
+        dict(population_size=0), dict(population_size=-2),
+        dict(rmp_scalar=-0.1), dict(rmp_scalar=1.1),
+        dict(p_m=-0.01), dict(p_m=1.5),
+        dict(w=0.0), dict(w=1.01), dict(w=math.nan),
+        dict(delta_inc=0.0), dict(delta_inc=1.01),
+        dict(delta_dec=0.0), dict(delta_dec=1.5),
+        dict(rmp_init=1.5), dict(rmp_floor=-0.1),
+        dict(rmp_floor=0.9, rmp_init=0.5),
+        dict(seed=-1),
+    ], ids=repr)
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            EngineConfig(**bad)
+
     def test_budget_must_cover_init(self, two_tasks):
         with pytest.raises(ValueError, match="budget"):
             run_mfea(two_tasks, EngineConfig(population_size=20, eval_budget=10))
@@ -107,13 +122,18 @@ class TestTrace:
 @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2],
                          ids=["mfea", "dmfea2"])
 class TestEngineRuns:
-    def test_budget_respected_and_progress(self, runner, two_tasks):
-        cfg = small_config(eval_budget=600)
-        best, trace = runner(two_tasks, cfg, np.random.default_rng(0))
+    # Budgets from the initialization cost (20 x 2 tasks) upward, odd ones
+    # included: children come in pairs, but the budget binds per child.
+    @given(budget=st.integers(min_value=40, max_value=700),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(budget=601, seed=0)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_budget_respected_and_progress(self, runner, two_tasks, budget, seed):
+        cfg = small_config(eval_budget=budget)
+        best, trace = runner(two_tasks, cfg, np.random.default_rng(seed))
         assert len(best) == 2
-        assert trace.records[-1].evaluations >= 600
-        # one extra pair of evaluations may land after the check
-        assert trace.records[-1].evaluations <= 600 + 2 * len(two_tasks)
+        assert trace.records[-1].evaluations == budget
         evals = [r.evaluations for r in trace.records]
         assert evals == sorted(evals)
         for k in range(2):

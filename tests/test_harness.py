@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mfopt.engines import EngineConfig
+from mfopt.engines import EngineConfig, RunTrace
 from mfopt.harness import (
     BUILTIN_ENVIRONMENTS,
     KNOWN_OPTIMA,
     ExperimentPlan,
-    aggregate_rows,
     emit_report,
     load_environment,
     reaggregate,
@@ -85,9 +84,8 @@ def tiny_plan(tmp_path, square_tsp, line_tsp, reps=3):
     from mfopt.harness import Environment
     env = Environment(name="tinyenv", tasks=[square_tsp, line_tsp])
     return ExperimentPlan(
-        environment=env, repetitions=reps, budget=300, base_seed=0,
-        output_dir=tmp_path,
-        config=EngineConfig(population_size=10, eval_budget=300))
+        environment=env, repetitions=reps, output_dir=tmp_path,
+        config=EngineConfig(population_size=10, eval_budget=300, seed=0))
 
 
 class TestExperiment:
@@ -118,6 +116,18 @@ class TestExperiment:
         rebuilt = reaggregate(tmp_path, str(tmp_path / "tinyenv.json"))
         assert [(r.engine, r.mean, r.std) for r in rebuilt] == \
             [(r.engine, r.mean, r.std) for r in fresh]
+
+    def test_plan_config_reaches_every_run(self, tmp_path, square_tsp, line_tsp):
+        plan = tiny_plan(tmp_path, square_tsp, line_tsp)
+        plan.config = EngineConfig(population_size=10, eval_budget=300,
+                                   rmp_init=0.5, rmp_floor=0.5)
+        plan.engines = ("dMFEA-II",)
+        run_experiment(plan)
+        traces = sorted(tmp_path.glob("tinyenv__dMFEA_II__rep*.jsonl"))
+        assert len(traces) == 3
+        for path in traces:
+            for rec in RunTrace.from_jsonl(path.read_text()).records:
+                assert (np.array(rec.rmp) >= 0.5).all()
 
     def test_wilcoxon_marker_needs_both_engines(self, tmp_path, square_tsp,
                                                 line_tsp):
