@@ -8,8 +8,6 @@ inter-task transfer matrix and dynamic parent-centric crossover.
 
 from .core import (
     UNEVALUATED,
-    EvalCounter,
-    Individual,
     Population,
     assign_ranks_and_fitness,
     elitist_select,

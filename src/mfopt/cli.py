@@ -87,6 +87,7 @@ def main(argv=None) -> int:
         else:
             config = _config(args)
             env = load_environment(args.environment)
+            config.check_init_budget(len(env.tasks))
         if args.command == "bench":
             plan = ExperimentPlan(
                 environment=env, engines=tuple(args.engines),

@@ -1,10 +1,16 @@
 """Unified permutation search space and multifactorial bookkeeping.
 
-Individuals live in a single permutation space of size ``d_max`` shared by
-every task. Each one carries a vector of factorial costs (one per task,
-possibly unevaluated), the per-task ranks derived from the population, a
-scalar fitness (reciprocal of the best rank) and a skill factor (the task
-on which the individual ranks best).
+Every task shares one permutation space of size ``d_max``. A population of
+P members over K tasks is held as arrays, one row per member:
+
+- ``genomes``: P x d_max int64, each row a permutation of {1..d_max};
+- ``costs``: P x K factorial costs, ``UNEVALUATED`` where a member was
+  never evaluated on a task;
+- ``ranks``: P x K factorial ranks, each column a permutation of 1..P;
+- ``skill``: the task on which each member ranks best (its skill factor);
+- ``fitness``: the reciprocal of that best rank (scalar fitness).
+
+The last three are derived from ``costs`` by ``assign_ranks_and_fitness``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tasks
 
 # Cost placeholder for tasks an individual was never evaluated on.
 # Treated as +inf when ranking, so unevaluated individuals sort last.
@@ -32,71 +40,32 @@ def is_valid_genome(order: np.ndarray) -> bool:
     return bool(np.array_equal(np.sort(order), np.arange(1, n + 1)))
 
 
-class EvalCounter:
-    """Counts objective function evaluations against a budget."""
-
-    def __init__(self, limit: int):
-        self.limit = int(limit)
-        self.count = 0
-
-    def spend(self, n: int = 1) -> None:
-        self.count += n
-
-    @property
-    def exhausted(self) -> bool:
-        return self.count >= self.limit
-
-
-@dataclass
-class Individual:
-    genome: np.ndarray
-    factorial_costs: np.ndarray          # length K, UNEVALUATED where unknown
-    factorial_ranks: np.ndarray | None = None
-    scalar_fitness: float = 0.0
-    skill_factor: int = -1
-
-    @classmethod
-    def fresh(cls, genome: np.ndarray, k_tasks: int) -> "Individual":
-        return cls(genome=genome, factorial_costs=np.full(k_tasks, UNEVALUATED))
-
-
 @dataclass
 class Population:
-    members: list[Individual]
-    k_tasks: int
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def best_cost(self, task: int) -> float:
-        """Lowest known factorial cost on ``task`` across the population."""
-        return min(m.factorial_costs[task] for m in self.members)
+    genomes: np.ndarray                 # P x d_max
+    costs: np.ndarray                   # P x K, UNEVALUATED where unknown
+    ranks: np.ndarray | None = None     # P x K
+    skill: np.ndarray | None = None     # P
+    fitness: np.ndarray | None = None   # P
 
 
-def evaluate_all_tasks(ind: Individual, tasks, budget: EvalCounter) -> Individual:
-    """Evaluate ``ind`` on every task, spending one evaluation per task.
+def evaluate_all_tasks(genome: np.ndarray, problems) -> np.ndarray:
+    """Costs of ``genome`` on every task: one evaluation per task.
 
     Used for the initial population only; offspring are evaluated
     selectively on their skill task.
     """
-    from .tasks import project
-
-    for k, task in enumerate(tasks):
-        perm = project(ind.genome, task.dimension)
-        ind.factorial_costs[k] = task.cost(perm)
-    budget.spend(len(tasks))
-    return ind
+    return np.array([task.cost(tasks.project(genome, task.dimension))
+                     for task in problems])
 
 
-def evaluate_skill_task(ind: Individual, tasks, budget: EvalCounter) -> Individual:
-    """Evaluate ``ind`` only on its skill task (selective evaluation)."""
-    from .tasks import project
-
-    k = ind.skill_factor
-    task = tasks[k]
-    ind.factorial_costs[k] = task.cost(project(ind.genome, task.dimension))
-    budget.spend(1)
-    return ind
+def evaluate_skill_task(genome: np.ndarray, skill: int, problems) -> np.ndarray:
+    """Costs of ``genome`` after one evaluation, on task ``skill`` only
+    (selective evaluation); every other task stays ``UNEVALUATED``."""
+    costs = np.full(len(problems), UNEVALUATED)
+    task = problems[skill]
+    costs[skill] = task.cost(tasks.project(genome, task.dimension))
+    return costs
 
 
 def assign_ranks_and_fitness(pop: Population) -> Population:
@@ -106,20 +75,14 @@ def assign_ranks_and_fitness(pop: Population) -> Population:
     break toward the lower population index (stable sort). Unevaluated
     costs rank last. Skill-factor ties break toward the lower task index.
     """
-    if not pop.members:
+    p, k_tasks = pop.costs.shape
+    if p == 0:
         raise ValueError("cannot rank an empty population")
-    p = len(pop.members)
-    k_tasks = pop.k_tasks
-    ranks = np.empty((p, k_tasks), dtype=np.int64)
-    for k in range(k_tasks):
-        costs = np.array([m.factorial_costs[k] for m in pop.members])
-        order = np.argsort(costs, kind="stable")
-        ranks[order, k] = np.arange(1, p + 1)
-    for i, m in enumerate(pop.members):
-        m.factorial_ranks = ranks[i]
-        best = int(np.argmin(ranks[i]))  # argmin takes the lowest task index on ties
-        m.skill_factor = best
-        m.scalar_fitness = 1.0 / ranks[i, best]
+    order = np.argsort(pop.costs, axis=0, kind="stable")
+    pop.ranks = np.empty((p, k_tasks), dtype=np.int64)
+    pop.ranks[order, np.arange(k_tasks)] = np.arange(1, p + 1)[:, None]
+    pop.skill = pop.ranks.argmin(axis=1)  # argmin takes the lowest task on ties
+    pop.fitness = 1.0 / pop.ranks.min(axis=1)
     return pop
 
 
@@ -130,12 +93,10 @@ def elitist_select(current: Population, offspring: Population, p_size: int) -> P
     Fitness ties at the cut break toward the lower union index, so the
     incumbent population wins ties against offspring.
     """
-    union = Population(current.members + offspring.members, current.k_tasks)
-    if len(union) < p_size:
-        raise ValueError(f"union of size {len(union)} cannot fill {p_size} survivors")
+    union = Population(np.vstack([current.genomes, offspring.genomes]),
+                       np.vstack([current.costs, offspring.costs]))
+    if len(union.costs) < p_size:
+        raise ValueError(f"union of size {len(union.costs)} cannot fill {p_size} survivors")
     assign_ranks_and_fitness(union)
-    fitness = np.array([m.scalar_fitness for m in union.members])
-    order = np.argsort(-fitness, kind="stable")[:p_size]
-    survivors = [union.members[i] for i in sorted(order)]
-    out = Population(survivors, current.k_tasks)
-    return assign_ranks_and_fitness(out)
+    keep = np.sort(np.argsort(-union.fitness, kind="stable")[:p_size])
+    return assign_ranks_and_fitness(Population(union.genomes[keep], union.costs[keep]))

@@ -12,14 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
 from .core import (
-    EvalCounter,
-    Individual,
     Population,
     assign_ranks_and_fitness,
     elitist_select,
@@ -67,6 +65,14 @@ class EngineConfig:
             if not ok:
                 raise ValueError(message)
 
+    def check_init_budget(self, k_tasks: int) -> None:
+        """Raise unless the budget covers evaluating the initial population
+        on all ``k_tasks`` tasks."""
+        init_cost = self.population_size * k_tasks
+        if self.eval_budget < init_cost:
+            raise ValueError(f"budget {self.eval_budget} cannot cover "
+                             f"initialization ({init_cost} evaluations)")
+
 
 @dataclass
 class RmpMatrix:
@@ -106,15 +112,13 @@ def rmp_update(m: RmpMatrix, i: int, j: int, transfer_positive: bool) -> RmpMatr
     return m
 
 
-def transfer_outcome(child: Individual, parent: Individual) -> bool:
+def transfer_outcome(child_cost: float, parent_cost: float) -> bool:
     """True iff the child strictly improves on the parent's cost for the
     skill task the child inherited. Equal cost counts as negative."""
-    k = child.skill_factor
-    parent_cost = parent.factorial_costs[k]
     if not math.isfinite(parent_cost):
-        log.info("parent has no cost on task %d; counting transfer as positive", k)
+        log.info("parent has no cost on the child's task; counting transfer as positive")
         return True
-    return child.factorial_costs[k] < parent_cost
+    return child_cost < parent_cost
 
 
 @dataclass
@@ -163,23 +167,19 @@ class TaskResult:
     genome: np.ndarray
 
 
-def _best_per_task(pop: Population, tasks) -> list[TaskResult]:
-    out = []
-    for k in range(len(tasks)):
-        costs = [m.factorial_costs[k] for m in pop.members]
-        i = int(np.argmin(costs))
-        out.append(TaskResult(cost=float(costs[i]), genome=pop.members[i].genome.copy()))
-    return out
+def _best_per_task(pop: Population) -> list[TaskResult]:
+    return [TaskResult(cost=float(pop.costs[i, k]), genome=pop.genomes[i].copy())
+            for k, i in enumerate(pop.costs.argmin(axis=0))]
 
 
-def _init_population(tasks, config, rng, d_max, counter) -> Population:
-    members = []
-    for _ in range(config.population_size):
-        ind = Individual.fresh(random_genome(d_max, rng), len(tasks))
-        evaluate_all_tasks(ind, tasks, counter)
-        members.append(ind)
-    pop = Population(members, len(tasks))
-    return assign_ranks_and_fitness(pop)
+def _record(generation: int, evaluations: int, pop: Population,
+            rmp: RmpMatrix | None) -> GenerationRecord:
+    return GenerationRecord(
+        generation=generation,
+        evaluations=evaluations,
+        best_costs=pop.costs.min(axis=0).tolist(),
+        rmp=None if rmp is None else rmp.entries.tolist(),
+    )
 
 
 def _maybe_mutate(genome: np.ndarray, p_m: float, rng) -> np.ndarray:
@@ -192,129 +192,101 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     rng = np.random.default_rng(config.seed if rng is None else rng)
     k_tasks = len(tasks)
     dims = [t.dimension for t in tasks]
-    d_max = max(dims)
-    init_cost = config.population_size * k_tasks
-    if config.eval_budget < init_cost:
-        raise ValueError(
-            f"budget {config.eval_budget} cannot cover initialization "
-            f"({init_cost} evaluations)")
+    config.check_init_budget(k_tasks)
 
-    counter = EvalCounter(config.eval_budget)
-    pop = _init_population(tasks, config, rng, d_max, counter)
+    d_max = max(dims)
+    genomes = np.array([random_genome(d_max, rng) for _ in range(config.population_size)])
+    pop = assign_ranks_and_fitness(Population(
+        genomes, np.array([evaluate_all_tasks(g, tasks) for g in genomes])))
+    evaluations = config.population_size * k_tasks
     rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor) if adaptive else None
 
-    trace = RunTrace()
-    trace.append(GenerationRecord(
-        generation=0,
-        evaluations=counter.count,
-        best_costs=[pop.best_cost(k) for k in range(k_tasks)],
-        rmp=rmp.entries.tolist() if adaptive else None,
-    ))
-
+    trace = RunTrace([_record(0, evaluations, pop, rmp)])
     generation = 0
-    while not counter.exhausted:
+    while evaluations < config.eval_budget:
         generation += 1
-        offspring: list[Individual] = []
-        by_skill: dict[int, list[int]] = {}
-        for i, m in enumerate(pop.members):
-            by_skill.setdefault(m.skill_factor, []).append(i)
-
-        order = rng.permutation(len(pop.members))
-        for a in range(0, len(order) - 1, 2):
-            if counter.exhausted:
-                break
-            pa = pop.members[order[a]]
-            pb = pop.members[order[a + 1]]
-            if adaptive:
-                kids = _dmfea2_pair(pa, pb, order[a], order[a + 1], pop, by_skill,
-                                    rmp, dims, config, tasks, counter, rng)
-            else:
-                kids = _mfea_pair(pa, pb, config, tasks, counter, rng)
-            # Children come lazily: the budget binds per child, odd ones too.
-            for child in kids:
-                offspring.append(child)
-                if counter.exhausted:
-                    break
-
-        pop = elitist_select(pop, Population(offspring, k_tasks),
+        order = rng.permutation(len(pop.costs))
+        pairs = (_dmfea2_pair(pop, ia, ib, rmp, dims, config, tasks, rng) if adaptive
+                 else _mfea_pair(pop, ia, ib, config, tasks, rng)
+                 for ia, ib in zip(order[::2], order[1::2]))
+        # Children come lazily, one evaluation each: the budget binds per
+        # child, so an odd remainder cuts the last pair short.
+        children = list(islice(chain.from_iterable(pairs),
+                               config.eval_budget - evaluations))
+        evaluations += len(children)
+        genomes, costs = zip(*children)
+        pop = elitist_select(pop, Population(np.array(genomes), np.array(costs)),
                              config.population_size)
-        trace.append(GenerationRecord(
-            generation=generation,
-            evaluations=counter.count,
-            best_costs=[pop.best_cost(k) for k in range(k_tasks)],
-            rmp=rmp.entries.tolist() if adaptive else None,
-        ))
+        trace.append(_record(generation, evaluations, pop, rmp))
 
-    return _best_per_task(pop, tasks), trace
+    return _best_per_task(pop), trace
 
 
-def _make_child(genome: np.ndarray, skill: int, tasks, counter) -> Individual:
-    child = Individual.fresh(genome, len(tasks))
-    child.skill_factor = skill
-    return evaluate_skill_task(child, tasks, counter)
-
-
-def _mfea_pair(pa, pb, config, tasks, counter, rng) -> Iterator[Individual]:
-    """One parent pair under the baseline scalar-RMP scheme."""
-    if pa.skill_factor == pb.skill_factor:
-        ga, gb = order_crossover(pa.genome, pb.genome, rng=rng)
-        skills = (pa.skill_factor, pa.skill_factor)
-    elif rng.random() <= config.rmp_scalar:
-        ga, gb = order_crossover(pa.genome, pb.genome, rng=rng)
-        skills = (pa.skill_factor if rng.random() < 0.5 else pb.skill_factor,
-                  pa.skill_factor if rng.random() < 0.5 else pb.skill_factor)
-    else:
-        ga = two_opt(pa.genome, rng=rng)
-        gb = two_opt(pb.genome, rng=rng)
-        skills = (pa.skill_factor, pb.skill_factor)
-    yield _make_child(ga, skills[0], tasks, counter)
-    yield _make_child(gb, skills[1], tasks, counter)
-
-
-def _dmfea2_pair(pa, pb, ia, ib, pop, by_skill, rmp, dims, config, tasks,
-                 counter, rng) -> Iterator[Individual]:
-    """One parent pair under the adaptive matrix scheme."""
-    ta, tb = pa.skill_factor, pb.skill_factor
+def _mfea_pair(pop, ia, ib, config, tasks, rng):
+    """One parent pair under the baseline scalar-RMP scheme; yields
+    (genome, costs) per child."""
+    ta, tb = pop.skill[ia], pop.skill[ib]
     if ta == tb:
-        ga, gb = order_crossover(pa.genome, pb.genome, rng=rng)
+        ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
+        skills = (ta, ta)
+    elif rng.random() <= config.rmp_scalar:
+        ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
+        skills = (ta if rng.random() < 0.5 else tb,
+                  ta if rng.random() < 0.5 else tb)
+    else:
+        ga = two_opt(pop.genomes[ia], rng=rng)
+        gb = two_opt(pop.genomes[ib], rng=rng)
+        skills = (ta, tb)
+    for genome, skill in zip((ga, gb), skills):
+        yield genome, evaluate_skill_task(genome, skill, tasks)
+
+
+def _dmfea2_pair(pop, ia, ib, rmp, dims, config, tasks, rng):
+    """One parent pair under the adaptive matrix scheme; yields
+    (genome, costs) per child, each after its matrix update."""
+    ta, tb = pop.skill[ia], pop.skill[ib]
+    if ta == tb:
+        ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
         ga = _maybe_mutate(ga, config.p_m, rng)
         gb = _maybe_mutate(gb, config.p_m, rng)
-        yield _make_child(ga, ta, tasks, counter)
-        yield _make_child(gb, ta, tasks, counter)
+        yield ga, evaluate_skill_task(ga, ta, tasks)
+        yield gb, evaluate_skill_task(gb, ta, tasks)
         return
 
     if rng.random() <= rmp.get(ta, tb):
         # Inter-task parent-centric crossover; both children update (ta, tb).
         entry = rmp.get(ta, tb)
-        for dominant, donor, d_k in ((pa, pb, dims[ta]), (pb, pa, dims[tb])):
-            genome = dynamic_ox(dominant.genome, donor.genome, entry,
+        for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
+            genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
                                 config.w, d_k, rng)
             genome = _maybe_mutate(genome, config.p_m, rng)
             skill = ta if rng.random() < 0.5 else tb
-            child = _make_child(genome, skill, tasks, counter)
-            skill_parent = pa if skill == ta else pb
-            rmp_update(rmp, ta, tb, transfer_outcome(child, skill_parent))
-            yield child
+            costs = evaluate_skill_task(genome, skill, tasks)
+            skill_parent = ia if skill == ta else ib
+            rmp_update(rmp, ta, tb, transfer_outcome(costs[skill],
+                                                     pop.costs[skill_parent, skill]))
+            yield genome, costs
         return
 
     # Intra-task branch: each parent crosses with a random same-skill mate
     # and updates the diagonal entry of its own task.
-    for parent, idx in ((pa, ia), (pb, ib)):
-        t = parent.skill_factor
-        mates = [i for i in by_skill.get(t, []) if i != idx]
-        if not mates:
+    for idx in (ia, ib):
+        t = pop.skill[idx]
+        mates = np.flatnonzero(pop.skill == t)
+        mates = mates[mates != idx]
+        if not len(mates):
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-            genome = two_opt(parent.genome, rng=rng)
-            yield _make_child(genome, t, tasks, counter)
+            genome = two_opt(pop.genomes[idx], rng=rng)
+            yield genome, evaluate_skill_task(genome, t, tasks)
             continue
-        mate = pop.members[mates[int(rng.integers(len(mates)))]]
-        genome = dynamic_ox(parent.genome, mate.genome, rmp.get(t, t),
+        mate = mates[int(rng.integers(len(mates)))]
+        genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
                             config.w, dims[t], rng)
         genome = _maybe_mutate(genome, config.p_m, rng)
-        child = _make_child(genome, t, tasks, counter)
-        rmp_update(rmp, t, t, transfer_outcome(child, parent))
-        yield child
+        costs = evaluate_skill_task(genome, t, tasks)
+        rmp_update(rmp, t, t, transfer_outcome(costs[t], pop.costs[idx, t]))
+        yield genome, costs
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

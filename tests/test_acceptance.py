@@ -6,7 +6,6 @@ still reports every other verdict.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
@@ -73,13 +72,12 @@ def test_criterion_1_property_suite(monkeypatch):
     real_select = mfopt.engines.elitist_select
 
     def checked_select(current, offspring, p_size):
-        for m in offspring.members:
-            if sum(math.isfinite(c) for c in m.factorial_costs) != 1:
+        for evaluated in np.isfinite(offspring.costs).sum(axis=1):
+            if evaluated != 1:
                 violations.append("selective evaluation")
         out = real_select(current, offspring, p_size)
-        for k in range(out.k_tasks):
-            ranks = sorted(m.factorial_ranks[k] for m in out.members)
-            if ranks != list(range(1, len(out.members) + 1)):
+        for ranks in out.ranks.T:
+            if sorted(ranks) != list(range(1, len(out.costs) + 1)):
                 violations.append("rank bijectivity")
         return out
 

@@ -53,6 +53,7 @@ def test_missing_subcommand_errors():
 @pytest.mark.parametrize("argv", [
     ["run", "TE_99"],
     ["run", "TE_4_1", "--pop", "7"],
+    ["run", "TE_4_1", "--budget", "10"],
     ["bench", "TE_4_1", "--rmp-init", "1.5"],
     ["bench", "TE_4_1", "--reps", "0"],
     ["report", "TE_99"],

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfopt.tasks
 from mfopt.core import (
     UNEVALUATED,
-    EvalCounter,
-    Individual,
     Population,
     assign_ranks_and_fitness,
     elitist_select,
@@ -20,14 +19,40 @@ from mfopt.core import (
 
 
 def make_pop(cost_rows):
-    """Population from explicit factorial-cost rows (genomes are dummies)."""
-    k = len(cost_rows[0])
-    members = []
-    for row in cost_rows:
-        ind = Individual.fresh(np.arange(1, 4), k)
-        ind.factorial_costs = np.array(row, dtype=float)
-        members.append(ind)
-    return Population(members, k)
+    """Population from explicit factorial-cost rows; genome row i is filled
+    with i, so survivors can be traced back to their rows."""
+    costs = np.array(cost_rows, dtype=float)
+    return Population(np.repeat(np.arange(len(costs)), 3).reshape(-1, 3), costs)
+
+
+def reference_ranks(costs):
+    """Per-member loop version of ``assign_ranks_and_fitness``, kept as the
+    reference for the vectorised one. Returns (ranks, skill, fitness)."""
+    p, k_tasks = costs.shape
+    ranks = np.empty((p, k_tasks), dtype=np.int64)
+    for k in range(k_tasks):
+        # sorted() is stable: cost ties keep the lower index first.
+        for r, i in enumerate(sorted(range(p), key=lambda i: costs[i, k])):
+            ranks[i, k] = r + 1
+    skill, fitness = [], []
+    for i in range(p):
+        best = min(range(k_tasks), key=lambda k: ranks[i, k])  # lowest task on ties
+        skill.append(best)
+        fitness.append(1.0 / ranks[i, best])
+    return ranks, np.array(skill), np.array(fitness)
+
+
+def reference_survivors(costs, p_size):
+    """Union rows kept by elitist selection, in union order, by the loop
+    reference: best fitness first, lower union index on ties."""
+    _, _, fitness = reference_ranks(costs)
+    return sorted(sorted(range(len(costs)), key=lambda i: -fitness[i])[:p_size])
+
+
+# Cost matrices with many ties and unevaluated entries.
+cost_matrices = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0, UNEVALUATED]), min_size=k, max_size=k),
+    min_size=1, max_size=16))
 
 
 class TestGenome:
@@ -50,52 +75,36 @@ class TestGenome:
         assert sorted(g) == list(range(1, d + 1))
 
 
-class TestEvalCounter:
-    def test_budget_accounting(self):
-        c = EvalCounter(5)
-        assert not c.exhausted
-        c.spend(3)
-        assert c.count == 3 and not c.exhausted
-        c.spend(2)
-        assert c.exhausted
-        c.spend()  # spending past the limit is allowed, just counted
-        assert c.count == 6
-
-
 class TestRanking:
     def test_ranks_and_fitness_by_hand(self):
         # Two tasks, three members.  Task-0 costs 5 < 7 < 9 give ranks
         # 1, 2, 3; task-1 costs 4 < 6 < 8 give ranks 2, 3, 1.
         pop = make_pop([[5, 6], [7, 8], [9, 4]])
         assign_ranks_and_fitness(pop)
-        m0, m1, m2 = pop.members
-        assert list(m0.factorial_ranks) == [1, 2]
-        assert list(m1.factorial_ranks) == [2, 3]
-        assert list(m2.factorial_ranks) == [3, 1]
-        assert (m0.skill_factor, m1.skill_factor, m2.skill_factor) == (0, 0, 1)
-        assert m0.scalar_fitness == 1.0
-        assert m1.scalar_fitness == 0.5
-        assert m2.scalar_fitness == 1.0
+        assert pop.ranks.tolist() == [[1, 2], [2, 3], [3, 1]]
+        assert pop.skill.tolist() == [0, 0, 1]
+        assert pop.fitness.tolist() == [1.0, 0.5, 1.0]
 
     def test_skill_tie_breaks_to_lower_task(self):
         pop = make_pop([[1.0, 1.0]])
         assign_ranks_and_fitness(pop)
-        assert pop.members[0].skill_factor == 0
+        assert pop.skill[0] == 0
 
     def test_cost_tie_breaks_to_lower_index(self):
         pop = make_pop([[2.0], [2.0]])
         assign_ranks_and_fitness(pop)
-        assert list(m.factorial_ranks[0] for m in pop.members) == [1, 2]
+        assert pop.ranks[:, 0].tolist() == [1, 2]
 
     def test_unevaluated_ranks_last(self):
         pop = make_pop([[UNEVALUATED], [3.0]])
         assign_ranks_and_fitness(pop)
-        assert pop.members[0].factorial_ranks[0] == 2
-        assert pop.members[1].factorial_ranks[0] == 1
+        assert pop.ranks[0, 0] == 2
+        assert pop.ranks[1, 0] == 1
 
     def test_empty_population_raises(self):
         with pytest.raises(ValueError):
-            assign_ranks_and_fitness(Population([], 1))
+            assign_ranks_and_fitness(Population(np.empty((0, 3), np.int64),
+                                                np.empty((0, 1))))
 
     @given(st.lists(st.lists(st.floats(min_value=0, max_value=1e6),
                              min_size=2, max_size=2),
@@ -106,26 +115,43 @@ class TestRanking:
         assign_ranks_and_fitness(pop)
         p = len(rows)
         for k in range(2):
-            ranks = sorted(m.factorial_ranks[k] for m in pop.members)
-            assert ranks == list(range(1, p + 1))
+            assert sorted(pop.ranks[:, k]) == list(range(1, p + 1))
+
+    @given(cost_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_reference(self, rows):
+        pop = assign_ranks_and_fitness(make_pop(rows))
+        ranks, skill, fitness = reference_ranks(pop.costs)
+        assert np.array_equal(pop.ranks, ranks)
+        assert np.array_equal(pop.skill, skill)
+        assert np.array_equal(pop.fitness, fitness)
 
 
 class TestEvaluation:
-    def test_evaluate_all_tasks_spends_k(self, square_tsp, line_tsp):
-        counter = EvalCounter(10)
-        ind = Individual.fresh(np.arange(1, 6), 2)
-        evaluate_all_tasks(ind, [square_tsp, line_tsp], counter)
-        assert counter.count == 2
-        assert all(math.isfinite(c) for c in ind.factorial_costs)
+    @pytest.fixture
+    def cost_calls(self, monkeypatch):
+        """Count objective evaluations: every call of ``tsp_cost``."""
+        calls = []
+        real = mfopt.tasks.tsp_cost
 
-    def test_evaluate_skill_task_spends_one(self, square_tsp, line_tsp):
-        counter = EvalCounter(10)
-        ind = Individual.fresh(np.arange(1, 6), 2)
-        ind.skill_factor = 1
-        evaluate_skill_task(ind, [square_tsp, line_tsp], counter)
-        assert counter.count == 1
-        assert ind.factorial_costs[0] == UNEVALUATED
-        assert ind.factorial_costs[1] == 8.0  # line tour 0-1-2-3-4-0
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mfopt.tasks, "tsp_cost", counted)
+        return calls
+
+    def test_evaluate_all_tasks_spends_k(self, square_tsp, line_tsp, cost_calls):
+        costs = evaluate_all_tasks(np.arange(1, 6), [square_tsp, line_tsp])
+        assert len(cost_calls) == 2
+        assert costs.shape == (2,)
+        assert all(math.isfinite(c) for c in costs)
+
+    def test_evaluate_skill_task_spends_one(self, square_tsp, line_tsp, cost_calls):
+        costs = evaluate_skill_task(np.arange(1, 6), 1, [square_tsp, line_tsp])
+        assert len(cost_calls) == 1
+        assert costs[0] == UNEVALUATED
+        assert costs[1] == 8.0  # line tour 0-1-2-3-4-0
 
 
 class TestElitistSelect:
@@ -133,8 +159,7 @@ class TestElitistSelect:
         cur = make_pop([[10.0], [20.0]])
         off = make_pop([[5.0], [30.0]])
         out = elitist_select(cur, off, 2)
-        costs = sorted(m.factorial_costs[0] for m in out.members)
-        assert costs == [5.0, 10.0]
+        assert sorted(out.costs[:, 0]) == [5.0, 10.0]
 
     def test_union_too_small_raises(self):
         with pytest.raises(ValueError):
@@ -151,5 +176,24 @@ class TestElitistSelect:
         cur = make_pop([[c] for c in cur_costs])
         off = make_pop([[c] for c in off_costs])
         out = elitist_select(cur, off, p)
-        assert len(out) == p
-        assert out.best_cost(0) == min(min(cur_costs), min(off_costs))
+        assert len(out.costs) == p
+        assert out.costs[:, 0].min() == min(min(cur_costs), min(off_costs))
+
+    @given(cost_matrices, cost_matrices, st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_reference(self, cur_rows, off_rows, p_size):
+        # Pad the narrower pool with unevaluated tasks so both share K.
+        k = max(len(cur_rows[0]), len(off_rows[0]))
+        union = np.array([row + [UNEVALUATED] * (k - len(row))
+                          for row in cur_rows + off_rows])
+        p_size = min(p_size, len(union))
+        cur, off = make_pop(union[:len(cur_rows)]), make_pop(union[len(cur_rows):])
+        off.genomes += len(cur_rows)  # genome rows carry union indices
+        out = elitist_select(cur, off, p_size)
+        keep = reference_survivors(union, p_size)
+        assert out.genomes[:, 0].tolist() == keep
+        assert np.array_equal(out.costs, union[keep])
+        ranks, skill, fitness = reference_ranks(union[keep])
+        assert np.array_equal(out.ranks, ranks)
+        assert np.array_equal(out.skill, skill)
+        assert np.array_equal(out.fitness, fitness)

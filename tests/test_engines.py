@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mfopt.core import Individual, is_valid_genome
+from mfopt.core import is_valid_genome
 from mfopt.engines import (
     EngineConfig,
     GenerationRecord,
@@ -66,21 +66,13 @@ class TestRmpMatrix:
 
 
 class TestTransferOutcome:
-    def _pair(self, child_cost, parent_cost):
-        child = Individual.fresh(np.arange(1, 4), 1)
-        child.skill_factor = 0
-        child.factorial_costs[0] = child_cost
-        parent = Individual.fresh(np.arange(1, 4), 1)
-        parent.factorial_costs[0] = parent_cost
-        return child, parent
-
     def test_strict_improvement_required(self):
-        assert transfer_outcome(*self._pair(9.0, 10.0))
-        assert not transfer_outcome(*self._pair(10.0, 10.0))
-        assert not transfer_outcome(*self._pair(11.0, 10.0))
+        assert transfer_outcome(9.0, 10.0)
+        assert not transfer_outcome(10.0, 10.0)
+        assert not transfer_outcome(11.0, 10.0)
 
     def test_unevaluated_parent_counts_positive(self):
-        assert transfer_outcome(*self._pair(9.0, math.inf))
+        assert transfer_outcome(9.0, math.inf)
 
 
 class TestEngineConfig:

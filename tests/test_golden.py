@@ -2,7 +2,8 @@
 must reproduce the SHA-256 digests recorded in ``golden/digests.json``.
 
 A change that is meant to alter seeded output regenerates the digests with
-``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py``, which prints the keys whose
+digest changed, and lists those keys in CHANGES.md.
 """
 
 import hashlib
@@ -48,8 +49,12 @@ def test_seeded_outputs_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        DIGESTS.parent.mkdir(exist_ok=True)
-        DIGESTS.write_text(json.dumps(golden_digests(Path(tmp)), indent=2,
-                                      sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS}")
+        new = golden_digests(Path(tmp))
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    print(f"wrote {DIGESTS}: {len(changed)} of {len(new)} digests changed")
+    for key in changed:
+        print(f"  {key}")
