@@ -7,7 +7,8 @@ P members over K tasks is held as arrays, one row per member:
 - ``costs``: P x K factorial costs, ``UNEVALUATED`` where a member was
   never evaluated on a task;
 - ``ranks``: P x K factorial ranks, each column a permutation of 1..P;
-- ``skill``: the task on which each member ranks best (its skill factor);
+- ``skill``: the evaluated task on which each member ranks best (its
+  skill factor);
 - ``fitness``: the reciprocal of that best rank (scalar fitness).
 
 The last three are derived from ``costs`` by ``assign_ranks_and_fitness``.
@@ -73,7 +74,9 @@ def assign_ranks_and_fitness(pop: Population) -> Population:
 
     Per task, members sorted by ascending cost get ranks 1..P; cost ties
     break toward the lower population index (stable sort). Unevaluated
-    costs rank last. Skill-factor ties break toward the lower task index.
+    costs rank last. Skill factor and fitness come from a member's best
+    rank among the tasks it was evaluated on; skill-factor ties break
+    toward the lower task index.
     """
     p, k_tasks = pop.costs.shape
     if p == 0:
@@ -81,8 +84,11 @@ def assign_ranks_and_fitness(pop: Population) -> Population:
     order = np.argsort(pop.costs, axis=0, kind="stable")
     pop.ranks = np.empty((p, k_tasks), dtype=np.int64)
     pop.ranks[order, np.arange(k_tasks)] = np.arange(1, p + 1)[:, None]
-    pop.skill = pop.ranks.argmin(axis=1)  # argmin takes the lowest task on ties
-    pop.fitness = 1.0 / pop.ranks.min(axis=1)
+    # A rank on an unevaluated task says nothing about the member, yet in a
+    # small population "last" can beat its rank on an evaluated task.
+    evaluated = np.where(np.isfinite(pop.costs), pop.ranks, p + 1)
+    pop.skill = evaluated.argmin(axis=1)  # argmin takes the lowest task on ties
+    pop.fitness = 1.0 / evaluated.min(axis=1)
     return pop
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -115,9 +114,6 @@ def rmp_update(m: RmpMatrix, i: int, j: int, transfer_positive: bool) -> RmpMatr
 def transfer_outcome(child_cost: float, parent_cost: float) -> bool:
     """True iff the child strictly improves on the parent's cost for the
     skill task the child inherited. Equal cost counts as negative."""
-    if not math.isfinite(parent_cost):
-        log.info("parent has no cost on the child's task; counting transfer as positive")
-        return True
     return child_cost < parent_cost
 
 

@@ -36,9 +36,12 @@ def reference_ranks(costs):
             ranks[i, k] = r + 1
     skill, fitness = [], []
     for i in range(p):
-        best = min(range(k_tasks), key=lambda k: ranks[i, k])  # lowest task on ties
+        # Only evaluated tasks count toward skill and fitness.
+        rank = [ranks[i, k] if math.isfinite(costs[i, k]) else p + 1
+                for k in range(k_tasks)]
+        best = min(range(k_tasks), key=lambda k: rank[k])  # lowest task on ties
         skill.append(best)
-        fitness.append(1.0 / ranks[i, best])
+        fitness.append(1.0 / rank[best])
     return ranks, np.array(skill), np.array(fitness)
 
 
@@ -50,8 +53,14 @@ def reference_survivors(costs, p_size):
 
 
 # Cost matrices with many ties and unevaluated entries.
+costs_or_unevaluated = st.sampled_from([0.0, 1.0, 2.5, 7.0, UNEVALUATED])
 cost_matrices = st.integers(1, 4).flatmap(lambda k: st.lists(
-    st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0, UNEVALUATED]), min_size=k, max_size=k),
+    st.lists(costs_or_unevaluated, min_size=k, max_size=k),
+    min_size=1, max_size=16))
+# ... in which every member was evaluated on at least one task.
+evaluated_cost_matrices = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(costs_or_unevaluated, min_size=k, max_size=k).filter(
+        lambda row: any(map(math.isfinite, row))),
     min_size=1, max_size=16))
 
 
@@ -116,6 +125,12 @@ class TestRanking:
         p = len(rows)
         for k in range(2):
             assert sorted(pop.ranks[:, k]) == list(range(1, p + 1))
+
+    @given(evaluated_cost_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_skill_is_an_evaluated_task(self, rows):
+        pop = assign_ranks_and_fitness(make_pop(rows))
+        assert np.isfinite(pop.costs[np.arange(len(rows)), pop.skill]).all()
 
     @given(cost_matrices)
     @settings(max_examples=200, deadline=None)

@@ -71,9 +71,6 @@ class TestTransferOutcome:
         assert not transfer_outcome(10.0, 10.0)
         assert not transfer_outcome(11.0, 10.0)
 
-    def test_unevaluated_parent_counts_positive(self):
-        assert transfer_outcome(9.0, math.inf)
-
 
 class TestEngineConfig:
     def test_odd_population_rejected(self):
