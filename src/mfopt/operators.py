@@ -26,31 +26,22 @@ class CrossoverWindow:
             raise ValueError("window start must be >= 0")
 
 
-def draw_window(d_max: int, rng: np.random.Generator, length: int | None = None) -> CrossoverWindow:
-    """Random window; with no length given, draws two distinct cut points."""
-    if length is None:
-        i, j = sorted(rng.choice(d_max + 1, size=2, replace=False))
-        return CrossoverWindow(start=int(i), length=int(j - i))
-    start = int(rng.integers(0, d_max - length + 1))
-    return CrossoverWindow(start=start, length=length)
+def draw_window(d_max: int, rng: np.random.Generator) -> CrossoverWindow:
+    """Random window between two distinct cut points in [0, d_max]."""
+    i, j = sorted(rng.choice(d_max + 1, size=2, replace=False).tolist())
+    return CrossoverWindow(start=i, length=j - i)
 
 
-def _ox_child(keeper: np.ndarray, filler: np.ndarray, window: CrossoverWindow) -> np.ndarray:
-    """One OX child: keeper's window segment, remaining positions filled
+def _ox_child(keeper: np.ndarray, filler: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """One OX child: keeper's segment [lo, hi), remaining positions filled
     left-to-right with the absent values in filler's cyclic order starting
-    just after the window."""
-    n = len(keeper)
-    lo, hi = window.start, window.start + window.length
-    child = np.empty(n, dtype=keeper.dtype)
+    just after the segment."""
     segment = keeper[lo:hi]
-    child[lo:hi] = segment
-    in_segment = np.zeros(n + 1, dtype=bool)
+    in_segment = np.zeros(len(keeper) + 1, dtype=bool)
     in_segment[segment] = True
-    fill = np.roll(filler, -hi)
+    fill = np.concatenate((filler[hi:], filler[:hi]))
     fill = fill[~in_segment[fill]]
-    positions = np.concatenate([np.arange(lo), np.arange(hi, n)])
-    child[positions] = fill
-    return child
+    return np.concatenate((fill[:lo], segment, fill[lo:]))
 
 
 def order_crossover(
@@ -70,9 +61,10 @@ def order_crossover(
         if rng is None:
             raise ValueError("need a window or an rng to draw one")
         window = draw_window(len(a), rng)
-    if window.start + window.length > len(a):
+    lo, hi = window.start, window.start + window.length
+    if hi > len(a):
         raise ValueError("window exceeds genome bounds")
-    return _ox_child(a, b, window), _ox_child(b, a, window)
+    return _ox_child(a, b, lo, hi), _ox_child(b, a, lo, hi)
 
 
 def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
@@ -100,7 +92,7 @@ def two_opt(
     if i is None or j is None:
         if rng is None:
             raise ValueError("need explicit (i, j) or an rng")
-        i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     out = genome.copy()
@@ -127,14 +119,14 @@ def dynamic_ox(
     """
     n = len(dominant)
     length = window_length(w, rmp_entry, d_k, n)
-    window = draw_window(n, rng, length=length)
-    lo, hi = window.start, window.start + window.length
-    child = dominant.copy()
-    segment = child[lo:hi]
-    donor_pos = np.empty(n + 1, dtype=np.int64)
-    donor_pos[donor] = np.arange(n)
-    child[lo:hi] = segment[np.argsort(donor_pos[segment], kind="stable")]
-    if np.array_equal(child, dominant):
+    lo = int(rng.integers(0, n - length + 1))
+    segment = dominant[lo:lo + length]
+    in_segment = np.zeros(n + 1, dtype=bool)
+    in_segment[segment] = True
+    reordered = donor[in_segment[donor]]
+    if np.array_equal(reordered, segment):
         i = int(rng.integers(0, n - 1))
-        child = two_opt(child, i, i + 1)
+        return two_opt(dominant, i, i + 1)
+    child = dominant.copy()
+    child[lo:lo + length] = reordered
     return child

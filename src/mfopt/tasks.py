@@ -72,6 +72,9 @@ class CvrpInstance:
     capacity: int
     _dist: np.ndarray = field(init=False, repr=False)
     _depot_dist: np.ndarray = field(init=False, repr=False)
+    # Python-int copies of (_dist, _depot_dist, demands, capacity) for
+    # cvrp_cost: list indexing is several times cheaper than numpy scalars.
+    _lists: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.customer_coords = np.asarray(self.customer_coords, dtype=float)
@@ -83,6 +86,8 @@ class CvrpInstance:
         self._dist = _euc2d_matrix(self.customer_coords, self.customer_coords)
         depot = np.asarray([self.depot_coord], dtype=float)
         self._depot_dist = _euc2d_matrix(depot, self.customer_coords)[0]
+        self._lists = (self._dist.tolist(), self._depot_dist.tolist(),
+                       self.demands.tolist(), int(self.capacity))
 
     @property
     def dimension(self) -> int:
@@ -98,7 +103,8 @@ def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
     Greedy left-to-right: accumulate demand and close the current route
     whenever the next customer would exceed capacity (this is where the
     route-separating zeros are inserted). Distance per route is
-    depot -> first -> ... -> last -> depot.
+    depot -> first -> ... -> last -> depot. The reference that tests check
+    ``cvrp_cost`` against.
     """
     demands = inst.demands
     cap = inst.capacity
@@ -128,24 +134,24 @@ def _route_distance(idx: np.ndarray, inst: CvrpInstance) -> int:
 
 
 def cvrp_cost(perm: np.ndarray, inst: CvrpInstance) -> float:
-    """Total routed distance of the greedy capacity decoding of ``perm``."""
-    # Inlined decode without building route arrays; hot path of CVRP runs.
-    demands = inst.demands
-    cap = inst.capacity
-    dist = inst._dist
-    depot = inst._depot_dist
-    idx = perm - 1
-    total = 0
-    load = 0
-    prev = -1
-    for c in idx:
+    """Total routed distance of the greedy capacity decoding of ``perm``.
+
+    The fast path of every CVRP evaluation: the same split as
+    ``cvrp_decode``, which is its reference, summed in Python ints without
+    building routes.
+    """
+    dist, depot, demands, cap = inst._lists
+    idx = (perm - 1).tolist()
+    prev = idx[0]
+    total = depot[prev]
+    load = demands[prev]
+    for c in idx[1:]:
         q = demands[c]
         if load + q > cap:
-            total += depot[prev]
-            prev = -1
-            load = 0
-        total += depot[c] if prev < 0 else dist[prev, c]
+            total += depot[prev] + depot[c]
+            load = q
+        else:
+            total += dist[prev][c]
+            load += q
         prev = c
-        load += q
-    total += depot[prev]
-    return float(total)
+    return float(total + depot[prev])

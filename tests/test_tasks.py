@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfopt.harness import load_environment
 from mfopt.tasks import (
     CvrpInstance,
     TspInstance,
@@ -86,6 +87,16 @@ class TestCvrp:
             perm = rng.permutation(4) + 1
             assert cvrp_cost(perm, tiny_cvrp) == \
                 cvrp_decode(perm, tiny_cvrp).total_distance
+
+    @pytest.mark.parametrize("name", ["P-n50-k7", "P-n50-k8", "P-n55-k7", "P-n55-k8"])
+    def test_cost_matches_decode_on_bundled(self, name):
+        inst = next(t for t in load_environment("TE_4_2").tasks if t.name == name)
+        rng = np.random.default_rng(0)
+        identity = np.arange(1, inst.dimension + 1)
+        perms = [identity, identity[::-1].copy()]
+        perms += [rng.permutation(inst.dimension) + 1 for _ in range(2000)]
+        for perm in perms:
+            assert cvrp_cost(perm, inst) == cvrp_decode(perm, inst).total_distance
 
     def test_single_route_when_capacity_suffices(self, tiny_cvrp):
         big = CvrpInstance(
