@@ -114,11 +114,22 @@ def load_environment(name_or_path: str) -> Environment:
         raise ValueError(f"unknown environment {name_or_path!r} "
                          f"(not a built-in name or config file)")
     spec = json.loads(path.read_text())
+    instances = spec.get("instances") if isinstance(spec, dict) else None
+    if (not isinstance(instances, list) or not instances
+            or not all(isinstance(p, str) for p in instances)):
+        raise ValueError(f"{path}: 'instances' must be a non-empty list "
+                         f"of instance file paths")
     tasks = []
-    for inst_path in spec["instances"]:
+    for inst_path in instances:
         inst_path = str((path.parent / inst_path).resolve()
                         if not Path(inst_path).is_absolute() else inst_path)
-        tasks.append(parsers.parse_problem(parsers.load_problem(inst_path)))
+        try:
+            tasks.append(parsers.parse_problem(parsers.load_problem(inst_path)))
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot read instance {inst_path}: "
+                             f"{exc.strerror}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad instance {inst_path}: {exc}") from exc
     return Environment(name=spec.get("name", path.stem), tasks=tasks)
 
 

@@ -65,3 +65,22 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("mfopt: error: ")
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "x"},
+    {"name": "x", "instances": []},
+    {"name": "x", "instances": ["missing.tsp"]},
+    {"name": "x", "instances": ["bad.tsp"]},
+], ids=["no instances", "empty instances", "missing instance file",
+        "malformed instance file"])
+def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys):
+    (tmp_path / "bad.tsp").write_text("NAME: bad\nTYPE: TSP\n")
+    cfg = tmp_path / "env.json"
+    cfg.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"mfopt: error: {cfg}: ")
