@@ -12,6 +12,11 @@ P members over K tasks is held as arrays, one row per member:
 - ``fitness``: the reciprocal of that best rank (scalar fitness).
 
 The last three are derived from ``costs`` by ``assign_ranks_and_fitness``.
+
+Evaluation has one seam: ``evaluate_skill_task`` costs a genome matrix on
+one task with one projection and one cost call, and ``evaluate_all_tasks``
+is one such batch per task. MFEA batches its children per skill task;
+dMFEA-II costs one child at a time, as each cost updates its matrix.
 """
 
 from __future__ import annotations
@@ -50,23 +55,18 @@ class Population:
     fitness: np.ndarray | None = None   # P
 
 
-def evaluate_all_tasks(genome: np.ndarray, problems) -> np.ndarray:
-    """Costs of ``genome`` on every task: one evaluation per task.
-
-    Used for the initial population only; offspring are evaluated
-    selectively on their skill task.
-    """
-    return np.array([task.cost(tasks.project(genome, task.dimension))
-                     for task in problems])
+def evaluate_all_tasks(genomes: np.ndarray, problems) -> np.ndarray:
+    """n x K costs of a genome matrix on every task, one batch per task; used
+    for the initial population only (offspring get selective evaluation)."""
+    return np.column_stack([evaluate_skill_task(genomes, k, problems)
+                            for k in range(len(problems))])
 
 
-def evaluate_skill_task(genome: np.ndarray, skill: int, problems) -> np.ndarray:
-    """Costs of ``genome`` after one evaluation, on task ``skill`` only
-    (selective evaluation); every other task stays ``UNEVALUATED``."""
-    costs = np.full(len(problems), UNEVALUATED)
+def evaluate_skill_task(genomes: np.ndarray, skill: int, problems):
+    """Costs on task ``skill`` only (selective evaluation): a float for one
+    genome, a vector for a genome matrix."""
     task = problems[skill]
-    costs[skill] = task.cost(tasks.project(genome, task.dimension))
-    return costs
+    return task.cost(tasks.project(genomes, task.dimension))
 
 
 def assign_ranks_and_fitness(pop: Population) -> Population:

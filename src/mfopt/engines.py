@@ -17,6 +17,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .core import (
+    UNEVALUATED,
     Population,
     assign_ranks_and_fitness,
     elitist_select,
@@ -192,8 +193,7 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
 
     d_max = max(dims)
     genomes = np.array([random_genome(d_max, rng) for _ in range(config.population_size)])
-    pop = assign_ranks_and_fitness(Population(
-        genomes, np.array([evaluate_all_tasks(g, tasks) for g in genomes])))
+    pop = assign_ranks_and_fitness(Population(genomes, evaluate_all_tasks(genomes, tasks)))
     evaluations = config.population_size * k_tasks
     rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor) if adaptive else None
@@ -203,25 +203,30 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     while evaluations < config.eval_budget:
         generation += 1
         order = rng.permutation(len(pop.costs))
-        pairs = (_dmfea2_pair(pop, ia, ib, rmp, dims, config, tasks, rng) if adaptive
-                 else _mfea_pair(pop, ia, ib, config, tasks, rng)
+        buckets = [np.flatnonzero(pop.skill == t) for t in range(k_tasks)] if adaptive else None
+        pairs = (_dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng) if adaptive
+                 else _mfea_pair(pop, ia, ib, config, rng)
                  for ia, ib in zip(order[::2], order[1::2]))
-        # Children come lazily, one evaluation each: the budget binds per
-        # child, so an odd remainder cuts the last pair short.
-        children = list(islice(chain.from_iterable(pairs),
-                               config.eval_budget - evaluations))
+        # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
+        children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
+        genomes, skills, *child_costs = map(np.array, zip(*children))
+        costs = np.full((len(children), k_tasks), UNEVALUATED)
+        if adaptive:  # dMFEA-II children come with their cost
+            costs[np.arange(len(children)), skills] = child_costs[0]
+        else:
+            # MFEA draws nothing in evaluation, so it evaluates per skill task here.
+            for t in np.unique(skills):
+                costs[skills == t, t] = evaluate_skill_task(genomes[skills == t], t, tasks)
         evaluations += len(children)
-        genomes, costs = zip(*children)
-        pop = elitist_select(pop, Population(np.array(genomes), np.array(costs)),
-                             config.population_size)
+        pop = elitist_select(pop, Population(genomes, costs), config.population_size)
         trace.append(_record(generation, evaluations, pop, rmp))
 
     return _best_per_task(pop), trace
 
 
-def _mfea_pair(pop, ia, ib, config, tasks, rng):
-    """One parent pair under the baseline scalar-RMP scheme; yields
-    (genome, costs) per child."""
+def _mfea_pair(pop, ia, ib, config, rng):
+    """One parent pair under the baseline scalar-RMP scheme; returns
+    (genome, skill) per child, unevaluated."""
     ta, tb = pop.skill[ia], pop.skill[ib]
     if ta == tb:
         ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
@@ -234,20 +239,19 @@ def _mfea_pair(pop, ia, ib, config, tasks, rng):
         ga = two_opt(pop.genomes[ia], rng=rng)
         gb = two_opt(pop.genomes[ib], rng=rng)
         skills = (ta, tb)
-    for genome, skill in zip((ga, gb), skills):
-        yield genome, evaluate_skill_task(genome, skill, tasks)
+    return zip((ga, gb), skills)
 
 
-def _dmfea2_pair(pop, ia, ib, rmp, dims, config, tasks, rng):
-    """One parent pair under the adaptive matrix scheme; yields
-    (genome, costs) per child, each after its matrix update."""
+def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
+    """One parent pair under the adaptive matrix scheme, mates drawn from the
+    skill ``buckets``; yields (genome, skill, cost) per child after its update."""
     ta, tb = pop.skill[ia], pop.skill[ib]
     if ta == tb:
         ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
         ga = _maybe_mutate(ga, config.p_m, rng)
         gb = _maybe_mutate(gb, config.p_m, rng)
-        yield ga, evaluate_skill_task(ga, ta, tasks)
-        yield gb, evaluate_skill_task(gb, ta, tasks)
+        yield ga, ta, evaluate_skill_task(ga, ta, tasks)
+        yield gb, ta, evaluate_skill_task(gb, ta, tasks)
         return
 
     if rng.random() <= rmp.get(ta, tb):
@@ -258,31 +262,31 @@ def _dmfea2_pair(pop, ia, ib, rmp, dims, config, tasks, rng):
                                 config.w, d_k, rng)
             genome = _maybe_mutate(genome, config.p_m, rng)
             skill = ta if rng.random() < 0.5 else tb
-            costs = evaluate_skill_task(genome, skill, tasks)
+            cost = evaluate_skill_task(genome, skill, tasks)
             skill_parent = ia if skill == ta else ib
-            rmp_update(rmp, ta, tb, transfer_outcome(costs[skill],
-                                                     pop.costs[skill_parent, skill]))
-            yield genome, costs
+            rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[skill_parent, skill]))
+            yield genome, skill, cost
         return
 
     # Intra-task branch: each parent crosses with a random same-skill mate
     # and updates the diagonal entry of its own task.
     for idx in (ia, ib):
         t = pop.skill[idx]
-        mates = np.flatnonzero(pop.skill == t)
-        mates = mates[mates != idx]
-        if not len(mates):
+        bucket = buckets[t]
+        if len(bucket) == 1:
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
             genome = two_opt(pop.genomes[idx], rng=rng)
-            yield genome, evaluate_skill_task(genome, t, tasks)
+            yield genome, t, evaluate_skill_task(genome, t, tasks)
             continue
-        mate = mates[int(rng.integers(len(mates)))]
+        # The r-th same-skill member other than idx.
+        r = int(rng.integers(len(bucket) - 1))
+        mate = bucket[r + (r >= np.searchsorted(bucket, idx))]
         genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
                             config.w, dims[t], rng)
         genome = _maybe_mutate(genome, config.p_m, rng)
-        costs = evaluate_skill_task(genome, t, tasks)
-        rmp_update(rmp, t, t, transfer_outcome(costs[t], pop.costs[idx, t]))
-        yield genome, costs
+        cost = evaluate_skill_task(genome, t, tasks)
+        rmp_update(rmp, t, t, transfer_outcome(cost, pop.costs[idx, t]))
+        yield genome, t, cost
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

@@ -113,7 +113,12 @@ def load_environment(name_or_path: str) -> Environment:
     if not path.exists():
         raise ValueError(f"unknown environment {name_or_path!r} "
                          f"(not a built-in name or config file)")
-    spec = json.loads(path.read_text())
+    try:
+        spec = json.loads(path.read_text())
+    except OSError as exc:  # a directory, or no permission to read
+        raise ValueError(f"{path}: cannot read environment file: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not a JSON environment file: {exc}") from exc
     instances = spec.get("instances") if isinstance(spec, dict) else None
     if (not isinstance(instances, list) or not instances
             or not all(isinstance(p, str) for p in instances)):

@@ -124,7 +124,7 @@ def dynamic_ox(
     in_segment = np.zeros(n + 1, dtype=bool)
     in_segment[segment] = True
     reordered = donor[in_segment[donor]]
-    if np.array_equal(reordered, segment):
+    if (reordered == segment).all():
         i = int(rng.integers(0, n - 1))
         return two_opt(dominant, i, i + 1)
     child = dominant.copy()

@@ -88,6 +88,15 @@ def _require(headers: dict, key: str) -> str:
     return headers[key]
 
 
+def _number(text: str, kind, what: str, line: int | None = None):
+    """``kind(text)`` (``int`` or ``float``), or a ParseError naming ``what``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"{what} is not {'an integer' if kind is int else 'a number'}: "
+                         f"{text!r}", line) from None
+
+
 def _read_coords(section, dimension: int) -> np.ndarray:
     coords = np.full((dimension, 2), np.nan)
     seen = 0
@@ -95,10 +104,11 @@ def _read_coords(section, dimension: int) -> np.ndarray:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"expected 'id x y', got {line!r}", lineno)
-        node = int(parts[0])
+        node = _number(parts[0], int, "node id", lineno)
         if not 1 <= node <= dimension:
             raise ParseError(f"node id {node} outside 1..{dimension}", lineno)
-        coords[node - 1] = (float(parts[1]), float(parts[2]))
+        coords[node - 1] = (_number(parts[1], float, "x coordinate", lineno),
+                            _number(parts[2], float, "y coordinate", lineno))
         seen += 1
     if seen != dimension or np.isnan(coords).any():
         raise ParseError(
@@ -117,7 +127,7 @@ def parse_tsplib(text: str) -> TspInstance:
     ewt = _require(headers, "EDGE_WEIGHT_TYPE")
     if ewt != "EUC_2D":
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r} (only EUC_2D)")
-    dimension = int(_require(headers, "DIMENSION"))
+    dimension = _number(_require(headers, "DIMENSION"), int, "DIMENSION")
     if "NODE_COORD_SECTION" not in sections:
         raise ParseError("missing NODE_COORD_SECTION")
     coords = _read_coords(sections["NODE_COORD_SECTION"], dimension)
@@ -130,8 +140,8 @@ def parse_vrp(text: str) -> CvrpInstance:
     ptype = _require(headers, "TYPE")
     if ptype != "CVRP":
         raise ParseError(f"expected TYPE: CVRP, got {ptype!r}")
-    capacity = int(_require(headers, "CAPACITY"))
-    dimension = int(_require(headers, "DIMENSION"))
+    capacity = _number(_require(headers, "CAPACITY"), int, "CAPACITY")
+    dimension = _number(_require(headers, "DIMENSION"), int, "DIMENSION")
     for sec in ("NODE_COORD_SECTION", "DEMAND_SECTION", "DEPOT_SECTION"):
         if sec not in sections:
             raise ParseError(f"missing {sec}")
@@ -142,7 +152,8 @@ def parse_vrp(text: str) -> CvrpInstance:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'id demand', got {line!r}", lineno)
-        node, q = int(parts[0]), int(parts[1])
+        node = _number(parts[0], int, "node id", lineno)
+        q = _number(parts[1], int, "demand", lineno)
         if not 1 <= node <= dimension:
             raise ParseError(f"node id {node} outside 1..{dimension}", lineno)
         if q < 0:
@@ -153,7 +164,8 @@ def parse_vrp(text: str) -> CvrpInstance:
     if (demands < 0).any():
         raise ParseError(f"DEMAND_SECTION does not cover all {dimension} nodes")
 
-    depot_ids = [int(line.split()[0]) for _, line in sections["DEPOT_SECTION"]]
+    depot_ids = [_number(line.split()[0], int, "depot id", lineno)
+                 for lineno, line in sections["DEPOT_SECTION"]]
     depot_ids = [d for d in depot_ids if d != -1]
     if len(depot_ids) != 1:
         raise ParseError(f"expected exactly one depot, got {depot_ids}")

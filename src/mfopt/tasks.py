@@ -1,7 +1,8 @@
 """TSP and CVRP task definitions over the unified permutation space.
 
-Each task exposes ``dimension`` and ``cost(perm)``; the engine projects a
-unified genome down to the task's dimension before evaluating. Distances
+Each task exposes ``dimension`` and ``cost(perm)``; the engine projects
+unified genomes down to the task's dimension before evaluating. Both take
+one genome (a float cost) or a matrix of one per row (a vector). Distances
 follow the TSPLIB EUC_2D convention (nearest integer, half up), which is
 what the published optima of the bundled instances assume.
 """
@@ -19,15 +20,16 @@ def _euc2d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.floor(np.sqrt((diff ** 2).sum(axis=2)) + 0.5).astype(np.int64)
 
 
-def project(genome: np.ndarray, dimension: int) -> np.ndarray:
-    """Project a unified genome onto a task of the given dimension.
+def project(genomes: np.ndarray, dimension: int) -> np.ndarray:
+    """Project unified genomes, one or one per row, onto a task's dimension.
 
-    Keeps the values {1..dimension} in their genome order; the result is a
-    permutation of {1..dimension}.
+    Keeps each row's values {1..dimension} in genome order. A row holds
+    exactly ``dimension`` of them, so each result row is a permutation of
+    {1..dimension}.
     """
-    if dimension > len(genome):
-        raise ValueError(f"task dimension {dimension} exceeds d_max {len(genome)}")
-    return genome[genome <= dimension]
+    if dimension > genomes.shape[-1]:
+        raise ValueError(f"task dimension {dimension} exceeds d_max {genomes.shape[-1]}")
+    return genomes[genomes <= dimension].reshape(genomes.shape[:-1] + (dimension,))
 
 
 @dataclass
@@ -46,15 +48,16 @@ class TspInstance:
     def dimension(self) -> int:
         return len(self.coords)
 
-    def cost(self, perm: np.ndarray) -> float:
+    def cost(self, perm: np.ndarray):
         return tsp_cost(perm, self)
 
 
-def tsp_cost(perm: np.ndarray, inst: TspInstance) -> float:
-    """Closed-tour length of ``perm`` (1-based city ids) on ``inst``."""
+def tsp_cost(perm: np.ndarray, inst: TspInstance):
+    """Closed-tour length of each ``perm`` row (1-based city ids) on ``inst``."""
     idx = perm - 1
     d = inst._dist
-    return float(d[idx[:-1], idx[1:]].sum() + d[idx[-1], idx[0]])
+    total = d[idx[..., :-1], idx[..., 1:]].sum(axis=-1) + d[idx[..., -1], idx[..., 0]]
+    return float(total) if perm.ndim == 1 else total.astype(float)
 
 
 @dataclass
@@ -93,7 +96,7 @@ class CvrpInstance:
     def dimension(self) -> int:
         return len(self.customer_coords)
 
-    def cost(self, perm: np.ndarray) -> float:
+    def cost(self, perm: np.ndarray):
         return cvrp_cost(perm, self)
 
 
@@ -133,25 +136,28 @@ def _route_distance(idx: np.ndarray, inst: CvrpInstance) -> int:
     return int(inst._depot_dist[idx[0]] + inner + inst._depot_dist[idx[-1]])
 
 
-def cvrp_cost(perm: np.ndarray, inst: CvrpInstance) -> float:
-    """Total routed distance of the greedy capacity decoding of ``perm``.
+def cvrp_cost(perm: np.ndarray, inst: CvrpInstance):
+    """Total routed distance of the greedy capacity decoding of each ``perm`` row.
 
     The fast path of every CVRP evaluation: the same split as
-    ``cvrp_decode``, which is its reference, summed in Python ints without
-    building routes.
+    ``cvrp_decode``, which is its reference, summed in Python ints row by
+    row without building routes.
     """
     dist, depot, demands, cap = inst._lists
-    idx = (perm - 1).tolist()
-    prev = idx[0]
-    total = depot[prev]
-    load = demands[prev]
-    for c in idx[1:]:
-        q = demands[c]
-        if load + q > cap:
-            total += depot[prev] + depot[c]
-            load = q
-        else:
-            total += dist[prev][c]
-            load += q
-        prev = c
-    return float(total + depot[prev])
+    rows = (perm - 1).tolist()
+    costs = []
+    for idx in (rows if perm.ndim > 1 else (rows,)):
+        prev = idx[0]
+        total = depot[prev]
+        load = demands[prev]
+        for c in idx[1:]:
+            q = demands[c]
+            if load + q > cap:
+                total += depot[prev] + depot[c]
+                load = q
+            else:
+                total += dist[prev][c]
+                load += q
+            prev = c
+        costs.append(float(total + depot[prev]))
+    return np.array(costs) if perm.ndim > 1 else costs[0]

@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -72,12 +75,32 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     {"name": "x", "instances": []},
     {"name": "x", "instances": ["missing.tsp"]},
     {"name": "x", "instances": ["bad.tsp"]},
+    b'{"instances": ["bad.tsp"]',
+    b"\xff\xfe",
+    "directory",
+    "unreadable",
 ], ids=["no instances", "empty instances", "missing instance file",
-        "malformed instance file"])
-def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys):
+        "malformed instance file", "JSON syntax error", "not UTF-8", "directory",
+        "unreadable file"])
+def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypatch):
     (tmp_path / "bad.tsp").write_text("NAME: bad\nTYPE: TSP\n")
     cfg = tmp_path / "env.json"
-    cfg.write_text(json.dumps(spec))
+    if spec == "directory":
+        cfg.mkdir()
+    elif isinstance(spec, bytes):
+        cfg.write_bytes(spec)
+    else:
+        cfg.write_text(json.dumps(spec))
+    if spec == "unreadable":
+        # File modes do not stop a superuser from reading, so deny the read here.
+        read_text = Path.read_text
+
+        def denied(path, *args, **kwargs):
+            if path == cfg:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
     with pytest.raises(SystemExit) as exc:
         main(["run", str(cfg), "--outdir", str(tmp_path)])
     assert exc.value.code == 2

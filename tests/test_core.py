@@ -16,6 +16,13 @@ from mfopt.core import (
     is_valid_genome,
     random_genome,
 )
+from mfopt.harness import load_environment
+
+
+@pytest.fixture(scope="module")
+def bundled_tasks():
+    """All eight bundled instances, four TSP and four CVRP."""
+    return load_environment("TE_8").tasks
 
 
 def make_pop(cost_rows):
@@ -157,16 +164,43 @@ class TestEvaluation:
         return calls
 
     def test_evaluate_all_tasks_spends_k(self, square_tsp, line_tsp, cost_calls):
-        costs = evaluate_all_tasks(np.arange(1, 6), [square_tsp, line_tsp])
+        # One batch per task, however many genomes the matrix holds.
+        costs = evaluate_all_tasks(np.tile(np.arange(1, 6), (3, 1)), [square_tsp, line_tsp])
         assert len(cost_calls) == 2
-        assert costs.shape == (2,)
-        assert all(math.isfinite(c) for c in costs)
+        assert costs.shape == (3, 2)
+        assert all(math.isfinite(c) for c in costs.ravel())
 
     def test_evaluate_skill_task_spends_one(self, square_tsp, line_tsp, cost_calls):
-        costs = evaluate_skill_task(np.arange(1, 6), 1, [square_tsp, line_tsp])
+        # A single genome gets a scalar cost, on task 1 only.
+        cost = evaluate_skill_task(np.arange(1, 6), 1, [square_tsp, line_tsp])
         assert len(cost_calls) == 1
-        assert costs[0] == UNEVALUATED
-        assert costs[1] == 8.0  # line tour 0-1-2-3-4-0
+        assert cost == 8.0  # line tour 0-1-2-3-4-0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           repeats=st.lists(st.integers(0, 11), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_per_genome(self, bundled_tasks, seed, n, repeats):
+        """On every bundled instance, batch costs of a genome matrix equal the
+        per-genome ``task.cost(project(g, d))``, for repeated rows too."""
+        rng = np.random.default_rng(seed)
+        d_max = max(t.dimension for t in bundled_tasks)
+        genomes = np.array([random_genome(d_max, rng) for _ in range(n)])
+        genomes = np.vstack([genomes, genomes[[r % n for r in repeats]]])
+        per_genome = np.array([[t.cost(mfopt.tasks.project(g, t.dimension))
+                                for t in bundled_tasks] for g in genomes])
+        assert np.array_equal(evaluate_all_tasks(genomes, bundled_tasks), per_genome)
+
+        # Selective evaluation, grouped by skill as the MFEA engine does it;
+        # the last task is nobody's skill and stays unevaluated.
+        skills = rng.integers(len(bundled_tasks) - 1, size=len(genomes))
+        costs = np.full(per_genome.shape, UNEVALUATED)
+        for t in np.unique(skills):
+            costs[skills == t, t] = evaluate_skill_task(genomes[skills == t], t, bundled_tasks)
+        expected = np.full(per_genome.shape, UNEVALUATED)
+        expected[np.arange(len(genomes)), skills] = per_genome[np.arange(len(genomes)), skills]
+        assert np.array_equal(costs, expected)
+        assert all(evaluate_skill_task(g, s, bundled_tasks) == per_genome[i, s]
+                   for i, (g, s) in enumerate(zip(genomes, skills)))
 
 
 class TestElitistSelect:

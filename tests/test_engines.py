@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import mfopt.tasks
 from mfopt.core import is_valid_genome
 from mfopt.engines import (
     EngineConfig,
@@ -16,6 +17,7 @@ from mfopt.engines import (
     run_mfea,
     transfer_outcome,
 )
+from mfopt.harness import load_environment
 
 
 @pytest.fixture
@@ -153,6 +155,26 @@ class TestEngineRuns:
         b1, _ = runner(two_tasks, cfg)
         b2, _ = runner(two_tasks, cfg)
         assert [b.cost for b in b1] == [b.cost for b in b2]
+
+
+class TestMfeaBatches:
+    def test_one_generation_costs_at_most_k_calls(self, monkeypatch):
+        tasks = load_environment("TE_4_1").tasks  # four TSPs
+        batches = []
+        real = mfopt.tasks.tsp_cost
+
+        def counted(perm, inst):
+            batches.append(len(perm))
+            return real(perm, inst)
+
+        monkeypatch.setattr(mfopt.tasks, "tsp_cost", counted)
+        _, trace = run_mfea(tasks, small_config(eval_budget=20 * 4 + 20),
+                            np.random.default_rng(0))
+        assert [r.evaluations for r in trace.records] == [80, 100]
+        init, generation = batches[:4], batches[4:]
+        assert init == [20, 20, 20, 20]
+        assert 1 <= len(generation) <= 4 and all(generation)  # no empty batch
+        assert sum(generation) == 20
 
 
 class TestAdaptiveSpecifics:

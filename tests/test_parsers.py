@@ -136,6 +136,21 @@ class TestVrpParsing:
         assert again.depot_coord == inst.depot_coord
 
 
+class TestNumericFields:
+    @pytest.mark.parametrize("parse, text, match", [
+        (parse_tsplib, TSP_TEXT.replace("2 10 0", "x 10 0"), "line 8: node id"),
+        (parse_tsplib, TSP_TEXT.replace("2 10 0", "2 1x 0"), "line 8: x coordinate"),
+        (parse_vrp, VRP_TEXT.replace(" 3 5\n", " 3 x\n"), "line 15: demand"),
+        (parse_vrp, VRP_TEXT.replace("DEPOT_SECTION\n 1", "DEPOT_SECTION\n x"),
+         "line 19: depot id"),
+        (parse_tsplib, TSP_TEXT.replace("DIMENSION: 4", "DIMENSION: four"), "DIMENSION"),
+        (parse_vrp, VRP_TEXT.replace("CAPACITY : 10", "CAPACITY : 1O"), "CAPACITY"),
+    ], ids=["node id", "coordinate", "demand", "depot id", "DIMENSION", "CAPACITY"])
+    def test_non_numeric_field(self, parse, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse(text)
+
+
 class TestDispatch:
     def test_load_problem_infers_kind(self, tmp_path):
         t = tmp_path / "a.tsp"
