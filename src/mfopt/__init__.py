@@ -33,8 +33,8 @@ from .harness import (
     run_experiment,
 )
 from .operators import dynamic_ox, order_crossover, two_opt, window_length
-from .parsers import euc2d_distance, parse_tsplib, parse_vrp
+from .parsers import euc2d_distance, parse_problem
 from .stats import SampleSet, ranksum_test, summarize
-from .tasks import CvrpInstance, TspInstance, cvrp_cost, cvrp_decode, project, tsp_cost
+from .tasks import CvrpInstance, TspInstance, cvrp_cost, project, tsp_cost
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ log = logging.getLogger(__name__)
 
 ENGINES = ("MFEA", "dMFEA-II")
 
-# (bundled file, problem kind) per environment; kinds inferred at load time.
+# Bundled instance files per environment; each file's TYPE header gives its kind.
 BUILTIN_ENVIRONMENTS = {
     "TE_4_1": ["berlin52.tsp", "eil51.tsp", "st70.tsp", "eil76.tsp"],
     "TE_4_2": ["P-n50-k7.vrp", "P-n50-k8.vrp", "P-n55-k7.vrp", "P-n55-k8.vrp"],
@@ -98,16 +98,8 @@ def load_environment(name_or_path: str) -> Environment:
     ``{"name": "...", "instances": ["a.tsp", "b.vrp", ...]}``.
     """
     if name_or_path in BUILTIN_ENVIRONMENTS:
-        tasks = []
-        for fn in BUILTIN_ENVIRONMENTS[name_or_path]:
-            raw = parsers.RawProblemFile(
-                path=fn,
-                kind=(parsers.ProblemKind.TSPLIB_TSP if fn.endswith(".tsp")
-                      else parsers.ProblemKind.AUGERAT_VRP),
-                text=_data_text(fn),
-            )
-            tasks.append(parsers.parse_problem(raw))
-        return Environment(name=name_or_path, tasks=tasks)
+        return Environment(name=name_or_path, tasks=[
+            parsers.parse_problem(_data_text(fn)) for fn in BUILTIN_ENVIRONMENTS[name_or_path]])
 
     path = Path(name_or_path)
     if not path.exists():
@@ -129,7 +121,7 @@ def load_environment(name_or_path: str) -> Environment:
         inst_path = str((path.parent / inst_path).resolve()
                         if not Path(inst_path).is_absolute() else inst_path)
         try:
-            tasks.append(parsers.parse_problem(parsers.load_problem(inst_path)))
+            tasks.append(parsers.parse_problem(Path(inst_path).read_text()))
         except OSError as exc:
             raise ValueError(f"{path}: cannot read instance {inst_path}: "
                              f"{exc.strerror}") from exc

@@ -8,10 +8,8 @@ this integer rounding.
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +21,6 @@ _KNOWN_KEYS = {
     "NAME", "TYPE", "COMMENT", "DIMENSION", "EDGE_WEIGHT_TYPE", "CAPACITY",
 }
 _SECTIONS = {"NODE_COORD_SECTION", "DEMAND_SECTION", "DEPOT_SECTION"}
-
-
-class ProblemKind(enum.Enum):
-    TSPLIB_TSP = "tsp"
-    AUGERAT_VRP = "vrp"
-
-
-@dataclass
-class RawProblemFile:
-    path: str
-    kind: ProblemKind
-    text: str
 
 
 class ParseError(ValueError):
@@ -63,7 +49,7 @@ def _scan(text: str):
             continue
         if line == "EOF":
             break
-        word = line.split(":")[0].split()[0] if line else ""
+        word = (line.split(":")[0].split() or [""])[0]
         if word in _SECTIONS:
             current = word
             sections[current] = []
@@ -82,10 +68,10 @@ def _scan(text: str):
     return headers, sections
 
 
-def _require(headers: dict, key: str) -> str:
-    if key not in headers:
-        raise ParseError(f"missing required header {key}")
-    return headers[key]
+def _require(fields: dict, key: str, what: str = "required header"):
+    if key not in fields:
+        raise ParseError(f"missing {what} {key}")
+    return fields[key]
 
 
 def _number(text: str, kind, what: str, line: int | None = None):
@@ -118,37 +104,36 @@ def _read_coords(section, dimension: int) -> np.ndarray:
     return coords
 
 
-def parse_tsplib(text: str) -> TspInstance:
-    """Parse a TSPLIB .tsp file (TYPE: TSP, EDGE_WEIGHT_TYPE: EUC_2D)."""
+def parse_problem(text: str) -> TspInstance | CvrpInstance:
+    """Parse a TSPLIB .tsp or Augerat .vrp file; its TYPE header says which."""
     headers, sections = _scan(text)
     ptype = _require(headers, "TYPE")
-    if ptype != "TSP":
-        raise ParseError(f"expected TYPE: TSP, got {ptype!r}")
+    if ptype not in _BUILDERS:
+        raise ParseError(f"unsupported TYPE {ptype!r} (expected TSP or CVRP)")
+    return _BUILDERS[ptype](headers, sections)
+
+
+def _build_tsp(headers: dict, sections: dict) -> TspInstance:
+    """TYPE: TSP with EDGE_WEIGHT_TYPE: EUC_2D."""
     ewt = _require(headers, "EDGE_WEIGHT_TYPE")
     if ewt != "EUC_2D":
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r} (only EUC_2D)")
     dimension = _number(_require(headers, "DIMENSION"), int, "DIMENSION")
-    if "NODE_COORD_SECTION" not in sections:
-        raise ParseError("missing NODE_COORD_SECTION")
-    coords = _read_coords(sections["NODE_COORD_SECTION"], dimension)
+    coords = _read_coords(_require(sections, "NODE_COORD_SECTION", "section"), dimension)
     return TspInstance(name=headers.get("NAME", "unnamed"), coords=coords)
 
 
-def parse_vrp(text: str) -> CvrpInstance:
-    """Parse an Augerat-style .vrp file (TYPE: CVRP)."""
-    headers, sections = _scan(text)
-    ptype = _require(headers, "TYPE")
-    if ptype != "CVRP":
-        raise ParseError(f"expected TYPE: CVRP, got {ptype!r}")
+def _build_cvrp(headers: dict, sections: dict) -> CvrpInstance:
+    """TYPE: CVRP: coordinates, demands and one depot, which is not a customer."""
     capacity = _number(_require(headers, "CAPACITY"), int, "CAPACITY")
     dimension = _number(_require(headers, "DIMENSION"), int, "DIMENSION")
-    for sec in ("NODE_COORD_SECTION", "DEMAND_SECTION", "DEPOT_SECTION"):
-        if sec not in sections:
-            raise ParseError(f"missing {sec}")
-    coords = _read_coords(sections["NODE_COORD_SECTION"], dimension)
+    coord_sec, demand_sec, depot_sec = (
+        _require(sections, name, "section")
+        for name in ("NODE_COORD_SECTION", "DEMAND_SECTION", "DEPOT_SECTION"))
+    coords = _read_coords(coord_sec, dimension)
 
     demands = np.full(dimension, -1, dtype=np.int64)
-    for lineno, line in sections["DEMAND_SECTION"]:
+    for lineno, line in demand_sec:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'id demand', got {line!r}", lineno)
@@ -164,12 +149,14 @@ def parse_vrp(text: str) -> CvrpInstance:
     if (demands < 0).any():
         raise ParseError(f"DEMAND_SECTION does not cover all {dimension} nodes")
 
-    depot_ids = [_number(line.split()[0], int, "depot id", lineno)
-                 for lineno, line in sections["DEPOT_SECTION"]]
-    depot_ids = [d for d in depot_ids if d != -1]
-    if len(depot_ids) != 1:
-        raise ParseError(f"expected exactly one depot, got {depot_ids}")
-    depot = depot_ids[0]
+    depots = [(lineno, _number(line.split()[0], int, "depot id", lineno))
+              for lineno, line in depot_sec]
+    depots = [(lineno, d) for lineno, d in depots if d != -1]
+    if len(depots) != 1:
+        raise ParseError(f"expected exactly one depot, got {[d for _, d in depots]}")
+    lineno, depot = depots[0]
+    if not 1 <= depot <= dimension:
+        raise ParseError(f"depot id {depot} outside 1..{dimension}", lineno)
 
     customer_mask = np.ones(dimension, dtype=bool)
     customer_mask[depot - 1] = False
@@ -182,58 +169,4 @@ def parse_vrp(text: str) -> CvrpInstance:
     )
 
 
-def format_tsplib(inst: TspInstance) -> str:
-    """Serialize a TSP instance back to TSPLIB text (round-trip inverse)."""
-    lines = [
-        f"NAME: {inst.name}",
-        "TYPE: TSP",
-        f"DIMENSION: {inst.dimension}",
-        "EDGE_WEIGHT_TYPE: EUC_2D",
-        "NODE_COORD_SECTION",
-    ]
-    lines += [f"{i + 1} {x:g} {y:g}" for i, (x, y) in enumerate(inst.coords)]
-    lines.append("EOF")
-    return "\n".join(lines) + "\n"
-
-
-def format_vrp(inst: CvrpInstance) -> str:
-    """Serialize a CVRP instance back to Augerat-style text."""
-    lines = [
-        f"NAME : {inst.name}",
-        "TYPE : CVRP",
-        f"DIMENSION : {inst.dimension + 1}",
-        "EDGE_WEIGHT_TYPE : EUC_2D",
-        f"CAPACITY : {inst.capacity}",
-        "NODE_COORD_SECTION",
-        f" 1 {inst.depot_coord[0]:g} {inst.depot_coord[1]:g}",
-    ]
-    lines += [
-        f" {i + 2} {x:g} {y:g}" for i, (x, y) in enumerate(inst.customer_coords)
-    ]
-    lines.append("DEMAND_SECTION")
-    lines.append(" 1 0")
-    lines += [f" {i + 2} {q}" for i, q in enumerate(inst.demands)]
-    lines += ["DEPOT_SECTION", " 1", " -1", "EOF"]
-    return "\n".join(lines) + "\n"
-
-
-def load_problem(path: str) -> RawProblemFile:
-    """Read a benchmark file, inferring its kind from the declared TYPE."""
-    with open(path) as f:
-        text = f.read()
-    headers, _ = _scan(text)
-    ptype = _require(headers, "TYPE")
-    if ptype == "TSP":
-        kind = ProblemKind.TSPLIB_TSP
-    elif ptype == "CVRP":
-        kind = ProblemKind.AUGERAT_VRP
-    else:
-        raise ParseError(f"unsupported TYPE {ptype!r}")
-    return RawProblemFile(path=path, kind=kind, text=text)
-
-
-def parse_problem(raw: RawProblemFile):
-    """Dispatch a raw file to the matching parser."""
-    if raw.kind is ProblemKind.TSPLIB_TSP:
-        return parse_tsplib(raw.text)
-    return parse_vrp(raw.text)
+_BUILDERS = {"TSP": _build_tsp, "CVRP": _build_cvrp}

@@ -46,9 +46,7 @@ def ranksum_test(a: SampleSet, b: SampleSet, confidence: float = 0.90) -> TestVe
 
     z < 0 means sample A tends to have lower values (better, for costs).
     Significant when |z| reaches the one-sided critical value for the
-    given confidence (1.645 at 90%; comparisons against published results
-    use the conventional rounding -1.64 via the ``critical`` argument of
-    :func:`is_significant_at`).
+    given confidence (1.645 at 90%).
     """
     x, y = a.values, b.values
     if x.size == 0 or y.size == 0:
@@ -77,9 +75,3 @@ def critical_z(confidence: float) -> float:
     """Critical value at the given two-sided confidence level;
     1.6448... at 90% (equivalently one-sided at the 5% level)."""
     return float(norm.ppf((1.0 + confidence) / 2.0))
-
-
-def is_significant_at(z: float, critical: float = -1.64) -> bool:
-    """Convenience check against an explicit (negative) critical value,
-    matching the rounded -1.64 convention of the benchmark tables."""
-    return z <= critical

@@ -61,12 +61,6 @@ def tsp_cost(perm: np.ndarray, inst: TspInstance):
 
 
 @dataclass
-class RoutePlan:
-    routes: list[np.ndarray]  # 1-based customer indices per vehicle route
-    total_distance: float
-
-
-@dataclass
 class CvrpInstance:
     name: str
     depot_coord: tuple[float, float]
@@ -100,48 +94,14 @@ class CvrpInstance:
         return cvrp_cost(perm, self)
 
 
-def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
-    """Split a customer permutation into capacity-feasible routes.
-
-    Greedy left-to-right: accumulate demand and close the current route
-    whenever the next customer would exceed capacity (this is where the
-    route-separating zeros are inserted). Distance per route is
-    depot -> first -> ... -> last -> depot. The reference that tests check
-    ``cvrp_cost`` against.
-    """
-    demands = inst.demands
-    cap = inst.capacity
-    routes: list[np.ndarray] = []
-    total = 0
-    start = 0
-    load = 0
-    idx = perm - 1
-    for pos, c in enumerate(idx):
-        q = demands[c]
-        if load + q > cap:
-            routes.append(perm[start:pos])
-            total += _route_distance(idx[start:pos], inst)
-            start = pos
-            load = 0
-        load += q
-    routes.append(perm[start:])
-    total += _route_distance(idx[start:], inst)
-    return RoutePlan(routes=routes, total_distance=float(total))
-
-
-def _route_distance(idx: np.ndarray, inst: CvrpInstance) -> int:
-    if len(idx) == 0:
-        return 0
-    inner = inst._dist[idx[:-1], idx[1:]].sum() if len(idx) > 1 else 0
-    return int(inst._depot_dist[idx[0]] + inner + inst._depot_dist[idx[-1]])
-
-
 def cvrp_cost(perm: np.ndarray, inst: CvrpInstance):
     """Total routed distance of the greedy capacity decoding of each ``perm`` row.
 
-    The fast path of every CVRP evaluation: the same split as
-    ``cvrp_decode``, which is its reference, summed in Python ints row by
-    row without building routes.
+    Greedy left to right: a route closes whenever the next customer would
+    exceed capacity, and each route runs depot -> first -> ... -> last ->
+    depot. Summed in Python ints row by row without building routes; the
+    route-building ``cvrp_decode`` in ``tests/test_tasks.py`` is its
+    reference.
     """
     dist, depot, demands, cap = inst._lists
     rows = (perm - 1).tolist()

@@ -46,3 +46,38 @@ def tiny_cvrp():
         demands=np.array([5, 5, 5, 5]),
         capacity=10,
     )
+
+
+def format_tsplib(inst: TspInstance) -> str:
+    """Serialize a TSP instance back to TSPLIB text (round-trip inverse)."""
+    lines = [
+        f"NAME: {inst.name}",
+        "TYPE: TSP",
+        f"DIMENSION: {inst.dimension}",
+        "EDGE_WEIGHT_TYPE: EUC_2D",
+        "NODE_COORD_SECTION",
+    ]
+    lines += [f"{i + 1} {x:g} {y:g}" for i, (x, y) in enumerate(inst.coords)]
+    lines.append("EOF")
+    return "\n".join(lines) + "\n"
+
+
+def format_vrp(inst: CvrpInstance) -> str:
+    """Serialize a CVRP instance back to Augerat-style text."""
+    lines = [
+        f"NAME : {inst.name}",
+        "TYPE : CVRP",
+        f"DIMENSION : {inst.dimension + 1}",
+        "EDGE_WEIGHT_TYPE : EUC_2D",
+        f"CAPACITY : {inst.capacity}",
+        "NODE_COORD_SECTION",
+        f" 1 {inst.depot_coord[0]:g} {inst.depot_coord[1]:g}",
+    ]
+    lines += [
+        f" {i + 2} {x:g} {y:g}" for i, (x, y) in enumerate(inst.customer_coords)
+    ]
+    lines.append("DEMAND_SECTION")
+    lines.append(" 1 0")
+    lines += [f" {i + 2} {q}" for i, q in enumerate(inst.demands)]
+    lines += ["DEPOT_SECTION", " 1", " -1", "EOF"]
+    return "\n".join(lines) + "\n"

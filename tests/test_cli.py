@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from mfopt.cli import main
-from mfopt.parsers import format_tsplib
 from mfopt.tasks import TspInstance
+
+from conftest import format_tsplib
 
 
 @pytest.fixture

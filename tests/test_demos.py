@@ -1,0 +1,24 @@
+"""Smoke test: every demo runs to completion on a small budget, in a
+scratch working directory so that nothing it writes lands in the checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args", [
+    ("single_run.py", ["--budget", "2000"]),
+    ("transfer_matrix.py", ["--budget", "2000"]),
+    ("engine_comparison.py", ["--budget", "2000", "--reps", "2", "--outdir", "."]),
+])
+def test_demo_exits_zero(script, args, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script), *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -14,8 +14,9 @@ from mfopt.harness import (
     repetition_seed,
     run_experiment,
 )
-from mfopt.parsers import format_tsplib, format_vrp
 from mfopt.tasks import CvrpInstance, TspInstance
+
+from conftest import format_tsplib, format_vrp
 
 
 class TestEnvironments:

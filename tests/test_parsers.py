@@ -1,18 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from mfopt.parsers import (
-    ParseError,
-    ProblemKind,
-    euc2d_distance,
-    format_tsplib,
-    format_vrp,
-    load_problem,
-    parse_problem,
-    parse_tsplib,
-    parse_vrp,
-)
+from mfopt.harness import load_environment
+from mfopt.parsers import ParseError, euc2d_distance, parse_problem
 from mfopt.tasks import CvrpInstance, TspInstance
+
+from conftest import format_tsplib, format_vrp
 
 TSP_TEXT = """\
 NAME: toy4
@@ -63,48 +58,56 @@ class TestDistance:
 
 class TestTspParsing:
     def test_parse_square(self):
-        inst = parse_tsplib(TSP_TEXT)
+        inst = parse_problem(TSP_TEXT)
         assert inst.name == "toy4"
         assert inst.dimension == 4
         assert inst.cost(np.array([1, 2, 3, 4])) == 40.0
 
     def test_wrong_type(self):
         with pytest.raises(ParseError, match="TYPE"):
-            parse_tsplib(TSP_TEXT.replace("TYPE: TSP", "TYPE: ATSP"))
+            parse_problem(TSP_TEXT.replace("TYPE: TSP", "TYPE: ATSP"))
 
     def test_unsupported_edge_weights(self):
         with pytest.raises(ParseError, match="EDGE_WEIGHT_TYPE"):
-            parse_tsplib(TSP_TEXT.replace("EUC_2D", "GEO"))
+            parse_problem(TSP_TEXT.replace("EUC_2D", "GEO"))
 
     def test_missing_header(self):
         with pytest.raises(ParseError, match="DIMENSION"):
-            parse_tsplib(TSP_TEXT.replace("DIMENSION: 4\n", ""))
+            parse_problem(TSP_TEXT.replace("DIMENSION: 4\n", ""))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParseError):
-            parse_tsplib(TSP_TEXT.replace("4 0 10\n", ""))
+            parse_problem(TSP_TEXT.replace("4 0 10\n", ""))
 
     def test_node_id_out_of_range(self):
         with pytest.raises(ParseError, match="node id"):
-            parse_tsplib(TSP_TEXT.replace("4 0 10", "9 0 10"))
+            parse_problem(TSP_TEXT.replace("4 0 10", "9 0 10"))
 
     def test_unknown_header_warns_not_fails(self, caplog):
         text = TSP_TEXT.replace("TYPE: TSP", "TYPE: TSP\nDISPLAY_DATA_TYPE: COORD_DISPLAY")
         with caplog.at_level("WARNING"):
-            inst = parse_tsplib(text)
+            inst = parse_problem(text)
         assert inst.dimension == 4
         assert "DISPLAY_DATA_TYPE" in caplog.text
 
+    @pytest.mark.parametrize("line", [":", ": oops"])
+    def test_empty_header_keyword_warns_not_fails(self, line, caplog):
+        text = TSP_TEXT.replace("TYPE: TSP", f"TYPE: TSP\n{line}")
+        with caplog.at_level("WARNING"):
+            inst = parse_problem(text)
+        assert inst.dimension == 4
+        assert "unknown header keyword '' (line 3)" in caplog.text
+
     def test_roundtrip(self):
-        inst = parse_tsplib(TSP_TEXT)
-        again = parse_tsplib(format_tsplib(inst))
+        inst = parse_problem(TSP_TEXT)
+        again = parse_problem(format_tsplib(inst))
         assert again.name == inst.name
         assert np.array_equal(again.coords, inst.coords)
 
 
 class TestVrpParsing:
     def test_parse_toy(self):
-        inst = parse_vrp(VRP_TEXT)
+        inst = parse_problem(VRP_TEXT)
         assert inst.name == "toyvrp"
         assert inst.dimension == 4  # depot excluded
         assert inst.capacity == 10
@@ -113,23 +116,28 @@ class TestVrpParsing:
 
     def test_demand_over_capacity(self):
         with pytest.raises(ParseError, match="exceeds capacity"):
-            parse_vrp(VRP_TEXT.replace(" 2 5", " 2 11"))
+            parse_problem(VRP_TEXT.replace(" 2 5", " 2 11"))
 
     def test_negative_demand(self):
         with pytest.raises(ParseError, match="negative"):
-            parse_vrp(VRP_TEXT.replace(" 2 5", " 2 -1"))
+            parse_problem(VRP_TEXT.replace(" 2 5", " 2 -1"))
 
     def test_missing_demand_entry(self):
         with pytest.raises(ParseError):
-            parse_vrp(VRP_TEXT.replace(" 5 5\n", ""))
+            parse_problem(VRP_TEXT.replace(" 5 5\n", ""))
 
     def test_two_depots_rejected(self):
         with pytest.raises(ParseError, match="depot"):
-            parse_vrp(VRP_TEXT.replace("DEPOT_SECTION\n 1", "DEPOT_SECTION\n 1\n 2"))
+            parse_problem(VRP_TEXT.replace("DEPOT_SECTION\n 1", "DEPOT_SECTION\n 1\n 2"))
+
+    @pytest.mark.parametrize("depot", ["0", "-3", "9"])
+    def test_depot_id_out_of_range(self, depot):
+        with pytest.raises(ParseError, match=f"line 19: depot id {depot} outside 1..5"):
+            parse_problem(VRP_TEXT.replace("DEPOT_SECTION\n 1", f"DEPOT_SECTION\n {depot}"))
 
     def test_roundtrip(self):
-        inst = parse_vrp(VRP_TEXT)
-        again = parse_vrp(format_vrp(inst))
+        inst = parse_problem(VRP_TEXT)
+        again = parse_problem(format_vrp(inst))
         assert again.capacity == inst.capacity
         assert np.array_equal(again.customer_coords, inst.customer_coords)
         assert np.array_equal(again.demands, inst.demands)
@@ -137,36 +145,30 @@ class TestVrpParsing:
 
 
 class TestNumericFields:
-    @pytest.mark.parametrize("parse, text, match", [
-        (parse_tsplib, TSP_TEXT.replace("2 10 0", "x 10 0"), "line 8: node id"),
-        (parse_tsplib, TSP_TEXT.replace("2 10 0", "2 1x 0"), "line 8: x coordinate"),
-        (parse_vrp, VRP_TEXT.replace(" 3 5\n", " 3 x\n"), "line 15: demand"),
-        (parse_vrp, VRP_TEXT.replace("DEPOT_SECTION\n 1", "DEPOT_SECTION\n x"),
-         "line 19: depot id"),
-        (parse_tsplib, TSP_TEXT.replace("DIMENSION: 4", "DIMENSION: four"), "DIMENSION"),
-        (parse_vrp, VRP_TEXT.replace("CAPACITY : 10", "CAPACITY : 1O"), "CAPACITY"),
+    @pytest.mark.parametrize("text, match", [
+        (TSP_TEXT.replace("2 10 0", "x 10 0"), "line 8: node id"),
+        (TSP_TEXT.replace("2 10 0", "2 1x 0"), "line 8: x coordinate"),
+        (VRP_TEXT.replace(" 3 5\n", " 3 x\n"), "line 15: demand"),
+        (VRP_TEXT.replace("DEPOT_SECTION\n 1", "DEPOT_SECTION\n x"), "line 19: depot id"),
+        (TSP_TEXT.replace("DIMENSION: 4", "DIMENSION: four"), "DIMENSION"),
+        (VRP_TEXT.replace("CAPACITY : 10", "CAPACITY : 1O"), "CAPACITY"),
     ], ids=["node id", "coordinate", "demand", "depot id", "DIMENSION", "CAPACITY"])
-    def test_non_numeric_field(self, parse, text, match):
+    def test_non_numeric_field(self, text, match):
         with pytest.raises(ParseError, match=match):
-            parse(text)
+            parse_problem(text)
 
 
 class TestDispatch:
-    def test_load_problem_infers_kind(self, tmp_path):
-        t = tmp_path / "a.tsp"
-        t.write_text(TSP_TEXT)
-        raw = load_problem(str(t))
-        assert raw.kind is ProblemKind.TSPLIB_TSP
-        assert isinstance(parse_problem(raw), TspInstance)
+    def test_type_header_picks_instance(self):
+        assert isinstance(parse_problem(TSP_TEXT), TspInstance)
+        assert isinstance(parse_problem(VRP_TEXT), CvrpInstance)
 
-        v = tmp_path / "b.vrp"
-        v.write_text(VRP_TEXT)
-        raw = load_problem(str(v))
-        assert raw.kind is ProblemKind.AUGERAT_VRP
-        assert isinstance(parse_problem(raw), CvrpInstance)
+    def test_unsupported_type(self):
+        with pytest.raises(ParseError, match="TYPE"):
+            parse_problem(TSP_TEXT.replace("TYPE: TSP", "TYPE: HCP"))
 
-    def test_unsupported_type(self, tmp_path):
-        p = tmp_path / "c.tsp"
-        p.write_text(TSP_TEXT.replace("TYPE: TSP", "TYPE: HCP"))
-        with pytest.raises(ParseError):
-            load_problem(str(p))
+    def test_kind_comes_from_header_not_extension(self, tmp_path):
+        (tmp_path / "odd.tsp").write_text(VRP_TEXT)
+        cfg = tmp_path / "env.json"
+        cfg.write_text(json.dumps({"instances": ["odd.tsp"]}))
+        assert isinstance(load_environment(str(cfg)).tasks[0], CvrpInstance)

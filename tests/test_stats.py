@@ -9,7 +9,6 @@ from mfopt.stats import (
     Direction,
     SampleSet,
     critical_z,
-    is_significant_at,
     ranksum_test,
     summarize,
 )
@@ -51,11 +50,6 @@ class TestSummarize:
 class TestCriticalZ:
     def test_ninety_percent(self):
         assert critical_z(0.90) == pytest.approx(1.6448536269514722)
-
-    def test_rounded_convention(self):
-        assert is_significant_at(-1.65)
-        assert is_significant_at(-1.64)
-        assert not is_significant_at(-1.63)
 
 
 class TestRanksum:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,54 @@ from mfopt.tasks import (
     CvrpInstance,
     TspInstance,
     cvrp_cost,
-    cvrp_decode,
     project,
     tsp_cost,
 )
 
 permutations = st.integers(min_value=2, max_value=40).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))))
+
+
+@dataclass
+class RoutePlan:
+    routes: list[np.ndarray]  # 1-based customer indices per vehicle route
+    total_distance: float
+
+
+def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
+    """Split a customer permutation into capacity-feasible routes.
+
+    Greedy left-to-right: accumulate demand and close the current route
+    whenever the next customer would exceed capacity (this is where the
+    route-separating zeros are inserted). Distance per route is
+    depot -> first -> ... -> last -> depot. The reference that tests check
+    ``cvrp_cost`` against.
+    """
+    demands = inst.demands
+    cap = inst.capacity
+    routes: list[np.ndarray] = []
+    total = 0
+    start = 0
+    load = 0
+    idx = perm - 1
+    for pos, c in enumerate(idx):
+        q = demands[c]
+        if load + q > cap:
+            routes.append(perm[start:pos])
+            total += _route_distance(idx[start:pos], inst)
+            start = pos
+            load = 0
+        load += q
+    routes.append(perm[start:])
+    total += _route_distance(idx[start:], inst)
+    return RoutePlan(routes=routes, total_distance=float(total))
+
+
+def _route_distance(idx: np.ndarray, inst: CvrpInstance) -> int:
+    if len(idx) == 0:
+        return 0
+    inner = inst._dist[idx[:-1], idx[1:]].sum() if len(idx) > 1 else 0
+    return int(inst._depot_dist[idx[0]] + inner + inst._depot_dist[idx[-1]])
 
 
 class TestProject:
