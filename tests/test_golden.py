@@ -19,6 +19,12 @@ from mfopt.harness import load_environment
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
+# Odd budgets make the last generation stop after the first child of a
+# pair, so these keys gate the per-child budget cut of both engines. With
+# seed 0, dMFEA-II cuts a same-skill pair at TE_8/1013 and TE_4_1/1005, and
+# an inter- or intra-task pair at the other two.
+ODD_BUDGET_RUNS = (("TE_8", 1001), ("TE_8", 1013), ("TE_4_1", 1005), ("TE_4_3", 1003))
+
 # Even budgets only: an odd budget changes where a run stops.
 BENCH_ARGV = ["bench", "TE_4_3", "--reps", "2", "--budget", "1000",
               "--pop", "20", "--seed", "7"]
@@ -30,12 +36,14 @@ def _sha256(data: bytes) -> str:
 
 def golden_digests(workdir: Path) -> dict[str, str]:
     digests = {}
-    config = EngineConfig(population_size=20, eval_budget=1000)
-    for env_name in ("TE_4_1", "TE_4_2", "TE_8"):
+    runs = [(env_name, 1000, "") for env_name in ("TE_4_1", "TE_4_2", "TE_8")]
+    runs += [(env_name, budget, f"__budget{budget}") for env_name, budget in ODD_BUDGET_RUNS]
+    for env_name, budget, suffix in runs:
         tasks = load_environment(env_name).tasks
+        config = EngineConfig(population_size=20, eval_budget=budget)
         for label, runner in (("MFEA", run_mfea), ("dMFEA_II", run_dmfea2)):
             _, trace = runner(tasks, config, np.random.default_rng(0))
-            digests[f"{env_name}__{label}.jsonl"] = _sha256(trace.to_jsonl().encode())
+            digests[f"{env_name}__{label}{suffix}.jsonl"] = _sha256(trace.to_jsonl().encode())
 
     assert main(BENCH_ARGV + ["--outdir", str(workdir)]) == 0
     for path in sorted(workdir.glob("*.jsonl")) + [workdir / "summary.csv"]:
