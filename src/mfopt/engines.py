@@ -126,12 +126,7 @@ class GenerationRecord:
     rmp: list[list[float]] | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "generation": self.generation,
-            "evaluations": self.evaluations,
-            "best_costs": self.best_costs,
-            "rmp": self.rmp,
-        })
+        return json.dumps(vars(self))
 
     @classmethod
     def from_json(cls, line: str) -> "GenerationRecord":
@@ -142,9 +137,6 @@ class GenerationRecord:
 @dataclass
 class RunTrace:
     records: list[GenerationRecord] = field(default_factory=list)
-
-    def append(self, rec: GenerationRecord) -> None:
-        self.records.append(rec)
 
     def to_jsonl(self) -> str:
         return "".join(r.to_json() + "\n" for r in self.records)
@@ -219,7 +211,7 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
                 costs[skills == t, t] = evaluate_skill_task(genomes[skills == t], t, tasks)
         evaluations += len(children)
         pop = elitist_select(pop, Population(genomes, costs), config.population_size)
-        trace.append(_record(generation, evaluations, pop, rmp))
+        trace.records.append(_record(generation, evaluations, pop, rmp))
 
     return _best_per_task(pop), trace
 
@@ -245,13 +237,20 @@ def _mfea_pair(pop, ia, ib, config, rng):
 def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
     """One parent pair under the adaptive matrix scheme, mates drawn from the
     skill ``buckets``; yields (genome, skill, cost) per child after its update."""
+
+    def child(genome, skill, parent=None, cell=None):
+        # A dOX child updates its matrix cell by whether it beats ``parent``,
+        # the parent whose skill task it inherited.
+        cost = evaluate_skill_task(genome, skill, tasks)
+        if cell is not None:
+            rmp_update(rmp, *cell, transfer_outcome(cost, pop.costs[parent, skill]))
+        return genome, skill, cost
+
     ta, tb = pop.skill[ia], pop.skill[ib]
     if ta == tb:
         ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
-        ga = _maybe_mutate(ga, config.p_m, rng)
-        gb = _maybe_mutate(gb, config.p_m, rng)
-        yield ga, ta, evaluate_skill_task(ga, ta, tasks)
-        yield gb, ta, evaluate_skill_task(gb, ta, tasks)
+        yield child(_maybe_mutate(ga, config.p_m, rng), ta)
+        yield child(_maybe_mutate(gb, config.p_m, rng), ta)
         return
 
     if rng.random() <= rmp.get(ta, tb):
@@ -262,10 +261,7 @@ def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
                                 config.w, d_k, rng)
             genome = _maybe_mutate(genome, config.p_m, rng)
             skill = ta if rng.random() < 0.5 else tb
-            cost = evaluate_skill_task(genome, skill, tasks)
-            skill_parent = ia if skill == ta else ib
-            rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[skill_parent, skill]))
-            yield genome, skill, cost
+            yield child(genome, skill, ia if skill == ta else ib, (ta, tb))
         return
 
     # Intra-task branch: each parent crosses with a random same-skill mate
@@ -275,18 +271,14 @@ def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
         bucket = buckets[t]
         if len(bucket) == 1:
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-            genome = two_opt(pop.genomes[idx], rng=rng)
-            yield genome, t, evaluate_skill_task(genome, t, tasks)
+            yield child(two_opt(pop.genomes[idx], rng=rng), t)
             continue
         # The r-th same-skill member other than idx.
         r = int(rng.integers(len(bucket) - 1))
         mate = bucket[r + (r >= np.searchsorted(bucket, idx))]
         genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
                             config.w, dims[t], rng)
-        genome = _maybe_mutate(genome, config.p_m, rng)
-        cost = evaluate_skill_task(genome, t, tasks)
-        rmp_update(rmp, t, t, transfer_outcome(cost, pop.costs[idx, t]))
-        yield genome, t, cost
+        yield child(_maybe_mutate(genome, config.p_m, rng), t, idx, (t, t))
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

@@ -170,23 +170,24 @@ def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
 
 
 def aggregate_rows(env: Environment, engines, finals: dict[str, np.ndarray]) -> list[ReportRow]:
-    rows = []
-    both = len(engines) == 2 and all(finals[e].shape[0] >= 2 for e in engines)
-    for engine in engines:
-        for k, task in enumerate(env.tasks):
-            sample = SampleSet(finals[engine][:, k], label=engine)
-            mean, std = summarize(sample)
-            marker = "n/a"
-            if both:
-                a = SampleSet(finals["dMFEA-II"][:, k])
-                b = SampleSet(finals["MFEA"][:, k])
-                verdict = ranksum_test(a, b)
-                marker = ("significant"
+    """One row per engine and task; with both engines and at least two
+    repetitions each, every row of a task carries whether dMFEA-II beats
+    MFEA there by the rank-sum test."""
+    markers = ["n/a"] * len(env.tasks)
+    if len(engines) == 2 and all(finals[e].shape[0] >= 2 for e in engines):
+        for k in range(len(env.tasks)):
+            verdict = ranksum_test(SampleSet(finals["dMFEA-II"][:, k]),
+                                   SampleSet(finals["MFEA"][:, k]))
+            markers[k] = ("significant"
                           if verdict.significant and verdict.direction is Direction.A_BETTER
                           else "not_significant")
+    rows = []
+    for engine in engines:
+        for k, task in enumerate(env.tasks):
+            mean, std = summarize(SampleSet(finals[engine][:, k]))
             rows.append(ReportRow(
                 environment=env.name, engine=engine, instance=task.name,
-                mean=mean, std=std, wilcoxon=marker,
+                mean=mean, std=std, wilcoxon=markers[k],
                 optimum=KNOWN_OPTIMA.get(task.name),
             ))
     return rows

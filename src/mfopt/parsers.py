@@ -105,35 +105,30 @@ def _read_coords(section, dimension: int) -> np.ndarray:
 
 
 def parse_problem(text: str) -> TspInstance | CvrpInstance:
-    """Parse a TSPLIB .tsp or Augerat .vrp file; its TYPE header says which."""
+    """Parse a TSPLIB .tsp or Augerat .vrp file; its TYPE header says which.
+
+    Both kinds need EDGE_WEIGHT_TYPE: EUC_2D, a positive DIMENSION and a
+    NODE_COORD_SECTION. A CVRP adds CAPACITY, a DEMAND_SECTION and one
+    depot in its DEPOT_SECTION; the depot is not a customer.
+    """
     headers, sections = _scan(text)
     ptype = _require(headers, "TYPE")
-    if ptype not in _BUILDERS:
+    if ptype not in ("TSP", "CVRP"):
         raise ParseError(f"unsupported TYPE {ptype!r} (expected TSP or CVRP)")
-    return _BUILDERS[ptype](headers, sections)
-
-
-def _build_tsp(headers: dict, sections: dict) -> TspInstance:
-    """TYPE: TSP with EDGE_WEIGHT_TYPE: EUC_2D."""
     ewt = _require(headers, "EDGE_WEIGHT_TYPE")
     if ewt != "EUC_2D":
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r} (only EUC_2D)")
     dimension = _number(_require(headers, "DIMENSION"), int, "DIMENSION")
+    if dimension < 1:
+        raise ParseError(f"DIMENSION must be a positive integer, got {dimension}")
     coords = _read_coords(_require(sections, "NODE_COORD_SECTION", "section"), dimension)
-    return TspInstance(name=headers.get("NAME", "unnamed"), coords=coords)
+    name = headers.get("NAME", "unnamed")
+    if ptype == "TSP":
+        return TspInstance(name=name, coords=coords)
 
-
-def _build_cvrp(headers: dict, sections: dict) -> CvrpInstance:
-    """TYPE: CVRP: coordinates, demands and one depot, which is not a customer."""
     capacity = _number(_require(headers, "CAPACITY"), int, "CAPACITY")
-    dimension = _number(_require(headers, "DIMENSION"), int, "DIMENSION")
-    coord_sec, demand_sec, depot_sec = (
-        _require(sections, name, "section")
-        for name in ("NODE_COORD_SECTION", "DEMAND_SECTION", "DEPOT_SECTION"))
-    coords = _read_coords(coord_sec, dimension)
-
     demands = np.full(dimension, -1, dtype=np.int64)
-    for lineno, line in demand_sec:
+    for lineno, line in _require(sections, "DEMAND_SECTION", "section"):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'id demand', got {line!r}", lineno)
@@ -150,7 +145,7 @@ def _build_cvrp(headers: dict, sections: dict) -> CvrpInstance:
         raise ParseError(f"DEMAND_SECTION does not cover all {dimension} nodes")
 
     depots = [(lineno, _number(line.split()[0], int, "depot id", lineno))
-              for lineno, line in depot_sec]
+              for lineno, line in _require(sections, "DEPOT_SECTION", "section")]
     depots = [(lineno, d) for lineno, d in depots if d != -1]
     if len(depots) != 1:
         raise ParseError(f"expected exactly one depot, got {[d for _, d in depots]}")
@@ -161,12 +156,9 @@ def _build_cvrp(headers: dict, sections: dict) -> CvrpInstance:
     customer_mask = np.ones(dimension, dtype=bool)
     customer_mask[depot - 1] = False
     return CvrpInstance(
-        name=headers.get("NAME", "unnamed"),
+        name=name,
         depot_coord=tuple(coords[depot - 1]),
         customer_coords=coords[customer_mask],
         demands=demands[customer_mask],
         capacity=capacity,
     )
-
-
-_BUILDERS = {"TSP": _build_tsp, "CVRP": _build_cvrp}

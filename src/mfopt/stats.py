@@ -9,11 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm, rankdata
 
+# One-sided 5 % (two-sided 90 %) critical value of the normal z, 1.6448...
+CRITICAL_Z = float(norm.ppf(0.95))
+
 
 @dataclass
 class SampleSet:
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -41,12 +43,11 @@ def summarize(s: SampleSet) -> tuple[float, float]:
     return float(v.mean()), std
 
 
-def ranksum_test(a: SampleSet, b: SampleSet, confidence: float = 0.90) -> TestVerdict:
+def ranksum_test(a: SampleSet, b: SampleSet) -> TestVerdict:
     """Wilcoxon rank-sum with midrank ties and tie-corrected normal z.
 
     z < 0 means sample A tends to have lower values (better, for costs).
-    Significant when |z| reaches the one-sided critical value for the
-    given confidence (1.645 at 90%).
+    Significant when |z| reaches ``CRITICAL_Z`` (1.645, one-sided 5 %).
     """
     x, y = a.values, b.values
     if x.size == 0 or y.size == 0:
@@ -63,15 +64,8 @@ def ranksum_test(a: SampleSet, b: SampleSet, confidence: float = 0.90) -> TestVe
     if var_w <= 0:
         return TestVerdict(z_value=0.0, significant=False, direction=Direction.NONE)
     z = (w - mean_w) / np.sqrt(var_w)
-    crit = critical_z(confidence)
-    if z <= -crit:
+    if z <= -CRITICAL_Z:
         return TestVerdict(z_value=float(z), significant=True, direction=Direction.A_BETTER)
-    if z >= crit:
+    if z >= CRITICAL_Z:
         return TestVerdict(z_value=float(z), significant=True, direction=Direction.B_BETTER)
     return TestVerdict(z_value=float(z), significant=False, direction=Direction.NONE)
-
-
-def critical_z(confidence: float) -> float:
-    """Critical value at the given two-sided confidence level;
-    1.6448... at 90% (equivalently one-sided at the 5% level)."""
-    return float(norm.ppf((1.0 + confidence) / 2.0))

@@ -80,6 +80,8 @@ class CvrpInstance:
             raise ValueError("demand count does not match customer count")
         if (self.demands > self.capacity).any():
             raise ValueError("a single customer demand exceeds vehicle capacity")
+        if self.dimension < 2:
+            raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
         self._dist = _euc2d_matrix(self.customer_coords, self.customer_coords)
         depot = np.asarray([self.depot_coord], dtype=float)
         self._depot_dist = _euc2d_matrix(depot, self.customer_coords)[0]

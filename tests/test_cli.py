@@ -71,6 +71,26 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     assert err.splitlines()[-1].startswith("mfopt: error: ")
 
 
+def _vrp(dimension, edge_weight_type="EUC_2D"):
+    """CVRP file text: node 1 is the depot, nodes 2..dimension customers."""
+    nodes = range(1, dimension + 1)
+    return "\n".join([
+        "NAME : small", "TYPE : CVRP", f"DIMENSION : {dimension}",
+        f"EDGE_WEIGHT_TYPE : {edge_weight_type}", "CAPACITY : 10",
+        "NODE_COORD_SECTION", *(f"{i} {i} 0" for i in nodes),
+        "DEMAND_SECTION", *(f"{i} {int(i > 1)}" for i in nodes),
+        "DEPOT_SECTION", "1", "-1", "EOF", ""])
+
+
+BAD_INSTANCES = {
+    "bad.tsp": "NAME: bad\nTYPE: TSP\n",
+    "geo.vrp": _vrp(3, "GEO"),
+    "negative.vrp": _vrp(-1),
+    "depot.vrp": _vrp(1),
+    "one.vrp": _vrp(2),
+}
+
+
 @pytest.mark.parametrize("spec", [
     {"name": "x"},
     {"name": "x", "instances": []},
@@ -80,11 +100,17 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     b"\xff\xfe",
     "directory",
     "unreadable",
+    {"name": "x", "instances": ["geo.vrp"]},
+    {"name": "x", "instances": ["negative.vrp"]},
+    {"name": "x", "instances": ["depot.vrp"]},
+    {"name": "x", "instances": ["one.vrp"]},
 ], ids=["no instances", "empty instances", "missing instance file",
         "malformed instance file", "JSON syntax error", "not UTF-8", "directory",
-        "unreadable file"])
+        "unreadable file", "GEO CVRP", "negative DIMENSION", "depot-only CVRP",
+        "one-customer CVRP"])
 def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypatch):
-    (tmp_path / "bad.tsp").write_text("NAME: bad\nTYPE: TSP\n")
+    for name, text in BAD_INSTANCES.items():
+        (tmp_path / name).write_text(text)
     cfg = tmp_path / "env.json"
     if spec == "directory":
         cfg.mkdir()

@@ -135,6 +135,14 @@ class TestVrpParsing:
         with pytest.raises(ParseError, match=f"line 19: depot id {depot} outside 1..5"):
             parse_problem(VRP_TEXT.replace("DEPOT_SECTION\n 1", f"DEPOT_SECTION\n {depot}"))
 
+    @pytest.mark.parametrize("text", [
+        VRP_TEXT.replace("EUC_2D", "GEO"),
+        VRP_TEXT.replace("EDGE_WEIGHT_TYPE : EUC_2D\n", ""),
+    ], ids=["GEO", "missing"])
+    def test_edge_weight_type_checked(self, text):
+        with pytest.raises(ParseError, match="EDGE_WEIGHT_TYPE"):
+            parse_problem(text)
+
     def test_roundtrip(self):
         inst = parse_problem(VRP_TEXT)
         again = parse_problem(format_vrp(inst))
@@ -156,6 +164,14 @@ class TestNumericFields:
     def test_non_numeric_field(self, text, match):
         with pytest.raises(ParseError, match=match):
             parse_problem(text)
+
+    @pytest.mark.parametrize("dimension", ["-1", "0"])
+    @pytest.mark.parametrize("text, header", [
+        (TSP_TEXT, "DIMENSION: 4"), (VRP_TEXT, "DIMENSION : 5"),
+    ], ids=["TSP", "CVRP"])
+    def test_non_positive_dimension(self, text, header, dimension):
+        with pytest.raises(ParseError, match="DIMENSION must be a positive integer"):
+            parse_problem(text.replace(header, f"DIMENSION: {dimension}"))
 
 
 class TestDispatch:

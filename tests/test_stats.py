@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfopt.stats import (
+    CRITICAL_Z,
     Direction,
     SampleSet,
-    critical_z,
     ranksum_test,
     summarize,
 )
@@ -49,7 +49,7 @@ class TestSummarize:
 
 class TestCriticalZ:
     def test_ninety_percent(self):
-        assert critical_z(0.90) == pytest.approx(1.6448536269514722)
+        assert CRITICAL_Z == pytest.approx(1.6448536269514722)
 
 
 class TestRanksum:

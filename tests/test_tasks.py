@@ -155,6 +155,13 @@ class TestCvrp:
                          customer_coords=np.array([[1.0, 0.0]]),
                          demands=np.array([11]), capacity=10)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_customers_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 2 customers"):
+            CvrpInstance(name="small", depot_coord=(0, 0),
+                         customer_coords=np.zeros((n, 2)),
+                         demands=np.ones(n, dtype=int), capacity=10)
+
     def test_demand_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CvrpInstance(name="bad", depot_coord=(0, 0),
