@@ -87,46 +87,41 @@ class ReportRow:
     optimum: float | None
 
 
-def _data_text(filename: str) -> str:
-    return resources.files("mfopt.data").joinpath(filename).read_text()
-
-
 def load_environment(name_or_path: str) -> Environment:
     """Build an environment from a built-in name or a JSON config file.
 
-    A config file lists instance paths:
+    A config file lists instance paths, relative to its own directory:
     ``{"name": "...", "instances": ["a.tsp", "b.vrp", ...]}``.
     """
-    if name_or_path in BUILTIN_ENVIRONMENTS:
-        return Environment(name=name_or_path, tasks=[
-            parsers.parse_problem(_data_text(fn)) for fn in BUILTIN_ENVIRONMENTS[name_or_path]])
-
     path = Path(name_or_path)
-    if not path.exists():
+    if name_or_path in BUILTIN_ENVIRONMENTS:
+        folder = resources.files("mfopt.data")
+        spec = {"name": name_or_path, "instances": BUILTIN_ENVIRONMENTS[name_or_path]}
+    elif not path.exists():
         raise ValueError(f"unknown environment {name_or_path!r} "
                          f"(not a built-in name or config file)")
-    try:
-        spec = json.loads(path.read_text())
-    except OSError as exc:  # a directory, or no permission to read
-        raise ValueError(f"{path}: cannot read environment file: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: not a JSON environment file: {exc}") from exc
+    else:
+        folder = path.parent
+        try:
+            spec = json.loads(path.read_text())
+        except OSError as exc:  # a directory, or no permission to read
+            raise ValueError(f"{path}: cannot read environment file: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a JSON environment file: {exc}") from exc
     instances = spec.get("instances") if isinstance(spec, dict) else None
     if (not isinstance(instances, list) or not instances
             or not all(isinstance(p, str) for p in instances)):
         raise ValueError(f"{path}: 'instances' must be a non-empty list "
                          f"of instance file paths")
     tasks = []
-    for inst_path in instances:
-        inst_path = str((path.parent / inst_path).resolve()
-                        if not Path(inst_path).is_absolute() else inst_path)
+    for instance in instances:
         try:
-            tasks.append(parsers.parse_problem(Path(inst_path).read_text()))
+            tasks.append(parsers.parse_problem((folder / instance).read_text()))
         except OSError as exc:
-            raise ValueError(f"{path}: cannot read instance {inst_path}: "
+            raise ValueError(f"{path}: cannot read instance {folder / instance}: "
                              f"{exc.strerror}") from exc
         except ValueError as exc:
-            raise ValueError(f"{path}: bad instance {inst_path}: {exc}") from exc
+            raise ValueError(f"{path}: bad instance {folder / instance}: {exc}") from exc
     return Environment(name=spec.get("name", path.stem), tasks=tasks)
 
 

@@ -75,33 +75,46 @@ def _require(fields: dict, key: str, what: str = "required header"):
 
 
 def _number(text: str, kind, what: str, line: int | None = None):
-    """``kind(text)`` (``int`` or ``float``), or a ParseError naming ``what``."""
+    """``kind(text)`` (``int`` or ``float``) if finite, or a ParseError naming ``what``."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        raise ParseError(f"{what} is not {'an integer' if kind is int else 'a number'}: "
-                         f"{text!r}", line) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{what} is not {'an integer' if kind is int else 'a finite number'}: "
+                         f"{text!r}", line)
+    return value
 
 
-def _read_coords(section, dimension: int) -> np.ndarray:
-    coords = np.full((dimension, 2), np.nan)
-    seen = 0
-    for lineno, line in section:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'id x y', got {line!r}", lineno)
-        node = _number(parts[0], int, "node id", lineno)
+def _read_nodes(sections, name: str, fields: tuple[str, ...], kind, dimension: int):
+    """A node section's ``fields`` by node id, and the index of each node's line
+    in the section. Each line is an id and the fields; every id in 1..dimension
+    appears exactly once and every field is a finite number of ``kind``."""
+    section = _require(sections, name, "section")
+    rows = [line.split() for _, line in section]
+    try:
+        table = np.array(rows, dtype=kind).reshape(len(rows), 1 + len(fields))
+        ids = np.array([row[0] for row in rows], dtype=np.int64)
+        order = np.argsort(ids)
+        if np.isfinite(table).all() and np.array_equal(ids[order], np.arange(1, dimension + 1)):
+            return table[order, 1:], order
+    except (ValueError, OverflowError):
+        pass
+    seen: dict[int, int] = {}
+    for (lineno, line), row in zip(section, rows):  # name the first bad line
+        if len(row) != 1 + len(fields):
+            raise ParseError(f"expected node id, {', '.join(fields)}; got {line!r}", lineno)
+        node = _number(row[0], int, "node id", lineno)
+        for what, text in zip(fields, row[1:]):
+            _number(text, kind, what, lineno)
         if not 1 <= node <= dimension:
             raise ParseError(f"node id {node} outside 1..{dimension}", lineno)
-        coords[node - 1] = (_number(parts[1], float, "x coordinate", lineno),
-                            _number(parts[2], float, "y coordinate", lineno))
-        seen += 1
-    if seen != dimension or np.isnan(coords).any():
-        raise ParseError(
-            f"NODE_COORD_SECTION has {seen} entries, DIMENSION says {dimension}",
-            section[-1][0] if section else None,
-        )
-    return coords
+        if node in seen:
+            raise ParseError(f"node id {node} repeats line {seen[node]}", lineno)
+        seen[node] = lineno
+    missing = sorted(set(range(1, dimension + 1)) - seen.keys())
+    raise ParseError(f"{name} has no node {missing[0]}" if missing
+                     else f"{name} has a number outside the 64-bit range")
 
 
 def parse_problem(text: str) -> TspInstance | CvrpInstance:
@@ -121,28 +134,20 @@ def parse_problem(text: str) -> TspInstance | CvrpInstance:
     dimension = _number(_require(headers, "DIMENSION"), int, "DIMENSION")
     if dimension < 1:
         raise ParseError(f"DIMENSION must be a positive integer, got {dimension}")
-    coords = _read_coords(_require(sections, "NODE_COORD_SECTION", "section"), dimension)
+    coords, _ = _read_nodes(sections, "NODE_COORD_SECTION",
+                            ("x coordinate", "y coordinate"), float, dimension)
     name = headers.get("NAME", "unnamed")
     if ptype == "TSP":
         return TspInstance(name=name, coords=coords)
 
     capacity = _number(_require(headers, "CAPACITY"), int, "CAPACITY")
-    demands = np.full(dimension, -1, dtype=np.int64)
-    for lineno, line in _require(sections, "DEMAND_SECTION", "section"):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'id demand', got {line!r}", lineno)
-        node = _number(parts[0], int, "node id", lineno)
-        q = _number(parts[1], int, "demand", lineno)
-        if not 1 <= node <= dimension:
-            raise ParseError(f"node id {node} outside 1..{dimension}", lineno)
-        if q < 0:
-            raise ParseError(f"negative demand {q}", lineno)
-        if q > capacity:
-            raise ParseError(f"demand {q} exceeds capacity {capacity}", lineno)
-        demands[node - 1] = q
-    if (demands < 0).any():
-        raise ParseError(f"DEMAND_SECTION does not cover all {dimension} nodes")
+    demands, where = _read_nodes(sections, "DEMAND_SECTION", ("demand",), int, dimension)
+    demands = demands[:, 0]
+    bad = np.flatnonzero((demands < 0) | (demands > capacity))
+    if bad.size:
+        q, lineno = demands[bad[0]], sections["DEMAND_SECTION"][where[bad[0]]][0]
+        raise ParseError(f"negative demand {q}" if q < 0
+                         else f"demand {q} exceeds capacity {capacity}", lineno)
 
     depots = [(lineno, _number(line.split()[0], int, "depot id", lineno))
               for lineno, line in _require(sections, "DEPOT_SECTION", "section")]

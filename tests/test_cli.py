@@ -88,6 +88,11 @@ BAD_INSTANCES = {
     "negative.vrp": _vrp(-1),
     "depot.vrp": _vrp(1),
     "one.vrp": _vrp(2),
+    "repeated_demand.vrp": _vrp(3).replace("\n3 1\n", "\n3 1\n3 2\n"),
+    "repeated_node.vrp": _vrp(3).replace("\n3 3 0\n", "\n2 3 0\n"),
+    "nan.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 nan 0\n"),
+    "inf.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 2 inf\n"),
+    "1e400.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 1e400 0\n"),
 }
 
 
@@ -104,10 +109,16 @@ BAD_INSTANCES = {
     {"name": "x", "instances": ["negative.vrp"]},
     {"name": "x", "instances": ["depot.vrp"]},
     {"name": "x", "instances": ["one.vrp"]},
+    {"name": "x", "instances": ["repeated_demand.vrp"]},
+    {"name": "x", "instances": ["repeated_node.vrp"]},
+    {"name": "x", "instances": ["nan.vrp"]},
+    {"name": "x", "instances": ["inf.vrp"]},
+    {"name": "x", "instances": ["1e400.vrp"]},
 ], ids=["no instances", "empty instances", "missing instance file",
         "malformed instance file", "JSON syntax error", "not UTF-8", "directory",
         "unreadable file", "GEO CVRP", "negative DIMENSION", "depot-only CVRP",
-        "one-customer CVRP"])
+        "one-customer CVRP", "repeated demand id", "repeated node id",
+        "nan coordinate", "inf coordinate", "1e400 coordinate"])
 def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypatch):
     for name, text in BAD_INSTANCES.items():
         (tmp_path / name).write_text(text)
@@ -134,3 +145,4 @@ def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"mfopt: error: {cfg}: ")
+    assert err.count("mfopt: error:") == 1

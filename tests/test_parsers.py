@@ -76,7 +76,7 @@ class TestTspParsing:
             parse_problem(TSP_TEXT.replace("DIMENSION: 4\n", ""))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="NODE_COORD_SECTION has no node 4"):
             parse_problem(TSP_TEXT.replace("4 0 10\n", ""))
 
     def test_node_id_out_of_range(self):
@@ -123,7 +123,7 @@ class TestVrpParsing:
             parse_problem(VRP_TEXT.replace(" 2 5", " 2 -1"))
 
     def test_missing_demand_entry(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="DEMAND_SECTION has no node 5"):
             parse_problem(VRP_TEXT.replace(" 5 5\n", ""))
 
     def test_two_depots_rejected(self):
@@ -156,11 +156,15 @@ class TestNumericFields:
     @pytest.mark.parametrize("text, match", [
         (TSP_TEXT.replace("2 10 0", "x 10 0"), "line 8: node id"),
         (TSP_TEXT.replace("2 10 0", "2 1x 0"), "line 8: x coordinate"),
+        (TSP_TEXT.replace("2 10 0", "2 nan 0"), "line 8: x coordinate is not a finite number"),
+        (TSP_TEXT.replace("2 10 0", "2 10 inf"), "line 8: y coordinate is not a finite number"),
+        (TSP_TEXT.replace("2 10 0", "2 1e400 0"), "line 8: x coordinate is not a finite number"),
         (VRP_TEXT.replace(" 3 5\n", " 3 x\n"), "line 15: demand"),
         (VRP_TEXT.replace("DEPOT_SECTION\n 1", "DEPOT_SECTION\n x"), "line 19: depot id"),
         (TSP_TEXT.replace("DIMENSION: 4", "DIMENSION: four"), "DIMENSION"),
         (VRP_TEXT.replace("CAPACITY : 10", "CAPACITY : 1O"), "CAPACITY"),
-    ], ids=["node id", "coordinate", "demand", "depot id", "DIMENSION", "CAPACITY"])
+    ], ids=["node id", "coordinate", "nan coordinate", "inf coordinate", "1e400 coordinate",
+            "demand", "depot id", "DIMENSION", "CAPACITY"])
     def test_non_numeric_field(self, text, match):
         with pytest.raises(ParseError, match=match):
             parse_problem(text)
@@ -172,6 +176,22 @@ class TestNumericFields:
     def test_non_positive_dimension(self, text, header, dimension):
         with pytest.raises(ParseError, match="DIMENSION must be a positive integer"):
             parse_problem(text.replace(header, f"DIMENSION: {dimension}"))
+
+
+class TestNodeSections:
+    @pytest.mark.parametrize("text, match", [
+        (TSP_TEXT.replace("4 0 10", "2 0 10"), "line 10: node id 2 repeats line 8"),
+        (VRP_TEXT.replace(" 3 5\n", " 3 5\n 3 9\n"), "line 16: node id 3 repeats line 15"),
+        (TSP_TEXT.replace("2 10 0", "2 10"), "line 8: expected node id, x coordinate, y coordinate"),
+        (VRP_TEXT.replace(" 3 5\n", " 3 5 5\n"), "line 15: expected node id, demand;"),
+        (VRP_TEXT.replace(" 5 5\n", " 6 5\n"), "line 17: node id 6 outside 1..5"),
+        (TSP_TEXT.replace("NAME: toy4", "NAME: toy4\n7 7 7"), "line 2: unexpected content"),
+    ], ids=["repeated node id", "repeated demand id", "coordinate field count",
+            "demand field count", "demand id outside", "content before a section"])
+    def test_bad_line_is_named(self, text, match):
+        with pytest.raises(ParseError, match=match) as exc:
+            parse_problem(text)
+        assert exc.value.line is not None
 
 
 class TestDispatch:
