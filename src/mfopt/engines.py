@@ -143,8 +143,18 @@ class RunTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunTrace":
-        return cls([GenerationRecord.from_json(line)
-                    for line in text.splitlines() if line.strip()])
+        """Parse a trace; an empty text or a bad record is a ValueError,
+        the latter naming its line."""
+        records = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                if line.strip():
+                    records.append(GenerationRecord.from_json(line))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {lineno}: bad trace record: {exc}") from None
+        if not records:
+            raise ValueError("empty trace")
+        return cls(records)
 
     def final_best_costs(self) -> list[float]:
         return self.records[-1].best_costs

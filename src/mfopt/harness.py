@@ -113,6 +113,11 @@ def load_environment(name_or_path: str) -> Environment:
             or not all(isinstance(p, str) for p in instances)):
         raise ValueError(f"{path}: 'instances' must be a non-empty list "
                          f"of instance file paths")
+    # The name prefixes every trace file name and report's glob over them.
+    name = spec.get("name", path.stem)
+    if not isinstance(name, str) or not name or any(c in name for c in "/\\*?[]"):
+        raise ValueError(f"{path}: 'name' must be a non-empty string without "
+                         f"/, \\ or *?[], got {name!r}")
     tasks = []
     for instance in instances:
         try:
@@ -122,7 +127,7 @@ def load_environment(name_or_path: str) -> Environment:
                              f"{exc.strerror}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: bad instance {folder / instance}: {exc}") from exc
-    return Environment(name=spec.get("name", path.stem), tasks=tasks)
+    return Environment(name=name, tasks=tasks)
 
 
 def repetition_seed(base_seed: int, engine: str, repetition: int) -> np.random.SeedSequence:
@@ -213,6 +218,19 @@ def emit_report(rows: list[ReportRow], output_dir: Path) -> dict[str, Path]:
     return {"summary": csv_path, "results": json_path}
 
 
+def _final_costs(path: Path, n_tasks: int) -> np.ndarray:
+    """The last record's best costs in one trace file; a file that cannot be
+    read or parsed, or that has other than ``n_tasks`` costs, is a ValueError
+    naming it."""
+    try:
+        costs = np.array(RunTrace.from_jsonl(path.read_text()).final_best_costs(), dtype=float)
+        if costs.shape != (n_tasks,):
+            raise ValueError(f"{costs.size} best costs for {n_tasks} tasks")
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return costs
+
+
 def reaggregate(output_dir: Path, environment: str) -> list[ReportRow]:
     """Rebuild report rows from persisted trace files."""
     output_dir = Path(output_dir)
@@ -224,9 +242,7 @@ def reaggregate(output_dir: Path, environment: str) -> list[ReportRow]:
         if not paths:
             continue
         engines.append(engine)
-        costs = np.array([RunTrace.from_jsonl(p.read_text()).final_best_costs()
-                          for p in paths])
-        finals[engine] = costs
+        finals[engine] = np.array([_final_costs(p, len(env.tasks)) for p in paths])
     if not engines:
         raise ValueError(f"no traces for {environment} under {output_dir}")
     return aggregate_rows(env, tuple(engines), finals)

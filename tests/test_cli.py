@@ -93,6 +93,7 @@ BAD_INSTANCES = {
     "nan.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 nan 0\n"),
     "inf.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 2 inf\n"),
     "1e400.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 1e400 0\n"),
+    "good.vrp": _vrp(3),
 }
 
 
@@ -114,11 +115,16 @@ BAD_INSTANCES = {
     {"name": "x", "instances": ["nan.vrp"]},
     {"name": "x", "instances": ["inf.vrp"]},
     {"name": "x", "instances": ["1e400.vrp"]},
+    {"name": "a/b", "instances": ["good.vrp"]},
+    {"name": 7, "instances": ["good.vrp"]},
+    {"name": "", "instances": ["good.vrp"]},
+    {"name": "rep[1]", "instances": ["good.vrp"]},
 ], ids=["no instances", "empty instances", "missing instance file",
         "malformed instance file", "JSON syntax error", "not UTF-8", "directory",
         "unreadable file", "GEO CVRP", "negative DIMENSION", "depot-only CVRP",
         "one-customer CVRP", "repeated demand id", "repeated node id",
-        "nan coordinate", "inf coordinate", "1e400 coordinate"])
+        "nan coordinate", "inf coordinate", "1e400 coordinate", "name with /",
+        "non-string name", "empty name", "name with glob characters"])
 def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypatch):
     for name, text in BAD_INSTANCES.items():
         (tmp_path / name).write_text(text)
@@ -146,3 +152,34 @@ def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypat
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"mfopt: error: {cfg}: ")
     assert err.count("mfopt: error:") == 1
+
+
+def _three_costs(text):
+    *head, last = text.splitlines()
+    record = json.loads(last)
+    record["best_costs"] = record["best_costs"][:3]
+    return "\n".join([*head, json.dumps(record)]) + "\n"
+
+
+@pytest.mark.parametrize("damage, traces", [
+    (lambda text: "", 1),
+    (lambda text: '{"gen": 0}\n', 1),
+    (lambda text: text[:-2], 1),
+    (_three_costs, 1),
+    (_three_costs, 2),
+], ids=["empty", "unknown field", "truncated JSON", "3 costs in one trace",
+        "3 costs in both traces"])
+def test_damaged_trace_is_a_usage_error(damage, traces, tmp_path, capsys):
+    assert main(["bench", "TE_4_1", "--budget", "100", "--pop", "10", "--reps", "2",
+                 "--outdir", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("TE_4_1__MFEA__rep*.jsonl"))[:traces]
+    for path in paths:
+        path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "TE_4_1", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("mfopt: error:") == 1
+    assert err.splitlines()[-1].startswith(f"mfopt: error: {paths[0]}: ")

@@ -92,6 +92,10 @@ class TestOrderCrossover:
         with pytest.raises(ValueError):
             order_crossover(np.arange(1, 5), np.arange(1, 6), rng=rng)
 
+    def test_needs_window_or_rng(self):
+        with pytest.raises(ValueError, match="need a window or an rng"):
+            order_crossover(np.arange(1, 5), np.arange(1, 5))
+
     def test_window_out_of_bounds(self):
         with pytest.raises(ValueError):
             order_crossover(np.arange(1, 5), np.arange(1, 5),

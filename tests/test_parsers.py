@@ -160,11 +160,13 @@ class TestNumericFields:
         (TSP_TEXT.replace("2 10 0", "2 10 inf"), "line 8: y coordinate is not a finite number"),
         (TSP_TEXT.replace("2 10 0", "2 1e400 0"), "line 8: x coordinate is not a finite number"),
         (VRP_TEXT.replace(" 3 5\n", " 3 x\n"), "line 15: demand"),
+        (VRP_TEXT.replace(" 3 5\n", " 3 99999999999999999999\n"),
+         "DEMAND_SECTION has a number outside the 64-bit range"),
         (VRP_TEXT.replace("DEPOT_SECTION\n 1", "DEPOT_SECTION\n x"), "line 19: depot id"),
         (TSP_TEXT.replace("DIMENSION: 4", "DIMENSION: four"), "DIMENSION"),
         (VRP_TEXT.replace("CAPACITY : 10", "CAPACITY : 1O"), "CAPACITY"),
     ], ids=["node id", "coordinate", "nan coordinate", "inf coordinate", "1e400 coordinate",
-            "demand", "depot id", "DIMENSION", "CAPACITY"])
+            "demand", "64-bit demand", "depot id", "DIMENSION", "CAPACITY"])
     def test_non_numeric_field(self, text, match):
         with pytest.raises(ParseError, match=match):
             parse_problem(text)
