@@ -78,12 +78,12 @@ def _number(text: str, kind, what: str, line: int | None = None):
     """``kind(text)`` (``int`` or ``float``) if finite, or a ParseError naming ``what``."""
     try:
         value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"{what} is not {'an integer' if kind is int else 'a finite number'}: "
-                         f"{text!r}", line)
-    return value
+        pass
+    raise ParseError(f"{what} is not {'an integer' if kind is int else 'a finite number'}: "
+                     f"{text!r}", line)
 
 
 def _read_nodes(sections, name: str, fields: tuple[str, ...], kind, dimension: int):
@@ -96,7 +96,8 @@ def _read_nodes(sections, name: str, fields: tuple[str, ...], kind, dimension: i
         table = np.array(rows, dtype=kind).reshape(len(rows), 1 + len(fields))
         ids = np.array([row[0] for row in rows], dtype=np.int64)
         order = np.argsort(ids)
-        if np.isfinite(table).all() and np.array_equal(ids[order], np.arange(1, dimension + 1)):
+        if (len(rows) == dimension and np.isfinite(table).all()
+                and np.array_equal(ids[order], np.arange(1, dimension + 1))):
             return table[order, 1:], order
     except (ValueError, OverflowError):
         pass
@@ -112,8 +113,8 @@ def _read_nodes(sections, name: str, fields: tuple[str, ...], kind, dimension: i
         if node in seen:
             raise ParseError(f"node id {node} repeats line {seen[node]}", lineno)
         seen[node] = lineno
-    missing = sorted(set(range(1, dimension + 1)) - seen.keys())
-    raise ParseError(f"{name} has no node {missing[0]}" if missing
+    missing = next((node for node in range(1, dimension + 1) if node not in seen), None)
+    raise ParseError(f"{name} has no node {missing}" if missing
                      else f"{name} has a number outside the 64-bit range")
 
 

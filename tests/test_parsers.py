@@ -78,6 +78,9 @@ class TestTspParsing:
     def test_dimension_mismatch(self):
         with pytest.raises(ParseError, match="NODE_COORD_SECTION has no node 4"):
             parse_problem(TSP_TEXT.replace("4 0 10\n", ""))
+        # A huge DIMENSION is reported without allocating per declared node.
+        with pytest.raises(ParseError, match="NODE_COORD_SECTION has no node 5"):
+            parse_problem(TSP_TEXT.replace("DIMENSION: 4", "DIMENSION: 1000000000"))
 
     def test_node_id_out_of_range(self):
         with pytest.raises(ParseError, match="node id"):
