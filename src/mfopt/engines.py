@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -211,14 +212,15 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
                  for ia, ib in zip(order[::2], order[1::2]))
         # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
-        genomes, skills, *child_costs = map(np.array, zip(*children))
+        genomes, skills, child_costs = map(np.array, zip(*children))
+        # A child that updated no matrix cell carries cost nan. Evaluation draws
+        # nothing, so those children are costed here, one batch per skill task.
+        deferred = np.isnan(child_costs)
+        for t in np.unique(skills[deferred]):
+            rows = deferred & (skills == t)
+            child_costs[rows] = evaluate_skill_task(genomes[rows], t, tasks)
         costs = np.full((len(children), k_tasks), UNEVALUATED)
-        if adaptive:  # dMFEA-II children come with their cost
-            costs[np.arange(len(children)), skills] = child_costs[0]
-        else:
-            # MFEA draws nothing in evaluation, so it evaluates per skill task here.
-            for t in np.unique(skills):
-                costs[skills == t, t] = evaluate_skill_task(genomes[skills == t], t, tasks)
+        costs[np.arange(len(children)), skills] = child_costs
         evaluations += len(children)
         pop = elitist_select(pop, Population(genomes, costs), config.population_size)
         trace.records.append(_record(generation, evaluations, pop, rmp))
@@ -228,7 +230,7 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
 
 def _mfea_pair(pop, ia, ib, config, rng):
     """One parent pair under the baseline scalar-RMP scheme; returns
-    (genome, skill) per child, unevaluated."""
+    (genome, skill, nan) per child, unevaluated."""
     ta, tb = pop.skill[ia], pop.skill[ib]
     if ta == tb:
         ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
@@ -241,19 +243,26 @@ def _mfea_pair(pop, ia, ib, config, rng):
         ga = two_opt(pop.genomes[ia], rng=rng)
         gb = two_opt(pop.genomes[ib], rng=rng)
         skills = (ta, tb)
-    return zip((ga, gb), skills)
+    return zip((ga, gb), skills, (math.nan, math.nan))
+
+
+def _other_member(bucket, idx, r):
+    """The ``r``-th member other than ``idx`` of the sorted ``bucket``, which holds ``idx``."""
+    return bucket[r] if bucket[r] < idx else bucket[r + 1]
 
 
 def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
     """One parent pair under the adaptive matrix scheme, mates drawn from the
-    skill ``buckets``; yields (genome, skill, cost) per child after its update."""
+    skill ``buckets``; yields (genome, skill, cost) per child after its update,
+    with cost nan for a child that updates no matrix cell."""
 
     def child(genome, skill, parent=None, cell=None):
         # A dOX child updates its matrix cell by whether it beats ``parent``,
         # the parent whose skill task it inherited.
+        if cell is None:
+            return genome, skill, math.nan
         cost = evaluate_skill_task(genome, skill, tasks)
-        if cell is not None:
-            rmp_update(rmp, *cell, transfer_outcome(cost, pop.costs[parent, skill]))
+        rmp_update(rmp, *cell, transfer_outcome(cost, pop.costs[parent, skill]))
         return genome, skill, cost
 
     ta, tb = pop.skill[ia], pop.skill[ib]
@@ -283,9 +292,7 @@ def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
             yield child(two_opt(pop.genomes[idx], rng=rng), t)
             continue
-        # The r-th same-skill member other than idx.
-        r = int(rng.integers(len(bucket) - 1))
-        mate = bucket[r + (r >= np.searchsorted(bucket, idx))]
+        mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
         genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
                             config.w, dims[t], rng)
         yield child(_maybe_mutate(genome, config.p_m, rng), t, idx, (t, t))

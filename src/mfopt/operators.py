@@ -5,6 +5,7 @@ matrix, and 2-opt segment reversal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,15 @@ class CrossoverWindow:
             raise ValueError("window start must be >= 0")
 
 
-def draw_window(d_max: int, rng: np.random.Generator) -> CrossoverWindow:
-    """Random window between two distinct cut points in [0, d_max]."""
-    i, j = sorted(rng.choice(d_max + 1, size=2, replace=False).tolist())
-    return CrossoverWindow(start=i, length=j - i)
+def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct points of range(n), ascending, drawn with exactly the bits
+    of ``sorted(rng.choice(n, 2, replace=False))``: numpy's Floyd sample, then
+    the one draw that its two-element shuffle spends."""
+    a = int(rng.integers(n - 1))
+    b = int(rng.integers(n))
+    b = n - 1 if b == a else b
+    rng.integers(2)
+    return (a, b) if a < b else (b, a)
 
 
 def _ox_child(keeper: np.ndarray, filler: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -57,11 +63,12 @@ def order_crossover(
     """
     if len(a) != len(b):
         raise ValueError("parents must share d_max")
-    if window is None:
-        if rng is None:
-            raise ValueError("need a window or an rng to draw one")
-        window = draw_window(len(a), rng)
-    lo, hi = window.start, window.start + window.length
+    if window is not None:
+        lo, hi = window.start, window.start + window.length
+    elif rng is not None:
+        lo, hi = _two_points(len(a) + 1, rng)
+    else:
+        raise ValueError("need a window or an rng to draw one")
     if hi > len(a):
         raise ValueError("window exceeds genome bounds")
     return _ox_child(a, b, lo, hi), _ox_child(b, a, lo, hi)
@@ -73,7 +80,7 @@ def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
     Floored at 1 gene and capped at d_max - 1 so the receiving parent
     always contributes at least one position.
     """
-    raw = int(np.floor(w * rmp_entry * d_k + 0.5))
+    raw = math.floor(w * rmp_entry * d_k + 0.5)
     return max(1, min(raw, d_max - 1))
 
 
@@ -92,7 +99,7 @@ def two_opt(
     if i is None or j is None:
         if rng is None:
             raise ValueError("need explicit (i, j) or an rng")
-        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        i, j = _two_points(n, rng)
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     out = genome.copy()
@@ -124,7 +131,7 @@ def dynamic_ox(
     in_segment = np.zeros(n + 1, dtype=bool)
     in_segment[segment] = True
     reordered = donor[in_segment[donor]]
-    if (reordered == segment).all():
+    if reordered.tolist() == segment.tolist():
         i = int(rng.integers(0, n - 1))
         return two_opt(dominant, i, i + 1)
     child = dominant.copy()

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import mfopt.engines
 import mfopt.tasks
-from mfopt.core import is_valid_genome
+from mfopt.core import evaluate_skill_task, is_valid_genome
 from mfopt.engines import (
     EngineConfig,
     GenerationRecord,
     RmpMatrix,
     RunTrace,
+    _other_member,
     rmp_update,
     run_dmfea2,
     run_mfea,
@@ -193,3 +195,41 @@ class TestAdaptiveSpecifics:
         _, trace = run_mfea(two_tasks, small_config(eval_budget=600),
                             np.random.default_rng(0))
         assert all(rec.rmp is None for rec in trace.records)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_mate_is_the_rth_other_member(self, seed):
+        # The pick equals the searchsorted formula on a sorted bucket that
+        # holds idx, for every r.
+        gen = np.random.default_rng(seed)
+        bucket = np.sort(gen.choice(200, int(gen.integers(2, 40)), replace=False))
+        idx = int(gen.choice(bucket))
+        for r in range(len(bucket) - 1):
+            expected = bucket[r + (r >= np.searchsorted(bucket, idx))]
+            assert _other_member(bucket, idx, r) == expected
+
+    def test_generation_costs_every_child_once(self, monkeypatch):
+        # Children whose cost updated the matrix and children batched with
+        # the generation alike get one finite cost, on their skill task.
+        tasks = load_environment("TE_8").tasks
+        offspring, shapes = [], []
+        select, evaluate = mfopt.engines.elitist_select, mfopt.engines.evaluate_skill_task
+
+        def select_spy(current, children, p_size):
+            offspring.append(children)
+            return select(current, children, p_size)
+
+        def evaluate_spy(genomes, skill, problems):
+            shapes.append(genomes.ndim)
+            return evaluate(genomes, skill, problems)
+
+        monkeypatch.setattr(mfopt.engines, "elitist_select", select_spy)
+        monkeypatch.setattr(mfopt.engines, "evaluate_skill_task", evaluate_spy)
+        run_dmfea2(tasks, small_config(eval_budget=20 * 8 + 20), np.random.default_rng(4))
+        (children,) = offspring
+        assert set(shapes) == {1, 2}  # one child at a time, and a batch
+        finite = np.isfinite(children.costs)
+        assert (finite.sum(axis=1) == 1).all()
+        for genome, row in zip(children.genomes, children.costs):
+            t = int(np.flatnonzero(np.isfinite(row))[0])
+            assert row[t] == evaluate_skill_task(genome, t, tasks)

@@ -1,14 +1,15 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfopt.core import is_valid_genome
 from mfopt.operators import (
     CrossoverWindow,
-    draw_window,
+    _two_points,
     dynamic_ox,
     order_crossover,
     two_opt,
@@ -58,10 +59,15 @@ class TestWindow:
             CrossoverWindow(start=-1, length=2)
 
     def test_draw_window_bounds(self, rng):
+        # order_crossover's own window is sorted(rng.choice(n + 1, 2)): two
+        # distinct cut points in [0, n], child 1 keeping a's segment.
+        a, b = np.arange(1, 9), np.arange(8, 0, -1)
         for _ in range(200):
-            w = draw_window(8, rng)
-            assert 0 <= w.start and w.start + w.length <= 8
-            assert w.length >= 1
+            lo, hi = sorted(copy.deepcopy(rng).choice(9, 2, replace=False).tolist())
+            assert 0 <= lo < hi <= 8
+            c1, c2 = order_crossover(a, b, rng=rng)
+            assert list(c1) == reference_ox(a, b, lo, hi)
+            assert list(c2) == reference_ox(b, a, lo, hi)
 
     def test_window_length_formula(self):
         # 0.5 * 0.9 * 52 = 23.4 -> 23;  0.5 * 0.95 * 51 = 24.225 -> 24
@@ -72,6 +78,22 @@ class TestWindow:
         # floor at one gene and cap below the genome size
         assert window_length(0.5, 0.1, 4, 76) == 1
         assert window_length(1.0, 1.0, 76, 76) == 75
+
+
+class TestTwoPoints:
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=25_000))
+    @example(seed=0, n=2)
+    @settings(max_examples=300, deadline=None)
+    def test_spends_the_bits_of_rng_choice(self, seed, n):
+        # Same points and same generator state afterwards, so swapping
+        # rng.choice for the helper leaves every seeded run unchanged.
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _two_points(n, rng) == tuple(sorted(ref.choice(n, 2, replace=False).tolist()))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+        assert rng.integers(n) == ref.integers(n)
 
 
 class TestOrderCrossover:
@@ -206,6 +228,15 @@ class TestDynamicOx:
         expected = reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng)
         assert np.array_equal(child, expected)
         assert rng.random() == ref_rng.random()
+
+    def test_mixed_dtypes_still_change_the_child(self):
+        # An int32 donor against an int64 dominant: the no-change test must
+        # compare values, not bytes, or the guard swap is skipped.
+        dom = np.arange(1, 11, dtype=np.int64)
+        for seed in range(50):
+            child = dynamic_ox(dom, dom.astype(np.int32), 0.5, 0.5, 10,
+                               np.random.default_rng(seed))
+            assert not np.array_equal(child, dom)
 
     def test_identical_parents_get_guard_swap(self, rng):
         dom = np.arange(1, 11)
