@@ -39,9 +39,11 @@ def euc2d_distance(a, b) -> int:
 
 
 def _scan(text: str):
-    """Split a TSPLIB-style file into header fields and section bodies."""
+    """Split a TSPLIB-style file into header fields and section bodies; a
+    header keyword or section that appears twice is a ParseError."""
     headers: dict[str, str] = {}
     sections: dict[str, list[tuple[int, str]]] = {}
+    first: dict[str, int] = {}  # line of each keyword and section header
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -51,6 +53,8 @@ def _scan(text: str):
             break
         word = (line.split(":")[0].split() or [""])[0]
         if word in _SECTIONS:
+            if first.setdefault(word, lineno) != lineno:
+                raise ParseError(f"{word} repeats line {first[word]}", lineno)
             current = word
             sections[current] = []
             continue
@@ -59,6 +63,8 @@ def _scan(text: str):
             if key not in _KNOWN_KEYS:
                 log.warning("ignoring unknown header keyword %r (line %d)", key, lineno)
                 continue
+            if first.setdefault(key, lineno) != lineno:
+                raise ParseError(f"{key} repeats line {first[key]}", lineno)
             headers[key] = value
             current = None
             continue
@@ -158,6 +164,9 @@ def parse_problem(text: str) -> TspInstance | CvrpInstance:
     lineno, depot = depots[0]
     if not 1 <= depot <= dimension:
         raise ParseError(f"depot id {depot} outside 1..{dimension}", lineno)
+    if demands[depot - 1]:
+        raise ParseError(f"depot demand must be 0, got {demands[depot - 1]}",
+                         sections["DEMAND_SECTION"][where[depot - 1]][0])
 
     customer_mask = np.ones(dimension, dtype=bool)
     customer_mask[depot - 1] = False

@@ -93,6 +93,10 @@ BAD_INSTANCES = {
     "nan.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 nan 0\n"),
     "inf.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 2 inf\n"),
     "1e400.vrp": _vrp(3).replace("\n2 2 0\n", "\n2 1e400 0\n"),
+    "repeated_section.vrp": _vrp(3).replace(
+        "DEMAND_SECTION", "NODE_COORD_SECTION\n1 1 0\n2 2 0\n3 3 0\nDEMAND_SECTION"),
+    "repeated_keyword.vrp": _vrp(3).replace("CAPACITY : 10", "CAPACITY : 10\nCAPACITY : 3"),
+    "depot_demand.vrp": _vrp(3).replace("\n1 0\n", "\n1 2\n"),
     "good.vrp": _vrp(3),
 }
 
@@ -115,6 +119,9 @@ BAD_INSTANCES = {
     {"name": "x", "instances": ["nan.vrp"]},
     {"name": "x", "instances": ["inf.vrp"]},
     {"name": "x", "instances": ["1e400.vrp"]},
+    {"name": "x", "instances": ["repeated_section.vrp"]},
+    {"name": "x", "instances": ["repeated_keyword.vrp"]},
+    {"name": "x", "instances": ["depot_demand.vrp"]},
     {"name": "a/b", "instances": ["good.vrp"]},
     {"name": 7, "instances": ["good.vrp"]},
     {"name": "", "instances": ["good.vrp"]},
@@ -123,7 +130,8 @@ BAD_INSTANCES = {
         "malformed instance file", "JSON syntax error", "not UTF-8", "directory",
         "unreadable file", "GEO CVRP", "negative DIMENSION", "depot-only CVRP",
         "one-customer CVRP", "repeated demand id", "repeated node id",
-        "nan coordinate", "inf coordinate", "1e400 coordinate", "name with /",
+        "nan coordinate", "inf coordinate", "1e400 coordinate", "repeated section",
+        "repeated keyword", "depot demand", "name with /",
         "non-string name", "empty name", "name with glob characters"])
 def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypatch):
     for name, text in BAD_INSTANCES.items():

@@ -191,8 +191,14 @@ class TestNodeSections:
         (VRP_TEXT.replace(" 3 5\n", " 3 5 5\n"), "line 15: expected node id, demand;"),
         (VRP_TEXT.replace(" 5 5\n", " 6 5\n"), "line 17: node id 6 outside 1..5"),
         (TSP_TEXT.replace("NAME: toy4", "NAME: toy4\n7 7 7"), "line 2: unexpected content"),
+        (TSP_TEXT.replace("EOF", "NODE_COORD_SECTION\n1 5 5\n2 5 9\n3 9 9\n4 9 5\nEOF"),
+         "line 11: NODE_COORD_SECTION repeats line 6"),
+        (TSP_TEXT.replace("DIMENSION: 4", "DIMENSION: 9\nDIMENSION: 4"),
+         "line 5: DIMENSION repeats line 4"),
+        (VRP_TEXT.replace(" 1 0\n", " 1 7\n"), "line 13: depot demand must be 0, got 7"),
     ], ids=["repeated node id", "repeated demand id", "coordinate field count",
-            "demand field count", "demand id outside", "content before a section"])
+            "demand field count", "demand id outside", "content before a section",
+            "repeated section", "repeated keyword", "depot demand"])
     def test_bad_line_is_named(self, text, match):
         with pytest.raises(ParseError, match=match) as exc:
             parse_problem(text)
