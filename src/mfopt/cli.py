@@ -79,8 +79,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    # Bad parameters, environments and trace sets are usage errors: exit 2
-    # with a one-line message rather than a traceback.
+    # Bad parameters, environments, trace sets and output directories are
+    # usage errors: exit 2 with a one-line message rather than a traceback.
     try:
         if args.command == "report":
             rows = reaggregate(args.outdir, args.environment)
@@ -88,17 +88,19 @@ def main(argv=None) -> int:
             config = _config(args)
             env = load_environment(args.environment)
             config.check_init_budget(len(env.tasks))
-        if args.command == "bench":
-            plan = ExperimentPlan(
-                environment=env, engines=tuple(args.engines),
-                repetitions=args.reps, output_dir=args.outdir, config=config)
+            if args.command == "bench":
+                plan = ExperimentPlan(
+                    environment=env, engines=tuple(args.engines),
+                    repetitions=args.reps, output_dir=args.outdir, config=config)
+            args.outdir.mkdir(parents=True, exist_ok=True)
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        parser.error(f"cannot create output directory {args.outdir}: {exc.strerror}")
 
     if args.command == "run":
         seed_seq = repetition_seed(config.seed, args.engine, 0)
         best, trace = _run_one(args.engine, env.tasks, config, seed_seq)
-        args.outdir.mkdir(parents=True, exist_ok=True)
         trace_path = args.outdir / trace_filename(env.name, args.engine, "single")
         trace_path.write_text(trace.to_jsonl())
         for task, result in zip(env.tasks, best):

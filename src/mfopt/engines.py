@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -47,6 +48,9 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "eval_budget", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # Written so that NaN fails every range check.
         checks = (
             (self.population_size >= 2 and self.population_size % 2 == 0,

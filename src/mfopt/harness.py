@@ -59,8 +59,9 @@ class Environment:
 
 @dataclass
 class ExperimentPlan:
-    """Every engine x repetition of one environment; each run gets ``config``
-    unchanged and a stream paired across engines from ``config.seed``."""
+    """Every engine x repetition of one environment, engines kept in ``ENGINES``
+    order without repeats; each run gets ``config`` unchanged and a stream
+    paired across engines from ``config.seed``."""
     environment: Environment
     engines: tuple[str, ...] = ENGINES
     repetitions: int = 20
@@ -71,9 +72,9 @@ class ExperimentPlan:
         self.output_dir = Path(self.output_dir)
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
-        for e in self.engines:
-            if e not in ENGINES:
-                raise ValueError(f"unknown engine {e!r}")
+        if not self.engines or not set(self.engines) <= set(ENGINES):
+            raise ValueError(f"engines must name one or more of {ENGINES}, got {self.engines!r}")
+        self.engines = tuple(e for e in ENGINES if e in self.engines)
 
 
 @dataclass
@@ -166,25 +167,24 @@ def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
             log.info("%s %s rep %d: %s", env.name, engine, rep, costs[rep])
         finals[engine] = costs
 
-    return aggregate_rows(env, plan.engines, finals)
+    return aggregate_rows(env, finals)
 
 
-def aggregate_rows(env: Environment, engines, finals: dict[str, np.ndarray]) -> list[ReportRow]:
-    """One row per engine and task; with both engines and at least two
-    repetitions each, every row of a task carries whether dMFEA-II beats
-    MFEA there by the rank-sum test."""
+def aggregate_rows(env: Environment, finals: dict[str, np.ndarray]) -> list[ReportRow]:
+    """One row per engine of ``finals``, in its order, and task; with both
+    engines and at least two repetitions each, every row of a task carries
+    whether dMFEA-II beats MFEA there by the rank-sum test."""
     markers = ["n/a"] * len(env.tasks)
-    if len(engines) == 2 and all(finals[e].shape[0] >= 2 for e in engines):
+    if len(finals) == 2 and all(costs.shape[0] >= 2 for costs in finals.values()):
         for k in range(len(env.tasks)):
             verdict = ranksum_test(SampleSet(finals["dMFEA-II"][:, k]),
                                    SampleSet(finals["MFEA"][:, k]))
-            markers[k] = ("significant"
-                          if verdict.significant and verdict.direction is Direction.A_BETTER
+            markers[k] = ("significant" if verdict.direction is Direction.A_BETTER
                           else "not_significant")
     rows = []
-    for engine in engines:
+    for engine, costs in finals.items():
         for k, task in enumerate(env.tasks):
-            mean, std = summarize(SampleSet(finals[engine][:, k]))
+            mean, std = summarize(SampleSet(costs[:, k]))
             rows.append(ReportRow(
                 environment=env.name, engine=engine, instance=task.name,
                 mean=mean, std=std, wilcoxon=markers[k],
@@ -236,13 +236,10 @@ def reaggregate(output_dir: Path, environment: str) -> list[ReportRow]:
     output_dir = Path(output_dir)
     env = load_environment(environment)
     finals: dict[str, np.ndarray] = {}
-    engines = []
     for engine in ENGINES:
         paths = sorted(output_dir.glob(trace_filename(env.name, engine, "rep*")))
-        if not paths:
-            continue
-        engines.append(engine)
-        finals[engine] = np.array([_final_costs(p, len(env.tasks)) for p in paths])
-    if not engines:
+        if paths:
+            finals[engine] = np.array([_final_costs(p, len(env.tasks)) for p in paths])
+    if not finals:
         raise ValueError(f"no traces for {environment} under {output_dir}")
-    return aggregate_rows(env, tuple(engines), finals)
+    return aggregate_rows(env, finals)

@@ -7,7 +7,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.stats import norm, rankdata, tiecorrect
 
 # One-sided 5 % (two-sided 90 %) critical value of the normal z, 1.6448...
 CRITICAL_Z = float(norm.ppf(0.95))
@@ -30,8 +30,11 @@ class Direction(enum.Enum):
 @dataclass
 class TestVerdict:
     z_value: float
-    significant: bool
     direction: Direction
+
+    @property
+    def significant(self) -> bool:
+        return self.direction is not Direction.NONE
 
 
 def summarize(s: SampleSet) -> tuple[float, float]:
@@ -53,19 +56,11 @@ def ranksum_test(a: SampleSet, b: SampleSet) -> TestVerdict:
     if x.size == 0 or y.size == 0:
         raise ValueError("both samples must be non-empty")
     n, m = x.size, y.size
-    pooled = np.concatenate([x, y])
-    ranks = rankdata(pooled)  # midranks for ties
+    ranks = rankdata(np.concatenate([x, y]))  # midranks for ties
     w = ranks[:n].sum()
     mean_w = n * (n + m + 1) / 2.0
-    # tie-corrected variance of the rank sum
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = ((counts ** 3 - counts).sum()) / ((n + m) * (n + m - 1))
-    var_w = n * m / 12.0 * (n + m + 1 - tie_term)
-    if var_w <= 0:
-        return TestVerdict(z_value=0.0, significant=False, direction=Direction.NONE)
-    z = (w - mean_w) / np.sqrt(var_w)
-    if z <= -CRITICAL_Z:
-        return TestVerdict(z_value=float(z), significant=True, direction=Direction.A_BETTER)
-    if z >= CRITICAL_Z:
-        return TestVerdict(z_value=float(z), significant=True, direction=Direction.B_BETTER)
-    return TestVerdict(z_value=float(z), significant=False, direction=Direction.NONE)
+    var_w = n * m / 12.0 * (n + m + 1) * tiecorrect(ranks)
+    z = float((w - mean_w) / np.sqrt(var_w)) if var_w > 0 else 0.0
+    direction = (Direction.A_BETTER if z <= -CRITICAL_Z
+                 else Direction.B_BETTER if z >= CRITICAL_Z else Direction.NONE)
+    return TestVerdict(z_value=z, direction=direction)

@@ -36,10 +36,16 @@ def test_run_subcommand(env_file, tmp_path, capsys):
     assert list(out.glob("cli_env__MFEA__single.jsonl"))
 
 
-def test_bench_and_report_subcommands(env_file, tmp_path, capsys):
+@pytest.mark.parametrize("engines", [
+    [], ["--engines", "dMFEA-II", "MFEA"], ["--engines", "MFEA", "MFEA"],
+    ["--engines", "MFEA"],
+], ids=lambda argv: " ".join(argv) or "default")
+def test_bench_and_report_subcommands(engines, env_file, tmp_path, capsys):
+    # Engines run in one fixed order, once each, so report rebuilds the
+    # table bench wrote byte for byte.
     out = tmp_path / "out"
     rc = main(["bench", str(env_file), "--budget", "300", "--pop", "10",
-               "--reps", "2", "--outdir", str(out)])
+               "--reps", "2", "--outdir", str(out), *engines])
     assert rc == 0
     first = (out / "summary.csv").read_text()
     assert "cli_env" in first
@@ -69,6 +75,22 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("mfopt: error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("outdir", ["file", "file/x"])
+def test_unusable_outdir_is_a_usage_error(command, outdir, tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    searched = []
+    monkeypatch.setattr("mfopt.cli._run_one", lambda *a: searched.append(a))
+    monkeypatch.setattr("mfopt.cli.run_experiment", lambda *a: searched.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "TE_4_1", "--budget", "800", "--outdir", str(tmp_path / outdir)])
+    assert exc.value.code == 2
+    assert not searched  # refused before any search
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("mfopt: error: cannot create output directory ")
 
 
 def _vrp(dimension, edge_weight_type="EUC_2D"):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -91,6 +92,7 @@ class TestEngineConfig:
         dict(rmp_init=1.5), dict(rmp_floor=-0.1),
         dict(rmp_floor=0.9, rmp_init=0.5),
         dict(seed=-1),
+        dict(eval_budget=1e4), dict(population_size=20.0), dict(seed=1.5),
     ], ids=repr)
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -207,6 +209,20 @@ class TestAdaptiveSpecifics:
         for r in range(len(bucket) - 1):
             expected = bucket[r + (r >= np.searchsorted(bucket, idx))]
             assert _other_member(bucket, idx, r) == expected
+
+    def test_no_same_skill_mate_falls_back_to_two_opt(self, caplog):
+        # Two members on two tasks: a pair of different skills that takes the
+        # intra-task branch finds each parent alone in its skill bucket, so
+        # both children are 2-opt mutants; no child updates the diagonal.
+        tasks = load_environment("TE_4_1").tasks[:2]
+        config = small_config(population_size=2, eval_budget=400)
+        with caplog.at_level(logging.INFO, logger="mfopt.engines"):
+            best, trace = run_dmfea2(tasks, config, np.random.default_rng(0))
+        assert "no same-skill mate" in caplog.text
+        assert trace.records[-1].evaluations == 400
+        assert all(is_valid_genome(b.genome) for b in best)
+        for rec in trace.records:
+            assert (np.diag(rec.rmp) == config.rmp_init).all()
 
     def test_generation_costs_every_child_once(self, monkeypatch):
         # Children whose cost updated the matrix and children batched with

@@ -141,9 +141,10 @@ class TestExperiment:
         with pytest.raises(ValueError):
             tiny_plan(tmp_path, square_tsp, line_tsp, reps=0)
         plan = tiny_plan(tmp_path, square_tsp, line_tsp)
-        with pytest.raises(ValueError):
-            ExperimentPlan(environment=plan.environment,
-                           engines=("MFEA", "nope"), output_dir=tmp_path)
+        for engines in [("MFEA", "nope"), ()]:
+            with pytest.raises(ValueError):
+                ExperimentPlan(environment=plan.environment,
+                               engines=engines, output_dir=tmp_path)
 
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(ValueError):
