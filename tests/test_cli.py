@@ -36,14 +36,9 @@ def test_run_subcommand(env_file, tmp_path, capsys):
     assert list(out.glob("cli_env__MFEA__single.jsonl"))
 
 
-@pytest.mark.parametrize("engines", [
-    [], ["--engines", "dMFEA-II", "MFEA"], ["--engines", "MFEA", "MFEA"],
-    ["--engines", "MFEA"],
-], ids=lambda argv: " ".join(argv) or "default")
-def test_bench_and_report_subcommands(engines, env_file, tmp_path, capsys):
+def _bench_then_report(env_file, out, engines):
     # Engines run in one fixed order, once each, so report rebuilds the
     # table bench wrote byte for byte.
-    out = tmp_path / "out"
     rc = main(["bench", str(env_file), "--budget", "300", "--pop", "10",
                "--reps", "2", "--outdir", str(out), *engines])
     assert rc == 0
@@ -53,6 +48,17 @@ def test_bench_and_report_subcommands(engines, env_file, tmp_path, capsys):
     rc = main(["report", str(env_file), "--outdir", str(out)])
     assert rc == 0
     assert (out / "summary.csv").read_text() == first
+
+
+def test_bench_and_report_subcommands(env_file, tmp_path, capsys):
+    _bench_then_report(env_file, tmp_path / "out", [])
+
+
+@pytest.mark.parametrize("engines", [
+    ["dMFEA-II", "MFEA"], ["MFEA", "MFEA"], ["MFEA"],
+], ids=" ".join)
+def test_bench_and_report_engine_orders(engines, env_file, tmp_path, capsys):
+    _bench_then_report(env_file, tmp_path / "out", ["--engines", *engines])
 
 
 def test_missing_subcommand_errors():
