@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands:
-  run     one engine on one environment, single repetition
+  run     one engine on one environment: repetition 0 of the bench plan
   bench   full experiment plan (both engines, repeated seeded runs)
   report  re-aggregate persisted traces into summary tables
 """
@@ -45,7 +45,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         default = getattr(EngineConfig, name)
         p.add_argument(flag, dest=name, type=type(default), default=default,
                        metavar=flag[2:].upper().replace("-", "_"), help=help_text)
-    p.add_argument("--outdir", type=Path, default=Path("results"))
+    p.add_argument("--outdir", type=Path, default=ExperimentPlan.output_dir)
 
 
 def _config(args) -> EngineConfig:
@@ -61,19 +61,20 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="single run of one engine")
     p_run.add_argument("environment", help="built-in name (TE_4_1 .. TE_8) or config file")
-    p_run.add_argument("--engine", choices=ENGINES, default="dMFEA-II")
+    p_run.add_argument("--engine", dest="engines", nargs=1, choices=ENGINES, default=["dMFEA-II"])
+    p_run.set_defaults(reps=1)
     _add_engine_flags(p_run)
 
     p_bench = sub.add_parser("bench", help="full repeated-run experiment")
     p_bench.add_argument("environment")
     p_bench.add_argument("--engines", nargs="+", choices=ENGINES,
                          default=list(ENGINES))
-    p_bench.add_argument("--reps", type=int, default=20)
+    p_bench.add_argument("--reps", type=int, default=ExperimentPlan.repetitions)
     _add_engine_flags(p_bench)
 
     p_rep = sub.add_parser("report", help="re-aggregate persisted traces")
     p_rep.add_argument("environment")
-    p_rep.add_argument("--outdir", type=Path, default=Path("results"))
+    p_rep.add_argument("--outdir", type=Path, default=ExperimentPlan.output_dir)
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
@@ -85,13 +86,9 @@ def main(argv=None) -> int:
         if args.command == "report":
             rows = reaggregate(args.outdir, args.environment)
         else:
-            config = _config(args)
-            env = load_environment(args.environment)
-            config.check_init_budget(len(env.tasks))
-            if args.command == "bench":
-                plan = ExperimentPlan(
-                    environment=env, engines=tuple(args.engines),
-                    repetitions=args.reps, output_dir=args.outdir, config=config)
+            plan = ExperimentPlan(
+                config=_config(args), environment=load_environment(args.environment),
+                engines=tuple(args.engines), repetitions=args.reps, output_dir=args.outdir)
             args.outdir.mkdir(parents=True, exist_ok=True)
     except ValueError as exc:
         parser.error(str(exc))
@@ -99,12 +96,13 @@ def main(argv=None) -> int:
         parser.error(f"cannot create output directory {args.outdir}: {exc.strerror}")
 
     if args.command == "run":
-        seed_seq = repetition_seed(config.seed, args.engine, 0)
-        best, trace = _run_one(args.engine, env.tasks, config, seed_seq)
-        trace_path = args.outdir / trace_filename(env.name, args.engine, "single")
+        env, (engine,) = plan.environment, plan.engines
+        seed_seq = repetition_seed(plan.config.seed, engine, 0)
+        best, trace = _run_one(engine, env.tasks, plan.config, seed_seq)
+        trace_path = args.outdir / trace_filename(env.name, engine, "single")
         trace_path.write_text(trace.to_jsonl())
         for task, result in zip(env.tasks, best):
-            print(f"{env.name} {args.engine} {task.name}: best cost {result.cost:g}")
+            print(f"{env.name} {engine} {task.name}: best cost {result.cost:g}")
         print(f"trace written to {trace_path}")
         return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -87,9 +86,9 @@ class RmpMatrix:
     knowledge exchange between any two tasks.
     """
     entries: np.ndarray
-    delta_inc: float = EngineConfig.delta_inc
-    delta_dec: float = EngineConfig.delta_dec
-    floor: float = EngineConfig.rmp_floor
+    delta_inc: float
+    delta_dec: float
+    floor: float
 
     @classmethod
     def initial(cls, k_tasks: int, value: float, delta_inc: float, delta_dec: float,
@@ -130,21 +129,13 @@ class GenerationRecord:
     best_costs: list[float]
     rmp: list[list[float]] | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self))
-
-    @classmethod
-    def from_json(cls, line: str) -> "GenerationRecord":
-        d = json.loads(line)
-        return cls(**d)
-
 
 @dataclass
 class RunTrace:
     records: list[GenerationRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
+        return "".join(json.dumps(vars(r)) + "\n" for r in self.records)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunTrace":
@@ -154,7 +145,7 @@ class RunTrace:
         for lineno, line in enumerate(text.splitlines(), start=1):
             try:
                 if line.strip():
-                    records.append(GenerationRecord.from_json(line))
+                    records.append(GenerationRecord(**json.loads(line)))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: bad trace record: {exc}") from None
         if not records:
@@ -217,9 +208,9 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
         genomes, skills, child_costs = map(np.array, zip(*children))
-        # A child that updated no matrix cell carries cost nan. Evaluation draws
-        # nothing, so those children are costed here, one batch per skill task.
-        deferred = np.isnan(child_costs)
+        # A child that updated no matrix cell carries cost UNEVALUATED. Evaluation
+        # draws nothing, so those children are costed here, one batch per skill task.
+        deferred = child_costs == UNEVALUATED
         for t in np.unique(skills[deferred]):
             rows = deferred & (skills == t)
             child_costs[rows] = evaluate_skill_task(genomes[rows], t, tasks)
@@ -234,7 +225,7 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
 
 def _mfea_pair(pop, ia, ib, config, rng):
     """One parent pair under the baseline scalar-RMP scheme; returns
-    (genome, skill, nan) per child, unevaluated."""
+    (genome, skill, UNEVALUATED) per child."""
     ta, tb = pop.skill[ia], pop.skill[ib]
     if ta == tb:
         ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
@@ -247,7 +238,7 @@ def _mfea_pair(pop, ia, ib, config, rng):
         ga = two_opt(pop.genomes[ia], rng=rng)
         gb = two_opt(pop.genomes[ib], rng=rng)
         skills = (ta, tb)
-    return zip((ga, gb), skills, (math.nan, math.nan))
+    return zip((ga, gb), skills, (UNEVALUATED, UNEVALUATED))
 
 
 def _other_member(bucket, idx, r):
@@ -258,13 +249,13 @@ def _other_member(bucket, idx, r):
 def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
     """One parent pair under the adaptive matrix scheme, mates drawn from the
     skill ``buckets``; yields (genome, skill, cost) per child after its update,
-    with cost nan for a child that updates no matrix cell."""
+    with cost UNEVALUATED for a child that updates no matrix cell."""
 
     def child(genome, skill, parent=None, cell=None):
         # A dOX child updates its matrix cell by whether it beats ``parent``,
         # the parent whose skill task it inherited.
         if cell is None:
-            return genome, skill, math.nan
+            return genome, skill, UNEVALUATED
         cost = evaluate_skill_task(genome, skill, tasks)
         rmp_update(rmp, *cell, transfer_outcome(cost, pop.costs[parent, skill]))
         return genome, skill, cost

@@ -12,6 +12,8 @@ import csv
 import io
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -61,7 +63,7 @@ class Environment:
 class ExperimentPlan:
     """Every engine x repetition of one environment, engines kept in ``ENGINES``
     order without repeats; each run gets ``config`` unchanged and a stream
-    paired across engines from ``config.seed``."""
+    paired across engines from ``config.seed``. Checked on construction."""
     environment: Environment
     engines: tuple[str, ...] = ENGINES
     repetitions: int = 20
@@ -70,11 +72,12 @@ class ExperimentPlan:
 
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)
-        if self.repetitions < 1:
-            raise ValueError("need at least one repetition")
+        if not isinstance(self.repetitions, numbers.Integral) or self.repetitions < 1:
+            raise ValueError(f"repetitions must be a positive integer, got {self.repetitions!r}")
         if not self.engines or not set(self.engines) <= set(ENGINES):
             raise ValueError(f"engines must name one or more of {ENGINES}, got {self.engines!r}")
         self.engines = tuple(e for e in ENGINES if e in self.engines)
+        self.config.check_init_budget(len(self.environment.tasks))
 
 
 @dataclass
@@ -220,13 +223,16 @@ def emit_report(rows: list[ReportRow], output_dir: Path) -> dict[str, Path]:
 
 def _final_costs(path: Path, n_tasks: int) -> np.ndarray:
     """The last record's best costs in one trace file; a file that cannot be
-    read or parsed, or that has other than ``n_tasks`` costs, is a ValueError
-    naming it."""
+    read or parsed, or that has other than ``n_tasks`` finite numbers as
+    costs, is a ValueError naming it."""
     try:
-        costs = np.array(RunTrace.from_jsonl(path.read_text()).final_best_costs(), dtype=float)
+        costs = RunTrace.from_jsonl(path.read_text()).final_best_costs()
+        if not all(type(c) in (int, float) and math.isfinite(c) for c in costs):
+            raise ValueError(f"best costs must be finite numbers, got {costs!r}")
+        costs = np.array(costs, dtype=float)
         if costs.shape != (n_tasks,):
             raise ValueError(f"{costs.size} best costs for {n_tasks} tasks")
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return costs
 

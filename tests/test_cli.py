@@ -36,6 +36,14 @@ def test_run_subcommand(env_file, tmp_path, capsys):
     assert list(out.glob("cli_env__MFEA__single.jsonl"))
 
 
+def test_run_is_repetition_zero_of_bench(tmp_path, capsys):
+    flags = ["--budget", "1000", "--pop", "20", "--seed", "7", "--outdir", str(tmp_path)]
+    assert main(["run", "TE_4_3", "--engine", "MFEA", *flags]) == 0
+    assert main(["bench", "TE_4_3", "--engines", "MFEA", "--reps", "1", *flags]) == 0
+    single = (tmp_path / "TE_4_3__MFEA__single.jsonl").read_bytes()
+    assert single == (tmp_path / "TE_4_3__MFEA__rep000.jsonl").read_bytes()
+
+
 def _bench_then_report(env_file, out, engines):
     # Engines run in one fixed order, once each, so report rebuilds the
     # table bench wrote byte for byte.
@@ -197,14 +205,28 @@ def _three_costs(text):
     return "\n".join([*head, json.dumps(record)]) + "\n"
 
 
+def _first_cost(value):
+    def damage(text):
+        *head, last = text.splitlines()
+        record = json.loads(last)
+        record["best_costs"][0] = value
+        return "\n".join([*head, json.dumps(record)]) + "\n"
+    return damage
+
+
 @pytest.mark.parametrize("damage, traces", [
     (lambda text: "", 1),
     (lambda text: '{"gen": 0}\n', 1),
     (lambda text: text[:-2], 1),
     (_three_costs, 1),
     (_three_costs, 2),
+    (_first_cost(None), 1),
+    (_first_cost("12"), 1),
+    (_first_cost(True), 1),
+    (_first_cost(float("inf")), 1),
 ], ids=["empty", "unknown field", "truncated JSON", "3 costs in one trace",
-        "3 costs in both traces"])
+        "3 costs in both traces", "null cost", "string cost", "true cost",
+        "Infinity cost"])
 def test_damaged_trace_is_a_usage_error(damage, traces, tmp_path, capsys):
     assert main(["bench", "TE_4_1", "--budget", "100", "--pop", "10", "--reps", "2",
                  "--outdir", str(tmp_path)]) == 0

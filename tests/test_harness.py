@@ -145,6 +145,14 @@ class TestExperiment:
             with pytest.raises(ValueError):
                 ExperimentPlan(environment=plan.environment,
                                engines=engines, output_dir=tmp_path)
+        # A fractional repetition count, and a budget below P x K (10 x 2),
+        # fail when the plan is built, before run_experiment makes its directory.
+        out = tmp_path / "never_made"
+        for bad in [dict(repetitions=2.5),
+                    dict(config=EngineConfig(population_size=10, eval_budget=19))]:
+            with pytest.raises(ValueError, match="repetitions|budget"):
+                ExperimentPlan(environment=plan.environment, output_dir=out, **bad)
+            assert not out.exists()
 
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(ValueError):

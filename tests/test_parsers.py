@@ -63,6 +63,14 @@ class TestTspParsing:
         assert inst.dimension == 4
         assert inst.cost(np.array([1, 2, 3, 4])) == 40.0
 
+    def test_blank_lines_are_skipped(self):
+        text = (TSP_TEXT.replace("TYPE: TSP\n", "TYPE: TSP\n\n  \n")
+                .replace("2 10 0\n", "2 10 0\n\n"))
+        assert text.count("\n\n") == 2
+        inst, ref = parse_problem(text), parse_problem(TSP_TEXT)
+        assert (inst.name, inst.dimension) == (ref.name, ref.dimension)
+        np.testing.assert_array_equal(inst.coords, ref.coords)
+
     def test_wrong_type(self):
         with pytest.raises(ParseError, match="TYPE"):
             parse_problem(TSP_TEXT.replace("TYPE: TSP", "TYPE: ATSP"))
