@@ -15,10 +15,10 @@ The last three are derived from ``costs`` by ``assign_ranks_and_fitness``.
 
 Evaluation has one seam: ``evaluate_skill_task`` costs a genome matrix on
 one task with one projection and one cost call, and ``evaluate_all_tasks``
-is one such batch per task. Each generation batches its children per
-skill task: every MFEA child, and every dMFEA-II child that updates no
-matrix cell. A dMFEA-II child whose cost updates its matrix is costed
-alone, before the next draw.
+is one such batch per task. Each generation builds its OX and 2-opt
+children from records in one batch, then costs per skill task every MFEA
+child and every dMFEA-II child that updates no matrix cell. A dMFEA-II
+child whose cost updates its matrix is built and costed before the next draw.
 """
 
 from __future__ import annotations

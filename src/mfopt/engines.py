@@ -26,7 +26,7 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import dynamic_ox, order_crossover, two_opt
+from .operators import CrossoverWindow, _two_points, dynamic_ox, order_crossover, two_opt
 
 log = logging.getLogger(__name__)
 
@@ -177,12 +177,6 @@ def _record(generation: int, evaluations: int, pop: Population,
     )
 
 
-def _maybe_mutate(genome: np.ndarray, p_m: float, rng) -> np.ndarray:
-    if rng.random() < p_m:
-        return two_opt(genome, rng=rng)
-    return genome
-
-
 def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     rng = np.random.default_rng(config.seed if rng is None else rng)
     k_tasks = len(tasks)
@@ -200,45 +194,57 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     generation = 0
     while evaluations < config.eval_budget:
         generation += 1
-        order = rng.permutation(len(pop.costs))
+        order = rng.permutation(len(pop.costs)).tolist()
         buckets = [np.flatnonzero(pop.skill == t) for t in range(k_tasks)] if adaptive else None
-        pairs = (_dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng) if adaptive
-                 else _mfea_pair(pop, ia, ib, config, rng)
+        skill_of = pop.skill.tolist()
+        pairs = (_dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng)
+                 if adaptive else _mfea_pair(ia, ib, skill_of, d_max, config, rng)
                  for ia, ib in zip(order[::2], order[1::2]))
         # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
-        genomes, skills, child_costs = map(np.array, zip(*children))
+        built, skills, child_costs = zip(*children)
+        skills, child_costs = np.array(skills), np.array(child_costs)
+        # Children 2p and 2p + 1 come from parent pair p. A child is a genome or a
+        # record (a, b, lo, hi, i, j): the OX child of pair (a, b) over [lo, hi) that
+        # keeps a's segment if even and b's if odd, then 2-opt (i, j) if i < j.
+        offspring = np.empty((len(children), d_max), dtype=np.int64)
+        rec_at = [r for r, genome in enumerate(built) if type(genome) is tuple]
+        if rec_at:  # records draw nothing: all are built here, a kernel row per pair
+            pos, (a, b, lo, hi, i, j) = np.array(rec_at), np.array([built[r] for r in rec_at]).T
+            first = np.diff(pos // 2, prepend=-1) > 0
+            kept, other = order_crossover(pop.genomes[a[first]], pop.genomes[b[first]],
+                                          CrossoverWindow(lo[first], hi[first] - lo[first]))
+            offspring[pos] = np.stack((kept, other), axis=1)[np.cumsum(first) - 1, pos % 2]
+            offspring[pos[i < j]] = two_opt(offspring[pos[i < j]], i[i < j], j[i < j])
+        for r, genome in enumerate(built):
+            if type(genome) is not tuple:
+                offspring[r] = genome
         # A child that updated no matrix cell carries cost UNEVALUATED. Evaluation
         # draws nothing, so those children are costed here, one batch per skill task.
         deferred = child_costs == UNEVALUATED
         for t in np.unique(skills[deferred]):
             rows = deferred & (skills == t)
-            child_costs[rows] = evaluate_skill_task(genomes[rows], t, tasks)
+            child_costs[rows] = evaluate_skill_task(offspring[rows], t, tasks)
         costs = np.full((len(children), k_tasks), UNEVALUATED)
         costs[np.arange(len(children)), skills] = child_costs
         evaluations += len(children)
-        pop = elitist_select(pop, Population(genomes, costs), config.population_size)
+        pop = elitist_select(pop, Population(offspring, costs), config.population_size)
         trace.records.append(_record(generation, evaluations, pop, rmp))
 
     return _best_per_task(pop), trace
 
 
-def _mfea_pair(pop, ia, ib, config, rng):
+def _mfea_pair(ia, ib, skill_of, n, config, rng):
     """One parent pair under the baseline scalar-RMP scheme; returns
-    (genome, skill, UNEVALUATED) per child."""
-    ta, tb = pop.skill[ia], pop.skill[ib]
-    if ta == tb:
-        ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
-        skills = (ta, ta)
-    elif rng.random() <= config.rmp_scalar:
-        ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
-        skills = (ta if rng.random() < 0.5 else tb,
-                  ta if rng.random() < 0.5 else tb)
-    else:
-        ga = two_opt(pop.genomes[ia], rng=rng)
-        gb = two_opt(pop.genomes[ib], rng=rng)
-        skills = (ta, tb)
-    return zip((ga, gb), skills, (UNEVALUATED, UNEVALUATED))
+    (record, skill, UNEVALUATED) per child."""
+    ta, tb = skill_of[ia], skill_of[ib]
+    if ta != tb and rng.random() > config.rmp_scalar:
+        # A full window keeps each parent whole: each child is a 2-opt mutant.
+        return [((ia, ib, 0, n, *_two_points(n, rng)), t, UNEVALUATED) for t in (ta, tb)]
+    record = (ia, ib, *_two_points(n + 1, rng), 0, 0)
+    if ta != tb:
+        ta, tb = ta if rng.random() < 0.5 else tb, ta if rng.random() < 0.5 else tb
+    return (record, ta, UNEVALUATED), (record, tb, UNEVALUATED)
 
 
 def _other_member(bucket, idx, r):
@@ -246,10 +252,10 @@ def _other_member(bucket, idx, r):
     return bucket[r] if bucket[r] < idx else bucket[r + 1]
 
 
-def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
+def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
     """One parent pair under the adaptive matrix scheme, mates drawn from the
-    skill ``buckets``; yields (genome, skill, cost) per child after its update,
-    with cost UNEVALUATED for a child that updates no matrix cell."""
+    skill ``buckets``; yields (genome or record, skill, cost) per child after
+    its update, with cost UNEVALUATED for a child that updates no matrix cell."""
 
     def child(genome, skill, parent=None, cell=None):
         # A dOX child updates its matrix cell by whether it beats ``parent``,
@@ -260,11 +266,13 @@ def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
         rmp_update(rmp, *cell, transfer_outcome(cost, pop.costs[parent, skill]))
         return genome, skill, cost
 
-    ta, tb = pop.skill[ia], pop.skill[ib]
+    ta, tb = skill_of[ia], skill_of[ib]
+    n = pop.genomes.shape[1]
     if ta == tb:
-        ga, gb = order_crossover(pop.genomes[ia], pop.genomes[ib], rng=rng)
-        yield child(_maybe_mutate(ga, config.p_m, rng), ta)
-        yield child(_maybe_mutate(gb, config.p_m, rng), ta)
+        lo, hi = _two_points(n + 1, rng)
+        for _ in range(2):
+            move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
+            yield child((ia, ib, lo, hi, *move), ta)
         return
 
     if rng.random() <= rmp.get(ta, tb):
@@ -273,24 +281,24 @@ def _dmfea2_pair(pop, ia, ib, buckets, rmp, dims, config, tasks, rng):
         for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
             genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
                                 config.w, d_k, rng)
-            genome = _maybe_mutate(genome, config.p_m, rng)
+            genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
             skill = ta if rng.random() < 0.5 else tb
             yield child(genome, skill, ia if skill == ta else ib, (ta, tb))
         return
 
     # Intra-task branch: each parent crosses with a random same-skill mate
     # and updates the diagonal entry of its own task.
-    for idx in (ia, ib):
-        t = pop.skill[idx]
+    for idx, t in ((ia, ta), (ib, tb)):
         bucket = buckets[t]
         if len(bucket) == 1:
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-            yield child(two_opt(pop.genomes[idx], rng=rng), t)
+            yield child((ia, ib, 0, n, *_two_points(n, rng)), t)  # the parent, 2-opted
             continue
         mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
         genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
                             config.w, dims[t], rng)
-        yield child(_maybe_mutate(genome, config.p_m, rng), t, idx, (t, t))
+        genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
+        yield child(genome, t, idx, (t, t))
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

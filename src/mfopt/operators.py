@@ -1,6 +1,8 @@
 """Variation operators: Order Crossover, its dynamic parent-centric
 variant (dOX) whose transfer volume is driven by the adaptive transfer
-matrix, and 2-opt segment reversal.
+matrix, and 2-opt segment reversal. OX and 2-opt also take genome matrices,
+one window or point pair per row, so the engines build a generation's OX
+and 2-opt children with one call of each.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -17,14 +20,12 @@ class CrossoverWindow:
 
     Windows never wrap: start is drawn from [0, d_max - length].
     """
-    start: int
-    length: int
+    start: int | np.ndarray
+    length: int | np.ndarray
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("window length must be >= 1")
-        if self.start < 0:
-            raise ValueError("window start must be >= 0")
+        if np.min(self.length) < 1 or np.min(self.start) < 0:
+            raise ValueError(f"need window start >= 0 and length >= 1, got {self}")
 
 
 def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
@@ -38,18 +39,6 @@ def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _ox_child(keeper: np.ndarray, filler: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """One OX child: keeper's segment [lo, hi), remaining positions filled
-    left-to-right with the absent values in filler's cyclic order starting
-    just after the segment."""
-    segment = keeper[lo:hi]
-    in_segment = np.zeros(len(keeper) + 1, dtype=bool)
-    in_segment[segment] = True
-    fill = np.concatenate((filler[hi:], filler[:hi]))
-    fill = fill[~in_segment[fill]]
-    return np.concatenate((fill[:lo], segment, fill[lo:]))
-
-
 def order_crossover(
     a: np.ndarray,
     b: np.ndarray,
@@ -59,19 +48,28 @@ def order_crossover(
     """Order Crossover between two permutations of the same length.
 
     Child 1 keeps ``a``'s segment inside the window and takes the rest
-    from ``b``; child 2 is the symmetric case.
+    from ``b``; child 2 is the symmetric case. Parent matrices are crossed
+    row by row, under one window per row or one for all.
     """
-    if len(a) != len(b):
+    if np.shape(a) != np.shape(b):
         raise ValueError("parents must share d_max")
-    if window is not None:
-        lo, hi = window.start, window.start + window.length
-    elif rng is not None:
-        lo, hi = _two_points(len(a) + 1, rng)
-    else:
+    n = np.shape(a)[-1]
+    if window is None and rng is None:
         raise ValueError("need a window or an rng to draw one")
-    if hi > len(a):
+    lo, hi = (window.start, window.start + window.length) if window else _two_points(n + 1, rng)
+    if np.max(hi) > n:
         raise ValueError("window exceeds genome bounds")
-    return _ox_child(a, b, lo, hi), _ox_child(b, a, lo, hi)
+    # Row r of child keeps keep[r][lo:hi] and fills the rest from fill[r] (cyclic from hi).
+    keep, fill = np.array((a, b)).reshape(-1, n), np.array((b, a)).reshape(-1, n)
+    lo, hi = (np.broadcast_to(x, (2,) + np.shape(a)[:-1]).ravel() for x in (lo, hi))
+    rows, pos = np.arange(len(keep))[:, None], np.arange(n)
+    inside = (lo[:, None] <= pos) & (pos < hi[:, None])
+    in_segment = np.zeros((len(keep), n + 1), dtype=bool)
+    in_segment[rows, keep] = inside
+    fill = sliding_window_view(np.hstack((fill, fill)), n, axis=1)[rows[:, 0], hi]
+    child = keep.copy()
+    child[~inside] = fill[~in_segment.ravel()[fill + (n + 1) * rows]]
+    return tuple(child.reshape((2,) + np.shape(a)))
 
 
 def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
@@ -86,20 +84,24 @@ def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
 
 def two_opt(
     genome: np.ndarray,
-    i: int | None = None,
-    j: int | None = None,
+    i: int | np.ndarray | None = None,
+    j: int | np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Reverse the segment between positions i and j inclusive.
 
     With no explicit (i, j), a random pair with i < j is drawn; i == j is
-    rejected so the move always changes the genome.
+    rejected so the move always changes the genome. A genome matrix has one
+    segment reversed per row, given by arrays i and j or one pair for all.
     """
-    n = len(genome)
-    if i is None or j is None:
-        if rng is None:
-            raise ValueError("need explicit (i, j) or an rng")
+    n = np.shape(genome)[-1]
+    if (i is None) != (j is None) or (i is None and rng is None):
+        raise ValueError("need both i and j, or neither and an rng")
+    if i is None:
         i, j = _two_points(n, rng)
+    if genome.ndim > 1:
+        rows = zip(genome, np.broadcast_to(i, len(genome)), np.broadcast_to(j, len(genome)))
+        return np.array([two_opt(*row) for row in rows], dtype=genome.dtype).reshape(genome.shape)
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     out = genome.copy()
@@ -132,8 +134,8 @@ def dynamic_ox(
     in_segment[segment] = True
     reordered = donor[in_segment[donor]]
     if reordered.tolist() == segment.tolist():
-        i = int(rng.integers(0, n - 1))
-        return two_opt(dominant, i, i + 1)
+        lo = int(rng.integers(0, n - 1))  # the 2-opt move (lo, lo + 1) instead
+        length, reordered = 2, dominant[lo:lo + 2][::-1]
     child = dominant.copy()
     child[lo:lo + length] = reordered
     return child

@@ -181,6 +181,24 @@ class TestMfeaBatches:
         assert sum(generation) == 20
 
 
+    def test_one_generation_builds_its_children_in_one_call_each(self, monkeypatch):
+        # OX children and 2-opt mutants are built once per generation, one
+        # kernel row per parent pair, never with one operator call per child.
+        tasks = load_environment("TE_4_1").tasks
+        rows = {"order_crossover": [], "two_opt": []}
+        for name, seen in rows.items():
+            def counted(genomes, *args, _real=getattr(mfopt.engines, name), _seen=seen, **kw):
+                _seen.append(len(genomes))
+                return _real(genomes, *args, **kw)
+            monkeypatch.setattr(mfopt.engines, name, counted)
+        # rmp 0.5 gives both OX pairs and 2-opt pairs in the generation.
+        _, trace = run_mfea(tasks, small_config(eval_budget=20 * 4 + 20, rmp_scalar=0.5),
+                            np.random.default_rng(0))
+        assert [r.evaluations for r in trace.records] == [80, 100]
+        assert rows["order_crossover"] == [10]
+        assert len(rows["two_opt"]) == 1 and rows["two_opt"][0] >= 2
+
+
 class TestAdaptiveSpecifics:
     def test_trace_carries_rmp_snapshots(self, two_tasks):
         _, trace = run_dmfea2(two_tasks, small_config(eval_budget=600),

@@ -146,6 +146,64 @@ class TestOrderCrossover:
         assert is_valid_genome(c1) and is_valid_genome(c2)
 
 
+def _parents(seed, n, m):
+    gen = np.random.default_rng(seed)
+    return gen, np.array([gen.permutation(n) + 1 for _ in range(2 * m)]).reshape(2, m, n)
+
+
+class TestBatchedOrderCrossover:
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=80), st.integers(min_value=1, max_value=12))
+    @example(seed=0, n=2, m=1)
+    @example(seed=1, n=80, m=12)
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_matches_the_reference(self, seed, n, m):
+        # Random windows plus the edge cases: a window at 0, one ending at n,
+        # one of length n - 1, and the whole genome.
+        gen, (a, b) = _parents(seed, n, m)
+        bounds = [sorted(gen.choice(n + 1, 2, replace=False).tolist()) for _ in range(m)]
+        edges = [(0, int(gen.integers(1, n + 1))), (int(gen.integers(0, n)), n),
+                 (0, n - 1), (1, n), (0, n)]
+        bounds[:len(edges)] = edges[:m]
+        lo, hi = np.array(bounds).T
+        c1, c2 = order_crossover(a, b, window=CrossoverWindow(lo, hi - lo))
+        for r in range(m):
+            assert list(c1[r]) == reference_ox(a[r], b[r], lo[r], hi[r])
+            assert list(c2[r]) == reference_ox(b[r], a[r], lo[r], hi[r])
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=80), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_call_equals_per_row_calls(self, seed, n, m):
+        gen, (a, b) = _parents(seed, n, m)
+        starts = gen.integers(0, n, m)
+        lengths = np.array([gen.integers(1, n - s + 1) for s in starts])
+        c1, c2 = order_crossover(a, b, window=CrossoverWindow(starts, lengths))
+        for r in range(m):
+            r1, r2 = order_crossover(a[r], b[r], window=CrossoverWindow(int(starts[r]),
+                                                                        int(lengths[r])))
+            assert np.array_equal(c1[r], r1) and np.array_equal(c2[r], r2)
+
+    def test_drawn_window_applies_to_every_row(self, rng):
+        _, (a, b) = _parents(5, 9, 4)
+        lo, hi = _two_points(10, copy.deepcopy(rng))
+        c1, c2 = order_crossover(a, b, rng=rng)
+        for r in range(4):
+            assert list(c1[r]) == reference_ox(a[r], b[r], lo, hi)
+            assert list(c2[r]) == reference_ox(b[r], a[r], lo, hi)
+
+    def test_bad_matrix_windows(self):
+        _, (a, b) = _parents(0, 6, 3)
+        with pytest.raises(ValueError):  # one window short
+            order_crossover(a, b, window=CrossoverWindow(np.array([0, 1]), np.array([2, 2])))
+        with pytest.raises(ValueError):  # one window too long
+            order_crossover(a, b, window=CrossoverWindow(np.array([0, 1, 5]), np.array([2, 2, 2])))
+        with pytest.raises(ValueError):
+            CrossoverWindow(np.array([0, 1]), np.array([2, 0]))
+        with pytest.raises(ValueError):
+            order_crossover(a, b[:2], window=CrossoverWindow(0, 2))
+
+
 class TestTwoOpt:
     def test_explicit_reversal(self):
         g = np.array([1, 2, 3, 4, 5])
@@ -169,6 +227,35 @@ class TestTwoOpt:
             two_opt(g, 2, 9)
         with pytest.raises(ValueError):
             two_opt(g)  # no rng, no indices
+
+    def test_half_given_pair_rejected(self, rng):
+        # A lone i or j is an error, not a cue to draw both points.
+        g = np.arange(1, 6)
+        state = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(ValueError, match="both i and j"):
+            two_opt(g, 3, rng=rng)
+        with pytest.raises(ValueError, match="both i and j"):
+            two_opt(g, j=3, rng=rng)
+        assert rng.bit_generator.state == state  # nothing was drawn
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=80), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_call_equals_per_row_calls(self, seed, n, m):
+        gen, (genomes, _) = _parents(seed, n, m)
+        points = np.array([_two_points(n, gen) for _ in range(m)], dtype=np.int64).reshape(m, 2)
+        out = two_opt(genomes, points[:, 0], points[:, 1])
+        assert out.shape == genomes.shape and out.dtype == genomes.dtype
+        for r, (i, j) in enumerate(points.tolist()):
+            assert np.array_equal(out[r], two_opt(genomes[r], i, j))
+
+    def test_matrix_checks_every_row(self):
+        genomes = np.tile(np.arange(1, 6), (3, 1))
+        for i, j in (([0, 1, 2], [4, 3, 2]), ([0, -1, 2], [4, 3, 3]), ([0, 1, 2], [4, 3, 5])):
+            with pytest.raises(ValueError):
+                two_opt(genomes, np.array(i), np.array(j))
+        with pytest.raises(ValueError):  # one pair short
+            two_opt(genomes, np.array([0, 1]), np.array([2, 3]))
 
 
 class TestDynamicOx:
