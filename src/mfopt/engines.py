@@ -275,9 +275,9 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
             yield child((ia, ib, lo, hi, *move), ta)
         return
 
-    if rng.random() <= rmp.get(ta, tb):
+    entry = rmp.get(ta, tb)
+    if rng.random() <= entry:
         # Inter-task parent-centric crossover; both children update (ta, tb).
-        entry = rmp.get(ta, tb)
         for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
             genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
                                 config.w, d_k, rng)

@@ -94,7 +94,7 @@ def two_opt(
     rejected so the move always changes the genome. A genome matrix has one
     segment reversed per row, given by arrays i and j or one pair for all.
     """
-    n = np.shape(genome)[-1]
+    n = genome.shape[-1]
     if (i is None) != (j is None) or (i is None and rng is None):
         raise ValueError("need both i and j, or neither and an rng")
     if i is None:
