@@ -49,7 +49,7 @@ def order_crossover(
 
     Child 1 keeps ``a``'s segment inside the window and takes the rest
     from ``b``; child 2 is the symmetric case. Parent matrices are crossed
-    row by row, under one window per row or one for all.
+    row by row in one batch, under a window of per-row arrays.
     """
     if np.shape(a) != np.shape(b):
         raise ValueError("parents must share d_max")
@@ -61,7 +61,7 @@ def order_crossover(
         raise ValueError("window exceeds genome bounds")
     # Row r of child keeps keep[r][lo:hi] and fills the rest from fill[r] (cyclic from hi).
     keep, fill = np.array((a, b)).reshape(-1, n), np.array((b, a)).reshape(-1, n)
-    lo, hi = (np.broadcast_to(x, (2,) + np.shape(a)[:-1]).ravel() for x in (lo, hi))
+    lo, hi = np.array((lo, lo)).ravel(), np.array((hi, hi)).ravel()
     rows, pos = np.arange(len(keep))[:, None], np.arange(n)
     inside = (lo[:, None] <= pos) & (pos < hi[:, None])
     in_segment = np.zeros((len(keep), n + 1), dtype=bool)
@@ -91,8 +91,8 @@ def two_opt(
     """Reverse the segment between positions i and j inclusive.
 
     With no explicit (i, j), a random pair with i < j is drawn; i == j is
-    rejected so the move always changes the genome. A genome matrix has one
-    segment reversed per row, given by arrays i and j or one pair for all.
+    rejected so the move always changes the genome. A genome matrix takes
+    arrays i and j and reverses one segment per row.
     """
     n = genome.shape[-1]
     if (i is None) != (j is None) or (i is None and rng is None):
@@ -100,8 +100,8 @@ def two_opt(
     if i is None:
         i, j = _two_points(n, rng)
     if genome.ndim > 1:
-        rows = zip(genome, np.broadcast_to(i, len(genome)), np.broadcast_to(j, len(genome)))
-        return np.array([two_opt(*row) for row in rows], dtype=genome.dtype).reshape(genome.shape)
+        rows = [two_opt(row, a, b) for row, a, b in zip(genome, i, j, strict=True)]
+        return np.array(rows, dtype=genome.dtype).reshape(genome.shape)
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     out = genome.copy()

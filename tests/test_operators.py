@@ -184,16 +184,12 @@ class TestBatchedOrderCrossover:
                                                                         int(lengths[r])))
             assert np.array_equal(c1[r], r1) and np.array_equal(c2[r], r2)
 
-    def test_drawn_window_applies_to_every_row(self, rng):
-        _, (a, b) = _parents(5, 9, 4)
-        lo, hi = _two_points(10, copy.deepcopy(rng))
-        c1, c2 = order_crossover(a, b, rng=rng)
-        for r in range(4):
-            assert list(c1[r]) == reference_ox(a[r], b[r], lo, hi)
-            assert list(c2[r]) == reference_ox(b[r], a[r], lo, hi)
-
-    def test_bad_matrix_windows(self):
+    def test_bad_matrix_windows(self, rng):
         _, (a, b) = _parents(0, 6, 3)
+        with pytest.raises(ValueError):  # a matrix needs one window per row
+            order_crossover(a, b, window=CrossoverWindow(0, 2))
+        with pytest.raises(ValueError):
+            order_crossover(a, b, rng=rng)
         with pytest.raises(ValueError):  # one window short
             order_crossover(a, b, window=CrossoverWindow(np.array([0, 1]), np.array([2, 2])))
         with pytest.raises(ValueError):  # one window too long
@@ -256,6 +252,8 @@ class TestTwoOpt:
                 two_opt(genomes, np.array(i), np.array(j))
         with pytest.raises(ValueError):  # one pair short
             two_opt(genomes, np.array([0, 1]), np.array([2, 3]))
+        with pytest.raises(TypeError):  # a matrix needs one pair per row
+            two_opt(genomes, 0, 2)
 
 
 class TestDynamicOx:
