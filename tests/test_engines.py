@@ -180,7 +180,6 @@ class TestMfeaBatches:
         assert 1 <= len(generation) <= 4 and all(generation)  # no empty batch
         assert sum(generation) == 20
 
-
     def test_one_generation_builds_its_children_in_one_call_each(self, monkeypatch):
         # OX children and 2-opt mutants are built once per generation, one
         # kernel row per parent pair, never with one operator call per child.
