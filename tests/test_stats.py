@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from mfopt.stats import (
     CRITICAL_Z,
     Direction,
     SampleSet,
+    midranks,
     ranksum_test,
     summarize,
 )
@@ -46,10 +51,44 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(SampleSet([]))
 
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="index 1 is NaN"):
+            summarize(SampleSet([1.0, np.nan, 3.0, np.nan]))
+
 
 class TestCriticalZ:
     def test_ninety_percent(self):
-        assert CRITICAL_Z == pytest.approx(1.6448536269514722)
+        from scipy.stats import norm
+
+        assert CRITICAL_Z == float(norm.ppf(0.95))
+
+
+heavy_ties = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=30)
+
+
+class TestMidranksAgainstScipy:
+    @given(heavy_ties, heavy_ties)
+    @settings(max_examples=300, deadline=None)
+    def test_ranks_and_z_bit_exact(self, xs, ys):
+        from scipy.stats import rankdata, tiecorrect
+
+        x, y = np.array(xs, float), np.array(ys, float)
+        pooled = np.concatenate([x, y])
+        ranks = rankdata(pooled)
+        assert np.array_equal(midranks(pooled)[0], ranks)
+        n, m = x.size, y.size
+        var_w = n * m / 12.0 * (n + m + 1) * tiecorrect(ranks)
+        z = (float((ranks[:n].sum() - n * (n + m + 1) / 2.0) / np.sqrt(var_w))
+             if var_w > 0 else 0.0)
+        assert ranksum_test(SampleSet(x), SampleSet(y)).z_value == z
+
+    def test_infinities_are_ranked(self):
+        from scipy.stats import rankdata
+
+        pooled = np.array([np.inf, 1.0, -np.inf, np.inf, 1.0, -np.inf])
+        ranks, ties = midranks(pooled)
+        assert np.array_equal(ranks, rankdata(pooled))
+        assert ties.tolist() == [2, 2, 2]
 
 
 class TestRanksum:
@@ -88,6 +127,15 @@ class TestRanksum:
         with pytest.raises(ValueError):
             ranksum_test(SampleSet([]), SampleSet([1.0]))
 
+    @pytest.mark.parametrize("nan_in", ["a", "b"])
+    def test_nan_refused(self, nan_in):
+        clean, dirty = [1.0, 2.0, 3.0], [4.0, 5.0, np.nan]
+        with pytest.raises(ValueError, match="index 2 is NaN"):
+            if nan_in == "a":
+                ranksum_test(SampleSet(dirty), SampleSet(clean))
+            else:
+                ranksum_test(SampleSet(clean), SampleSet(dirty))
+
     def test_agrees_with_exact_enumeration_small(self):
         # Every split size with n + m <= 10 over several random pools.
         # Direction must always agree with the exact enumeration; the
@@ -123,3 +171,14 @@ class TestRanksum:
         za = ranksum_test(SampleSet(x), SampleSet(y)).z_value
         zb = ranksum_test(SampleSet(y), SampleSet(x)).z_value
         assert abs(za + zb) < 1e-12
+
+
+def test_runtime_imports_no_scipy():
+    # Out of process: other tests load scipy into this one.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, mfopt, mfopt.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "[]"
