@@ -16,13 +16,11 @@ from .engines import EngineConfig
 from .harness import (
     ENGINES,
     ExperimentPlan,
-    _run_one,
     emit_report,
     load_environment,
     reaggregate,
-    repetition_seed,
     run_experiment,
-    trace_filename,
+    run_repetition,
 )
 
 # (flag, EngineConfig field, help); each flag's type and default come from
@@ -31,8 +29,8 @@ ENGINE_FLAGS = (
     ("--budget", "eval_budget", "objective evaluation budget per run"),
     ("--pop", "population_size", "population size"),
     ("--seed", "seed", "base seed"),
-    ("--w", "w", "dOX window fraction"),
-    ("--pm", "p_m", "mutation probability"),
+    ("--w", "w", "dOX window fraction (dMFEA-II)"),
+    ("--pm", "p_m", "mutation probability (dMFEA-II)"),
     ("--rmp", "rmp_scalar", "scalar RMP (MFEA)"),
     ("--rmp-init", "rmp_init", "initial transfer-matrix value (dMFEA-II)"),
     ("--delta-inc", "delta_inc", "transfer-matrix growth factor (dMFEA-II)"),
@@ -97,10 +95,7 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         env, (engine,) = plan.environment, plan.engines
-        seed_seq = repetition_seed(plan.config.seed, engine, 0)
-        best, trace = _run_one(engine, env.tasks, plan.config, seed_seq)
-        trace_path = args.outdir / trace_filename(env.name, engine, "single")
-        trace_path.write_text(trace.to_jsonl())
+        best, trace_path = run_repetition(plan, engine, 0, "single")
         for task, result in zip(env.tasks, best):
             print(f"{env.name} {engine} {task.name}: best cost {result.cost:g}")
         print(f"trace written to {trace_path}")

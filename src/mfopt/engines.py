@@ -5,6 +5,11 @@ mating probability, and the adaptive dMFEA-II whose mating probabilities
 live in a learned symmetric K x K matrix updated online from the outcome
 of each transfer (child better or worse than the parent whose skill task
 it inherited).
+
+A generation draws each child as (child, skill, cost). A dMFEA-II child whose
+cost updates a matrix cell is a genome, costed before the next draw; every other
+child is a record with cost ``UNEVALUATED``. That marker alone decides which
+children the loop builds (in one OX and 2-opt batch) and costs (per skill task).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 
 import numpy as np
@@ -47,9 +52,11 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population_size", "eval_budget", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for f in fields(self):  # each takes its default's type, as on the command line
+            value, whole = getattr(self, f.name), type(f.default) is int
+            kind, noun = (numbers.Integral, "an integer") if whole else (numbers.Real, "a real number")
+            if isinstance(value, bool) or not isinstance(value, kind):  # a bool is neither
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         # Written so that NaN fails every range check.
         checks = (
             (self.population_size >= 2 and self.population_size % 2 == 0,
@@ -194,9 +201,7 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
                             config.delta_dec, config.rmp_floor) if adaptive else None
 
     trace = RunTrace([_record(0, evaluations, pop, rmp)])
-    generation = 0
     while evaluations < config.eval_budget:
-        generation += 1
         order = rng.permutation(len(pop.costs)).tolist()
         buckets = [np.flatnonzero(pop.skill == t) for t in range(k_tasks)] if adaptive else None
         skill_of = pop.skill.tolist()
@@ -207,24 +212,22 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
         built, skills, child_costs = zip(*children)
         skills, child_costs = np.array(skills), np.array(child_costs)
-        # Children 2p and 2p + 1 come from parent pair p. A child is a genome or a
-        # record (a, b, lo, hi, i, j): the OX child of pair (a, b) over [lo, hi) that
-        # keeps a's segment if even and b's if odd, then 2-opt (i, j) if i < j.
+        # Children 2p and 2p + 1 come from parent pair p. A record (a, b, lo, hi, i, j)
+        # is the OX child of pair (a, b) over [lo, hi) that keeps a's segment if even
+        # and b's if odd, then 2-opt (i, j) if i < j. Records draw nothing, so all are
+        # built here, a kernel row per pair, then costed one batch per skill task.
+        deferred = child_costs == UNEVALUATED  # the records
         offspring = np.empty((len(children), d_max), dtype=np.int64)
-        rec_at = [r for r, genome in enumerate(built) if type(genome) is tuple]
-        if rec_at:  # records draw nothing: all are built here, a kernel row per pair
-            pos, (a, b, lo, hi, i, j) = np.array(rec_at), np.array([built[r] for r in rec_at]).T
+        pos = np.flatnonzero(deferred)
+        if pos.size:
+            a, b, lo, hi, i, j = np.array([built[r] for r in pos]).T
             first = np.diff(pos // 2, prepend=-1) > 0
             kept, other = order_crossover(pop.genomes[a[first]], pop.genomes[b[first]],
                                           CrossoverWindow(lo[first], hi[first] - lo[first]))
             offspring[pos] = np.stack((kept, other), axis=1)[np.cumsum(first) - 1, pos % 2]
             offspring[pos[i < j]] = two_opt(offspring[pos[i < j]], i[i < j], j[i < j])
-        for r, genome in enumerate(built):
-            if type(genome) is not tuple:
-                offspring[r] = genome
-        # A child that updated no matrix cell carries cost UNEVALUATED. Evaluation
-        # draws nothing, so those children are costed here, one batch per skill task.
-        deferred = child_costs == UNEVALUATED
+        for r in np.flatnonzero(~deferred):
+            offspring[r] = built[r]
         for t in np.unique(skills[deferred]):
             rows = deferred & (skills == t)
             child_costs[rows] = evaluate_skill_task(offspring[rows], t, tasks)
@@ -232,7 +235,7 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         costs[np.arange(len(children)), skills] = child_costs
         evaluations += len(children)
         pop = elitist_select(pop, Population(offspring, costs), config.population_size)
-        trace.records.append(_record(generation, evaluations, pop, rmp))
+        trace.records.append(_record(len(trace.records), evaluations, pop, rmp))
 
     return _best_per_task(pop), trace
 
@@ -257,14 +260,12 @@ def _other_member(bucket, idx, r):
 
 def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
     """One parent pair under the adaptive matrix scheme, mates drawn from the
-    skill ``buckets``; yields (genome or record, skill, cost) per child after
-    its update, with cost UNEVALUATED for a child that updates no matrix cell."""
+    skill ``buckets``; yields (record, skill, UNEVALUATED) per child that updates
+    no matrix cell and (genome, skill, cost) per dOX child, after its update."""
 
-    def child(genome, skill, parent=None, cell=None):
+    def costed(genome, skill, parent, cell):
         # A dOX child updates its matrix cell by whether it beats ``parent``,
         # the parent whose skill task it inherited.
-        if cell is None:
-            return genome, skill, UNEVALUATED
         cost = evaluate_skill_task(genome, skill, tasks)
         rmp_update(rmp, *cell, transfer_outcome(cost, pop.costs[parent, skill]))
         return genome, skill, cost
@@ -275,7 +276,7 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
         lo, hi = _two_points(n + 1, rng)
         for _ in range(2):
             move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-            yield child((ia, ib, lo, hi, *move), ta)
+            yield (ia, ib, lo, hi, *move), ta, UNEVALUATED
         return
 
     entry = rmp.get(ta, tb)
@@ -286,7 +287,7 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
                                 config.w, d_k, rng)
             genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
             skill = ta if rng.random() < 0.5 else tb
-            yield child(genome, skill, ia if skill == ta else ib, (ta, tb))
+            yield costed(genome, skill, ia if skill == ta else ib, (ta, tb))
         return
 
     # Intra-task branch: each parent crosses with a random same-skill mate
@@ -295,13 +296,13 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
         bucket = buckets[t]
         if len(bucket) == 1:
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-            yield child((ia, ib, 0, n, *_two_points(n, rng)), t)  # the parent, 2-opted
+            yield (ia, ib, 0, n, *_two_points(n, rng)), t, UNEVALUATED  # the parent, 2-opted
             continue
         mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
         genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
                             config.w, dims[t], rng)
         genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
-        yield child(genome, t, idx, (t, t))
+        yield costed(genome, t, idx, (t, t))
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

@@ -152,6 +152,17 @@ def trace_filename(env: str, engine: str, run: str) -> str:
     return f"{env}__{engine.replace('-', '_')}__{run}.jsonl"
 
 
+def run_repetition(plan: ExperimentPlan, engine: str, rep: int, run: str) -> tuple[list, Path]:
+    """Run repetition ``rep`` of ``engine`` under ``plan``, write its trace named
+    for ``run`` (see ``trace_filename``), and return the best per task and its path."""
+    env = plan.environment
+    best, trace = _run_one(engine, env.tasks, plan.config,
+                           repetition_seed(plan.config.seed, engine, rep))
+    path = plan.output_dir / trace_filename(env.name, engine, run)
+    path.write_text(trace.to_jsonl())
+    return best, path
+
+
 def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
     """Run every engine x repetition of the plan, persist traces, and
     aggregate per-instance means, stds and Wilcoxon markers."""
@@ -162,11 +173,8 @@ def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
     for engine in plan.engines:
         costs = np.empty((plan.repetitions, len(env.tasks)))
         for rep in range(plan.repetitions):
-            seed_seq = repetition_seed(plan.config.seed, engine, rep)
-            best, trace = _run_one(engine, env.tasks, plan.config, seed_seq)
+            best, _ = run_repetition(plan, engine, rep, f"rep{rep:03d}")
             costs[rep] = [b.cost for b in best]
-            trace_path = plan.output_dir / trace_filename(env.name, engine, f"rep{rep:03d}")
-            trace_path.write_text(trace.to_jsonl())
             log.info("%s %s rep %d: %s", env.name, engine, rep, costs[rep])
         finals[engine] = costs
 

@@ -67,10 +67,8 @@ class CvrpInstance:
     customer_coords: np.ndarray  # (dimension, 2)
     demands: np.ndarray          # (dimension,)
     capacity: int
-    _dist: np.ndarray = field(init=False, repr=False)
-    _depot_dist: np.ndarray = field(init=False, repr=False)
-    # Python-int copies of (_dist, _depot_dist, demands, capacity) for
-    # cvrp_cost: list indexing is several times cheaper than numpy scalars.
+    # (customer distances, depot distances, demands, capacity) as Python ints
+    # for cvrp_cost: list indexing is several times cheaper than numpy scalars.
     _lists: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -82,10 +80,9 @@ class CvrpInstance:
             raise ValueError("a single customer demand exceeds vehicle capacity")
         if self.dimension < 2:
             raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
-        self._dist = _euc2d_matrix(self.customer_coords, self.customer_coords)
         depot = np.asarray([self.depot_coord], dtype=float)
-        self._depot_dist = _euc2d_matrix(depot, self.customer_coords)[0]
-        self._lists = (self._dist.tolist(), self._depot_dist.tolist(),
+        self._lists = (_euc2d_matrix(self.customer_coords, self.customer_coords).tolist(),
+                       _euc2d_matrix(depot, self.customer_coords)[0].tolist(),
                        self.demands.tolist(), int(self.capacity))
 
     @property

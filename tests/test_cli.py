@@ -91,12 +91,20 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     assert err.splitlines()[-1].startswith("mfopt: error: ")
 
 
+def test_non_numeric_engine_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "TE_4_1", "--pm", "x", "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --pm: invalid float value: 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "bench"])
 @pytest.mark.parametrize("outdir", ["file", "file/x"])
 def test_unusable_outdir_is_a_usage_error(command, outdir, tmp_path, capsys, monkeypatch):
     (tmp_path / "file").write_text("")
     searched = []
-    monkeypatch.setattr("mfopt.cli._run_one", lambda *a: searched.append(a))
+    monkeypatch.setattr("mfopt.harness._run_one", lambda *a: searched.append(a))
     monkeypatch.setattr("mfopt.cli.run_experiment", lambda *a: searched.append(a))
     with pytest.raises(SystemExit) as exc:
         main([command, "TE_4_1", "--budget", "800", "--outdir", str(tmp_path / outdir)])

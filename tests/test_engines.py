@@ -93,10 +93,17 @@ class TestEngineConfig:
         dict(rmp_floor=0.9, rmp_init=0.5),
         dict(seed=-1),
         dict(eval_budget=1e4), dict(population_size=20.0), dict(seed=1.5),
+        dict(p_m="0.2"), dict(w=None), dict(rmp_init=1 + 0j), dict(rmp_scalar=True),
+        dict(seed=True), dict(seed=np.bool_(False)),
     ], ids=repr)
     def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # The message names the first field given ("population size" for population_size).
+        with pytest.raises(ValueError, match=next(iter(bad)).replace("_", "[_ ]")):
             EngineConfig(**bad)
+
+    def test_numpy_scalars_accepted(self):
+        config = EngineConfig(p_m=np.float64(0.5), population_size=np.int64(20))
+        assert (config.p_m, config.population_size) == (0.5, 20)
 
     def test_budget_must_cover_init(self, two_tasks):
         with pytest.raises(ValueError, match="budget"):
@@ -209,6 +216,18 @@ class TestAdaptiveSpecifics:
             assert np.array_equal(m, m.T)
         # the matrix actually moves from its initial value
         assert not np.allclose(trace.records[0].rmp, trace.records[-1].rmp)
+
+    def test_baseline_reads_no_dmfea2_field(self):
+        # MFEA reads none of dMFEA-II's dOX, mutation and transfer-matrix
+        # fields, so they leave its seeded trace unchanged.
+        tasks = load_environment("TE_4_3").tasks
+        runs = [run_mfea(tasks, small_config(eval_budget=1000, **fields))
+                for fields in (dict(p_m=0.0, w=0.1),
+                               dict(p_m=1.0, w=1.0, rmp_init=1.0, delta_inc=0.5,
+                                    delta_dec=0.5, rmp_floor=0.7))]
+        (best_a, trace_a), (best_b, trace_b) = runs
+        assert trace_a.to_jsonl() == trace_b.to_jsonl()
+        assert all(np.array_equal(a.genome, b.genome) for a, b in zip(best_a, best_b))
 
     def test_baseline_trace_has_no_rmp(self, two_tasks):
         _, trace = run_mfea(two_tasks, small_config(eval_budget=600),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfopt.harness import load_environment
+from mfopt.parsers import euc2d_distance
 from mfopt.tasks import (
     CvrpInstance,
     TspInstance,
@@ -54,10 +55,9 @@ def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
 
 
 def _route_distance(idx: np.ndarray, inst: CvrpInstance) -> int:
-    if len(idx) == 0:
-        return 0
-    inner = inst._dist[idx[:-1], idx[1:]].sum() if len(idx) > 1 else 0
-    return int(inst._depot_dist[idx[0]] + inner + inst._depot_dist[idx[-1]])
+    # Measured from the coordinates, independently of the instance's own tables.
+    stops = [inst.depot_coord, *inst.customer_coords[idx].tolist(), inst.depot_coord]
+    return sum(euc2d_distance(a, b) for a, b in zip(stops, stops[1:]))
 
 
 class TestProject:
