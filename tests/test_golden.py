@@ -8,6 +8,7 @@ digest changed, and lists those keys in CHANGES.md.
 
 import hashlib
 import json
+import logging
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,14 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 # an inter- or intra-task pair at the other two.
 ODD_BUDGET_RUNS = (("TE_8", 1001), ("TE_8", 1013), ("TE_4_1", 1005), ("TE_4_3", 1003))
 
+# dMFEA-II only, as (environment, key suffix, config fields). At population 2
+# a skill task can have a single member, so intra-task mating reaches its
+# no-same-skill-mate fallback; w = p_m = 1 gives dOX its widest windows and
+# mutates every dOX child.
+DMFEA2_RUNS = (("TE_4_1", "__pop2", dict(population_size=2, eval_budget=400)),
+               ("TE_4_1", "__w1_pm1", dict(eval_budget=1000, w=1.0, p_m=1.0)))
+ENGINES = (("MFEA", run_mfea), ("dMFEA_II", run_dmfea2))
+
 # Even budgets only: an odd budget changes where a run stops.
 BENCH_ARGV = ["bench", "TE_4_3", "--reps", "2", "--budget", "1000",
               "--pop", "20", "--seed", "7"]
@@ -35,15 +44,22 @@ def _sha256(data: bytes) -> str:
 
 
 def golden_digests(workdir: Path) -> dict[str, str]:
+    """Each engine run gives a ``.jsonl`` key (its trace) and a ``.genomes``
+    key (its final best genomes, task by task)."""
     digests = {}
-    runs = [(env_name, 1000, "") for env_name in ("TE_4_1", "TE_4_2", "TE_8")]
-    runs += [(env_name, budget, f"__budget{budget}") for env_name, budget in ODD_BUDGET_RUNS]
-    for env_name, budget, suffix in runs:
+    runs = [(env_name, "", dict(eval_budget=1000), ENGINES)
+            for env_name in ("TE_4_1", "TE_4_2", "TE_8")]
+    runs += [(env_name, f"__budget{budget}", dict(eval_budget=budget), ENGINES)
+             for env_name, budget in ODD_BUDGET_RUNS]
+    runs += [(env_name, suffix, fields, ENGINES[1:]) for env_name, suffix, fields in DMFEA2_RUNS]
+    for env_name, suffix, fields, engines in runs:
         tasks = load_environment(env_name).tasks
-        config = EngineConfig(population_size=20, eval_budget=budget)
-        for label, runner in (("MFEA", run_mfea), ("dMFEA_II", run_dmfea2)):
-            _, trace = runner(tasks, config, np.random.default_rng(0))
-            digests[f"{env_name}__{label}{suffix}.jsonl"] = _sha256(trace.to_jsonl().encode())
+        config = EngineConfig(**{"population_size": 20, **fields})
+        for label, runner in engines:
+            best, trace = runner(tasks, config, np.random.default_rng(0))
+            key = f"{env_name}__{label}{suffix}"
+            digests[f"{key}.jsonl"] = _sha256(trace.to_jsonl().encode())
+            digests[f"{key}.genomes"] = _sha256(b"".join(r.genome.tobytes() for r in best))
 
     assert main(BENCH_ARGV + ["--outdir", str(workdir)]) == 0
     for path in sorted(workdir.glob("*.jsonl")) + [workdir / "summary.csv"]:
@@ -51,9 +67,12 @@ def golden_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
-def test_seeded_outputs_match_golden_digests(tmp_path):
+def test_seeded_outputs_match_golden_digests(tmp_path, caplog):
     expected = json.loads(DIGESTS.read_text())
-    assert golden_digests(tmp_path) == expected
+    with caplog.at_level(logging.INFO, logger="mfopt.engines"):
+        digests = golden_digests(tmp_path)
+    assert "no same-skill mate" in caplog.text  # the __pop2 run's fallback is gated
+    assert digests == expected
 
 
 if __name__ == "__main__":
