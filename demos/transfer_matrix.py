@@ -3,7 +3,9 @@
 Runs the adaptive engine on TE_4_3 (two TSP + two CVRP instances) and
 prints snapshots of the mating-probability matrix. Entries between tasks
 that exchange useful genetic material stay high; pairs whose transfers
-keep failing decay toward the 0.1 floor.
+keep failing decay toward the 0.1 floor. The diagonal stays at 1: as in
+MFEA-II, a task always mates with itself, and only the inter-task entries
+are learned.
 
     python demos/transfer_matrix.py [--budget N]
 """

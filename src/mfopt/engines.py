@@ -6,10 +6,11 @@ live in a learned symmetric K x K matrix updated online from the outcome
 of each transfer (child better or worse than the parent whose skill task
 it inherited).
 
-A generation draws each child as (child, skill, cost). A dMFEA-II child whose
-cost updates a matrix cell is a genome, costed before the next draw; every other
-child is a record with cost ``UNEVALUATED``. That marker alone decides which
-children the loop builds (in one OX and 2-opt batch) and costs (per skill task).
+A generation draws each child as (child, skill, cost). A dMFEA-II dOX child is
+a genome, costed at once (an inter-task one updates its matrix cell before the
+next draw); every other child is a record with cost ``UNEVALUATED``. That marker
+alone decides which children the loop builds (in one OX and 2-opt batch) and
+costs (per skill task).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class EngineConfig:
     population_size: int = 200
     eval_budget: int = 600_000
     rmp_scalar: float = 0.9      # MFEA only
-    rmp_init: float = 0.95       # dMFEA-II initial matrix value
+    rmp_init: float = 0.95       # dMFEA-II initial inter-task matrix value
     p_m: float = 0.2
     w: float = 0.5               # dOX cutting-window fraction
     delta_inc: float = 0.99
@@ -199,6 +200,8 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     evaluations = config.population_size * k_tasks
     rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor) if adaptive else None
+    if adaptive:  # as in MFEA-II, a task always mates with itself: rmp[t, t] = 1
+        np.fill_diagonal(rmp.entries, 1.0)
 
     trace = RunTrace([_record(0, evaluations, pop, rmp)])
     while evaluations < config.eval_budget:
@@ -260,8 +263,8 @@ def _other_member(bucket, idx, r):
 
 def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
     """One parent pair under the adaptive matrix scheme, mates drawn from the
-    skill ``buckets``; yields (record, skill, UNEVALUATED) per child that updates
-    no matrix cell and (genome, skill, cost) per dOX child, after its update."""
+    skill ``buckets``; yields (record, skill, UNEVALUATED) per OX or 2-opt child
+    and (genome, skill, cost) per dOX child, an inter-task one after its update."""
 
     def costed(genome, skill, parent, cell):
         # A dOX child updates its matrix cell by whether it beats ``parent``,
@@ -290,8 +293,8 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
             yield costed(genome, skill, ia if skill == ta else ib, (ta, tb))
         return
 
-    # Intra-task branch: each parent crosses with a random same-skill mate
-    # and updates the diagonal entry of its own task.
+    # Intra-task branch: each parent crosses with a random same-skill mate at
+    # the fixed diagonal entry 1 and updates no matrix cell.
     for idx, t in ((ia, ta), (ib, tb)):
         bucket = buckets[t]
         if len(bucket) == 1:
@@ -302,7 +305,7 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
         genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
                             config.w, dims[t], rng)
         genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
-        yield costed(genome, t, idx, (t, t))
+        yield genome, t, evaluate_skill_task(genome, t, tasks)
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

@@ -249,7 +249,7 @@ class TestAdaptiveSpecifics:
     def test_no_same_skill_mate_falls_back_to_two_opt(self, caplog):
         # Two members on two tasks: a pair of different skills that takes the
         # intra-task branch finds each parent alone in its skill bucket, so
-        # both children are 2-opt mutants; no child updates the diagonal.
+        # both children are 2-opt mutants; the diagonal stays at MFEA-II's 1.
         tasks = load_environment("TE_4_1").tasks[:2]
         config = small_config(population_size=2, eval_budget=400)
         with caplog.at_level(logging.INFO, logger="mfopt.engines"):
@@ -258,7 +258,7 @@ class TestAdaptiveSpecifics:
         assert trace.records[-1].evaluations == 400
         assert all(is_valid_genome(b.genome) for b in best)
         for rec in trace.records:
-            assert (np.diag(rec.rmp) == config.rmp_init).all()
+            assert (np.diag(rec.rmp) == 1.0).all()
 
     def test_generation_costs_every_child_once(self, monkeypatch):
         # Children whose cost updated the matrix and children batched with
