@@ -6,10 +6,10 @@ live in a learned symmetric K x K matrix updated online from the outcome
 of each transfer (child better or worse than the parent whose skill task
 it inherited).
 
-A generation draws each child as (child, skill, cost). A dMFEA-II dOX child is
-a genome, costed at once (an inter-task one updates its matrix cell before the
-next draw); every other child is a record with cost ``UNEVALUATED``. That marker
-alone decides which children the loop builds (in one OX and 2-opt batch) and
+A generation draws each child as (child, skill, cost). A dMFEA-II inter-task
+child is a genome, costed before the next draw because its cost updates a matrix
+cell; every other child is a record with cost ``UNEVALUATED``. That marker alone
+decides which children the loop builds (in one OX, dOX and 2-opt batch each) and
 costs (per skill task).
 """
 
@@ -32,7 +32,8 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import CrossoverWindow, _two_points, dynamic_ox, order_crossover, two_opt
+from .operators import (CrossoverWindow, _dox_window, _two_points, dynamic_ox, order_crossover,
+                        reorder_genes, two_opt)
 
 log = logging.getLogger(__name__)
 
@@ -215,22 +216,27 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
         built, skills, child_costs = zip(*children)
         skills, child_costs = np.array(skills), np.array(child_costs)
-        # Children 2p and 2p + 1 come from parent pair p. A record (a, b, lo, hi, i, j)
-        # is the OX child of pair (a, b) over [lo, hi) that keeps a's segment if even
-        # and b's if odd, then 2-opt (i, j) if i < j. Records draw nothing, so all are
-        # built here, a kernel row per pair, then costed one batch per skill task.
+        # Children 2p and 2p + 1 come from parent pair p. A record (a, b, lo, hi, i, j, dox) is,
+        # if dox = 0, the OX child of pair (a, b) over [lo, hi) keeping a's segment if even, b's if
+        # odd (OX records come in pairs: one kernel row each); if 1, a with its genes in [lo, hi)
+        # put in b's order (dOX), if -1 in reversed b's (dOX's swap, b = a); then 2-opt (i, j) if
+        # i < j. Records draw nothing, so all are built here, then costed per skill task.
         deferred = child_costs == UNEVALUATED  # the records
         offspring = np.empty((len(children), d_max), dtype=np.int64)
-        pos = np.flatnonzero(deferred)
-        if pos.size:
-            a, b, lo, hi, i, j = np.array([built[r] for r in pos]).T
-            first = np.diff(pos // 2, prepend=-1) > 0
-            kept, other = order_crossover(pop.genomes[a[first]], pop.genomes[b[first]],
-                                          CrossoverWindow(lo[first], hi[first] - lo[first]))
-            offspring[pos] = np.stack((kept, other), axis=1)[np.cumsum(first) - 1, pos % 2]
-            offspring[pos[i < j]] = two_opt(offspring[pos[i < j]], i[i < j], j[i < j])
-        for r in np.flatnonzero(~deferred):
-            offspring[r] = built[r]
+        fixed, pos = np.flatnonzero(~deferred), np.flatnonzero(deferred)
+        offspring[fixed] = np.reshape([built[r] for r in fixed], (-1, d_max))
+        a, b, lo, hi, i, j, dox = np.array([built[r] for r in pos], dtype=np.int64).reshape(-1, 7).T
+        ox = dox == 0
+        if ox.any():
+            kept, other = order_crossover(pop.genomes[a[ox][::2]], pop.genomes[b[ox][::2]],
+                                          CrossoverWindow(lo[ox][::2], (hi - lo)[ox][::2]))
+            offspring[pos[ox]] = np.stack((kept, other), axis=1).reshape(-1, d_max)[:ox.sum()]
+        if not ox.all():
+            donors, cols = pop.genomes[b[~ox]], np.arange(d_max)
+            donors[dox[~ox] < 0] = donors[dox[~ox] < 0, ::-1]
+            inside = (lo[~ox, None] <= cols) & (cols < hi[~ox, None])
+            offspring[pos[~ox]] = reorder_genes(pop.genomes[a[~ox]], donors, inside)
+        offspring[pos[i < j]] = two_opt(offspring[pos[i < j]], i[i < j], j[i < j])
         for t in np.unique(skills[deferred]):
             rows = deferred & (skills == t)
             child_costs[rows] = evaluate_skill_task(offspring[rows], t, tasks)
@@ -249,8 +255,8 @@ def _mfea_pair(ia, ib, skill_of, n, config, rng):
     ta, tb = skill_of[ia], skill_of[ib]
     if ta != tb and rng.random() > config.rmp_scalar:
         # A full window keeps each parent whole: each child is a 2-opt mutant.
-        return [((ia, ib, 0, n, *_two_points(n, rng)), t, UNEVALUATED) for t in (ta, tb)]
-    record = (ia, ib, *_two_points(n + 1, rng), 0, 0)
+        return [((ia, ib, 0, n, *_two_points(n, rng), 0), t, UNEVALUATED) for t in (ta, tb)]
+    record = (ia, ib, *_two_points(n + 1, rng), 0, 0, 0)
     if ta != tb:
         ta, tb = ta if rng.random() < 0.5 else tb, ta if rng.random() < 0.5 else tb
     return (record, ta, UNEVALUATED), (record, tb, UNEVALUATED)
@@ -263,34 +269,30 @@ def _other_member(bucket, idx, r):
 
 def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
     """One parent pair under the adaptive matrix scheme, mates drawn from the
-    skill ``buckets``; yields (record, skill, UNEVALUATED) per OX or 2-opt child
-    and (genome, skill, cost) per dOX child, an inter-task one after its update."""
-
-    def costed(genome, skill, parent, cell):
-        # A dOX child updates its matrix cell by whether it beats ``parent``,
-        # the parent whose skill task it inherited.
-        cost = evaluate_skill_task(genome, skill, tasks)
-        rmp_update(rmp, *cell, transfer_outcome(cost, pop.costs[parent, skill]))
-        return genome, skill, cost
-
+    skill ``buckets``; yields (genome, skill, cost) per inter-task child, after
+    its update, and (record, skill, UNEVALUATED) per other child."""
     ta, tb = skill_of[ia], skill_of[ib]
     n = pop.genomes.shape[1]
     if ta == tb:
         lo, hi = _two_points(n + 1, rng)
         for _ in range(2):
             move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-            yield (ia, ib, lo, hi, *move), ta, UNEVALUATED
+            yield (ia, ib, lo, hi, *move, 0), ta, UNEVALUATED
         return
 
     entry = rmp.get(ta, tb)
     if rng.random() <= entry:
-        # Inter-task parent-centric crossover; both children update (ta, tb).
+        # Inter-task parent-centric crossover; each child updates (ta, tb) by whether
+        # it beats the parent whose skill task it inherited.
         for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
             genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
                                 config.w, d_k, rng)
             genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
             skill = ta if rng.random() < 0.5 else tb
-            yield costed(genome, skill, ia if skill == ta else ib, (ta, tb))
+            cost = evaluate_skill_task(genome, skill, tasks)
+            parent = ia if skill == ta else ib
+            rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[parent, skill]))
+            yield genome, skill, cost
         return
 
     # Intra-task branch: each parent crosses with a random same-skill mate at
@@ -299,13 +301,13 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
         bucket = buckets[t]
         if len(bucket) == 1:
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-            yield (ia, ib, 0, n, *_two_points(n, rng)), t, UNEVALUATED  # the parent, 2-opted
+            yield (idx, idx, 0, 0, *_two_points(n, rng), 1), t, UNEVALUATED  # the parent, 2-opted
             continue
         mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
-        genome = dynamic_ox(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t),
-                            config.w, dims[t], rng)
-        genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
-        yield genome, t, evaluate_skill_task(genome, t, tasks)
+        lo, hi, swap = _dox_window(pop.genomes[idx], pop.genomes[mate], 1.0, config.w,
+                                   dims[t], rng)
+        move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
+        yield (idx, idx if swap else mate, lo, hi, *move, -1 if swap else 1), t, UNEVALUATED
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

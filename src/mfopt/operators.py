@@ -1,8 +1,8 @@
 """Variation operators: Order Crossover, its dynamic parent-centric
 variant (dOX) whose transfer volume is driven by the adaptive transfer
-matrix, and 2-opt segment reversal. OX and 2-opt also take genome matrices,
-one window or point pair per row, so the engines build a generation's OX
-and 2-opt children with one call of each.
+matrix, and 2-opt segment reversal. OX and dOX share one kernel,
+``reorder_genes``; it, OX and 2-opt also take genome matrices, one window or
+point pair per row, so the engines build a generation's children in one batch.
 """
 
 from __future__ import annotations
@@ -39,12 +39,8 @@ def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def order_crossover(
-    a: np.ndarray,
-    b: np.ndarray,
-    window: CrossoverWindow | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def order_crossover(a: np.ndarray, b: np.ndarray, window: CrossoverWindow | None = None,
+                    rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Order Crossover between two permutations of the same length.
 
     Child 1 keeps ``a``'s segment inside the window and takes the rest
@@ -59,17 +55,13 @@ def order_crossover(
     lo, hi = (window.start, window.start + window.length) if window else _two_points(n + 1, rng)
     if np.max(hi) > n:
         raise ValueError("window exceeds genome bounds")
-    # Row r of child keeps keep[r][lo:hi] and fills the rest from fill[r] (cyclic from hi).
+    # Row r of child keeps keep[r][lo:hi] and puts its other genes in the order of
+    # fill[r] read cyclically from hi.
     keep, fill = np.array((a, b)).reshape(-1, n), np.array((b, a)).reshape(-1, n)
-    lo, hi = np.array((lo, lo)).ravel(), np.array((hi, hi)).ravel()
-    rows, pos = np.arange(len(keep))[:, None], np.arange(n)
-    inside = (lo[:, None] <= pos) & (pos < hi[:, None])
-    in_segment = np.zeros((len(keep), n + 1), dtype=bool)
-    in_segment[rows, keep] = inside
-    fill = sliding_window_view(np.hstack((fill, fill)), n, axis=1)[rows[:, 0], hi]
-    child = keep.copy()
-    child[~inside] = fill[~in_segment.ravel()[fill + (n + 1) * rows]]
-    return tuple(child.reshape((2,) + np.shape(a)))
+    lo, hi, pos = np.array((lo, lo)).ravel(), np.array((hi, hi)).ravel(), np.arange(n)
+    fill = sliding_window_view(np.hstack((fill, fill)), n, axis=1)[np.arange(len(hi)), hi]
+    outside = (pos < lo[:, None]) | (hi[:, None] <= pos)
+    return tuple(reorder_genes(keep, fill, outside).reshape((2,) + np.shape(a)))
 
 
 def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
@@ -82,12 +74,9 @@ def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
     return max(1, min(raw, d_max - 1))
 
 
-def two_opt(
-    genome: np.ndarray,
-    i: int | np.ndarray | None = None,
-    j: int | np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def two_opt(genome: np.ndarray, i: int | np.ndarray | None = None,
+            j: int | np.ndarray | None = None,
+            rng: np.random.Generator | None = None) -> np.ndarray:
     """Reverse the segment between positions i and j inclusive.
 
     With no explicit (i, j), a random pair with i < j is drawn; i == j is
@@ -109,33 +98,48 @@ def two_opt(
     return out
 
 
-def dynamic_ox(
-    dominant: np.ndarray,
-    donor: np.ndarray,
-    rmp_entry: float,
-    w: float,
-    d_k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def _dox_window(dominant, donor, rmp_entry, w, d_k, rng) -> tuple[int, int, bool]:
+    """dOX's draws: its window [lo, hi), or, if the donor keeps the window's genes in
+    order, the adjacent swap [lo, lo + 2) drawn instead (flag True)."""
+    n = len(dominant)
+    length = window_length(w, rmp_entry, d_k, n)
+    lo = int(rng.integers(0, n - length + 1))
+    at, positions = -1, np.empty(n + 1, dtype=np.int64)  # gene g sits at positions[g]
+    positions[donor] = np.arange(n)
+    for p in positions[dominant[lo:lo + length]].tolist():  # rising up to a descent
+        if p < at:
+            return lo, lo + length, False
+        at = p
+    lo = int(rng.integers(0, n - 1))
+    return lo, lo + 2, True
+
+
+def reorder_genes(dominant: np.ndarray, donor: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """OX's and dOX's kernel: the dominant genome with its genes at the ``inside``
+    positions put in the order they take in the donor; matrices, row by row."""
+    n, keys, donor_keys = dominant.shape[-1], dominant, donor
+    if dominant.ndim > 1:  # one table for all rows: row r's gene g is entry (n + 1) r + g
+        offset = (n + 1) * np.arange(len(dominant))[:, None]
+        keys, donor_keys = dominant + offset, donor + offset
+    chosen = np.zeros(dominant.size // n * (n + 1), dtype=bool)
+    chosen[keys] = inside
+    child = dominant.copy()
+    child[inside] = donor[chosen[donor_keys]]
+    return child
+
+
+def dynamic_ox(dominant: np.ndarray, donor: np.ndarray, rmp_entry: float, w: float,
+               d_k: int, rng: np.random.Generator) -> np.ndarray:
     """Dynamic parent-centric OX.
 
     The child equals the dominant parent outside a cutting window of
     length w * rmp * d_k; inside the window the dominant's genes are
     re-ordered to follow their relative order in the donor, so the amount
     of transferred material scales with the learned transfer probability.
-    If the donor imposes no change, one adjacent 2-opt swap guarantees the
-    child differs from the dominant parent.
+    If the donor imposes no change, one adjacent 2-opt swap (the window's
+    order taken from the reversed dominant) makes the child differ.
     """
-    n = len(dominant)
-    length = window_length(w, rmp_entry, d_k, n)
-    lo = int(rng.integers(0, n - length + 1))
-    segment = dominant[lo:lo + length]
-    in_segment = np.zeros(n + 1, dtype=bool)
-    in_segment[segment] = True
-    reordered = donor[in_segment[donor]]
-    if reordered.tolist() == segment.tolist():
-        lo = int(rng.integers(0, n - 1))  # the 2-opt move (lo, lo + 1) instead
-        length, reordered = 2, dominant[lo:lo + 2][::-1]
-    child = dominant.copy()
-    child[lo:lo + length] = reordered
-    return child
+    lo, hi, swap = _dox_window(dominant, donor, rmp_entry, w, d_k, rng)
+    inside = np.zeros(len(dominant), dtype=bool)
+    inside[lo:hi] = True
+    return reorder_genes(dominant, dominant[::-1] if swap else donor, inside)

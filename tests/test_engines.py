@@ -260,6 +260,28 @@ class TestAdaptiveSpecifics:
         for rec in trace.records:
             assert (np.diag(rec.rmp) == 1.0).all()
 
+    def test_one_generation_builds_its_dox_records_in_one_call(self, monkeypatch):
+        # Intra-task dOX children are records, built with one kernel call per
+        # generation; only inter-task children call dynamic_ox, one at a time.
+        tasks = load_environment("TE_8").tasks
+        rows, singles = [], []
+        reorder, dox = mfopt.engines.reorder_genes, mfopt.engines.dynamic_ox
+
+        def reorder_spy(dominant, donor, inside):
+            rows.append(len(dominant))
+            return reorder(dominant, donor, inside)
+
+        def dox_spy(*args):
+            singles.append(args)
+            return dox(*args)
+
+        monkeypatch.setattr(mfopt.engines, "reorder_genes", reorder_spy)
+        monkeypatch.setattr(mfopt.engines, "dynamic_ox", dox_spy)
+        _, trace = run_dmfea2(tasks, small_config(eval_budget=20 * 8 + 20), np.random.default_rng(4))
+        assert [r.evaluations for r in trace.records] == [160, 180]
+        assert len(rows) == 1 and rows[0] >= 2 and singles  # both kinds occur
+        assert rows[0] + len(singles) <= 20
+
     def test_generation_costs_every_child_once(self, monkeypatch):
         # Children whose cost updated the matrix and children batched with
         # the generation alike get one finite cost, on their skill task.

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from mfopt.core import is_valid_genome
 from mfopt.operators import (
     CrossoverWindow,
+    _dox_window,
     _two_points,
     dynamic_ox,
     order_crossover,
+    reorder_genes,
     two_opt,
     window_length,
 )
@@ -327,3 +329,32 @@ class TestDynamicOx:
         dom = np.arange(1, 11)
         child = dynamic_ox(dom, dom.copy(), 0.5, 0.5, 10, rng)
         assert int((child != dom).sum()) == 2  # one adjacent transposition
+
+
+class TestBatchedDynamicOx:
+    @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_reference(self, seed, m):
+        # The engine draws each dOX child with _dox_window, which decides the
+        # no-change fallback at once, then builds all of them with one kernel
+        # call, a fallback row with the reversed dominant as its donor. Every
+        # row and the generator's state afterwards match the reference.
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(2, 40))
+        rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+        rows, expected = [], []
+        for _ in range(m):
+            dom = gen.permutation(n) + 1
+            don = dom.copy() if gen.random() < 0.3 else gen.permutation(n) + 1
+            # d_k below d_max, and small w and d_k for one-gene windows.
+            d_k = int(gen.integers(1, n + 1))
+            entry = float(gen.uniform(0.1, 1.0))
+            w = 0.05 if gen.random() < 0.2 else float(gen.uniform(0.1, 1.0))
+            lo, hi, swap = _dox_window(dom, don, entry, w, d_k, rng)
+            assert hi - lo == (2 if swap else window_length(w, entry, d_k, n))
+            rows.append((dom, dom[::-1] if swap else don, lo, hi))
+            expected.append(reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng))
+        dom, don, lo, hi = (np.array(column) for column in zip(*rows))
+        inside = (lo[:, None] <= np.arange(n)) & (np.arange(n) < hi[:, None])
+        assert np.array_equal(reorder_genes(dom, don, inside), np.array(expected))
+        assert rng.random() == ref_rng.random()
