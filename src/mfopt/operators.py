@@ -39,8 +39,12 @@ def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def order_crossover(a: np.ndarray, b: np.ndarray, window: CrossoverWindow | None = None,
-                    rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+def order_crossover(
+    a: np.ndarray,
+    b: np.ndarray,
+    window: CrossoverWindow | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Order Crossover between two permutations of the same length.
 
     Child 1 keeps ``a``'s segment inside the window and takes the rest
@@ -74,9 +78,12 @@ def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
     return max(1, min(raw, d_max - 1))
 
 
-def two_opt(genome: np.ndarray, i: int | np.ndarray | None = None,
-            j: int | np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> np.ndarray:
+def two_opt(
+    genome: np.ndarray,
+    i: int | np.ndarray | None = None,
+    j: int | np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
     """Reverse the segment between positions i and j inclusive.
 
     With no explicit (i, j), a random pair with i < j is drawn; i == j is
@@ -128,8 +135,14 @@ def reorder_genes(dominant: np.ndarray, donor: np.ndarray, inside: np.ndarray) -
     return child
 
 
-def dynamic_ox(dominant: np.ndarray, donor: np.ndarray, rmp_entry: float, w: float,
-               d_k: int, rng: np.random.Generator) -> np.ndarray:
+def dynamic_ox(
+    dominant: np.ndarray,
+    donor: np.ndarray,
+    rmp_entry: float,
+    w: float,
+    d_k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
     """Dynamic parent-centric OX.
 
     The child equals the dominant parent outside a cutting window of
