@@ -30,7 +30,7 @@ def main():
     step = max(1, len(trace.records) // 10)
     header = f"{'evals':>8} " + "".join(f"{n:>12}" for n in env.task_names)
     print(header)
-    for rec in trace.records[::step] + [trace.records[-1]]:
+    for rec in trace.records[:-1:step] + trace.records[-1:]:
         print(f"{rec.evaluations:>8} "
               + "".join(f"{c:>12.0f}" for c in rec.best_costs))
 

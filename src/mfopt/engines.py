@@ -9,8 +9,8 @@ it inherited).
 A generation draws each child as (child, skill, cost). A dMFEA-II inter-task
 child is a genome, costed before the next draw because its cost updates a matrix
 cell; every other child is a record with cost ``UNEVALUATED``. That marker alone
-decides which children the loop builds (in one OX, dOX and 2-opt batch each) and
-costs (per skill task).
+decides which children the loop builds (all records by one ``reorder_genes`` and
+one ``two_opt`` call) and costs (per skill task).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     UNEVALUATED,
@@ -32,8 +33,8 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import (CrossoverWindow, _dox_window, _two_points, dynamic_ox, order_crossover,
-                        reorder_genes, two_opt)
+from .operators import _dox_window, _two_points, dynamic_ox, reorder_genes, two_opt
+from .operators import order_crossover  # noqa: F401  unused here; mfbench's tracer wraps it by name
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +103,8 @@ class RmpMatrix:
     @classmethod
     def initial(cls, k_tasks: int, value: float, delta_inc: float, delta_dec: float,
                 floor: float = EngineConfig.rmp_floor) -> "RmpMatrix":
-        return cls(entries=np.full((k_tasks, k_tasks), value),
+        # As in MFEA-II, a task always mates with itself: only off-diagonal entries learn.
+        return cls(entries=np.where(np.eye(k_tasks, dtype=bool), 1.0, value),
                    delta_inc=delta_inc, delta_dec=delta_dec, floor=floor)
 
     def get(self, i: int, j: int) -> float:
@@ -201,8 +203,6 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     evaluations = config.population_size * k_tasks
     rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor) if adaptive else None
-    if adaptive:  # as in MFEA-II, a task always mates with itself: rmp[t, t] = 1
-        np.fill_diagonal(rmp.entries, 1.0)
 
     trace = RunTrace([_record(0, evaluations, pop, rmp)])
     while evaluations < config.eval_budget:
@@ -216,26 +216,21 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
         built, skills, child_costs = zip(*children)
         skills, child_costs = np.array(skills), np.array(child_costs)
-        # Children 2p and 2p + 1 come from parent pair p. A record (a, b, lo, hi, i, j, dox) is,
-        # if dox = 0, the OX child of pair (a, b) over [lo, hi) keeping a's segment if even, b's if
-        # odd (OX records come in pairs: one kernel row each); if 1, a with its genes in [lo, hi)
-        # put in b's order (dOX), if -1 in reversed b's (dOX's swap, b = a); then 2-opt (i, j) if
-        # i < j. Records draw nothing, so all are built here, then costed per skill task.
+        # A record (a, b, lo, hi, i, j, ox) is genome a with its genes in [lo, hi), or outside
+        # it if ox, put in the order they take in b (read cyclically from hi if ox; reversed
+        # if b is a), then 2-opted at (i, j) if i < j. Records draw nothing, so all are built
+        # here, then costed per skill task.
         deferred = child_costs == UNEVALUATED  # the records
         offspring = np.empty((len(children), d_max), dtype=np.int64)
         fixed, pos = np.flatnonzero(~deferred), np.flatnonzero(deferred)
         offspring[fixed] = np.reshape([built[r] for r in fixed], (-1, d_max))
-        a, b, lo, hi, i, j, dox = np.array([built[r] for r in pos], dtype=np.int64).reshape(-1, 7).T
-        ox = dox == 0
-        if ox.any():
-            kept, other = order_crossover(pop.genomes[a[ox][::2]], pop.genomes[b[ox][::2]],
-                                          CrossoverWindow(lo[ox][::2], (hi - lo)[ox][::2]))
-            offspring[pos[ox]] = np.stack((kept, other), axis=1).reshape(-1, d_max)[:ox.sum()]
-        if not ox.all():
-            donors, cols = pop.genomes[b[~ox]], np.arange(d_max)
-            donors[dox[~ox] < 0] = donors[dox[~ox] < 0, ::-1]
-            inside = (lo[~ox, None] <= cols) & (cols < hi[~ox, None])
-            offspring[pos[~ox]] = reorder_genes(pop.genomes[a[~ox]], donors, inside)
+        a, b, lo, hi, i, j, ox = np.array([built[r] for r in pos], dtype=np.int64).reshape(-1, 7).T
+        cycled = sliding_window_view(np.hstack((pop.genomes, pop.genomes)), d_max, axis=1)
+        donors = cycled[b, hi * ox]  # row b, read from hi if ox
+        donors[a == b] = donors[a == b, ::-1]
+        cols = np.arange(d_max)
+        chosen = ((lo[:, None] <= cols) & (cols < hi[:, None])) != ox[:, None]
+        offspring[pos] = reorder_genes(pop.genomes[a], donors, chosen)
         offspring[pos[i < j]] = two_opt(offspring[pos[i < j]], i[i < j], j[i < j])
         for t in np.unique(skills[deferred]):
             rows = deferred & (skills == t)
@@ -254,12 +249,13 @@ def _mfea_pair(ia, ib, skill_of, n, config, rng):
     (record, skill, UNEVALUATED) per child."""
     ta, tb = skill_of[ia], skill_of[ib]
     if ta != tb and rng.random() > config.rmp_scalar:
-        # A full window keeps each parent whole: each child is a 2-opt mutant.
-        return [((ia, ib, 0, n, *_two_points(n, rng), 0), t, UNEVALUATED) for t in (ta, tb)]
-    record = (ia, ib, *_two_points(n + 1, rng), 0, 0, 0)
+        # An empty window keeps each parent whole: each child is a 2-opt mutant.
+        return [((p, p, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED)
+                for p, t in ((ia, ta), (ib, tb))]
+    lo, hi = _two_points(n + 1, rng)  # the OX pair: each child keeps one parent's segment
     if ta != tb:
         ta, tb = ta if rng.random() < 0.5 else tb, ta if rng.random() < 0.5 else tb
-    return (record, ta, UNEVALUATED), (record, tb, UNEVALUATED)
+    return [((p, q, lo, hi, 0, 0, 1), t, UNEVALUATED) for p, q, t in ((ia, ib, ta), (ib, ia, tb))]
 
 
 def _other_member(bucket, idx, r):
@@ -275,9 +271,9 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
     n = pop.genomes.shape[1]
     if ta == tb:
         lo, hi = _two_points(n + 1, rng)
-        for _ in range(2):
+        for a, b in ((ia, ib), (ib, ia)):
             move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-            yield (ia, ib, lo, hi, *move, 0), ta, UNEVALUATED
+            yield (a, b, lo, hi, *move, 1), ta, UNEVALUATED
         return
 
     entry = rmp.get(ta, tb)
@@ -296,18 +292,18 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
         return
 
     # Intra-task branch: each parent crosses with a random same-skill mate at
-    # the fixed diagonal entry 1 and updates no matrix cell.
+    # its diagonal entry, fixed at 1, and updates no matrix cell.
     for idx, t in ((ia, ta), (ib, tb)):
         bucket = buckets[t]
         if len(bucket) == 1:
             log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-            yield (idx, idx, 0, 0, *_two_points(n, rng), 1), t, UNEVALUATED  # the parent, 2-opted
+            yield (idx, idx, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED  # the parent, 2-opted
             continue
         mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
-        lo, hi, swap = _dox_window(pop.genomes[idx], pop.genomes[mate], 1.0, config.w,
+        lo, hi, swap = _dox_window(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t), config.w,
                                    dims[t], rng)
         move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-        yield (idx, idx if swap else mate, lo, hi, *move, -1 if swap else 1), t, UNEVALUATED
+        yield (idx, idx if swap else mate, lo, hi, *move, 0), t, UNEVALUATED
 
 
 def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):

@@ -1,8 +1,9 @@
 """Variation operators: Order Crossover, its dynamic parent-centric
 variant (dOX) whose transfer volume is driven by the adaptive transfer
 matrix, and 2-opt segment reversal. OX and dOX share one kernel,
-``reorder_genes``; it, OX and 2-opt also take genome matrices, one window or
-point pair per row, so the engines build a generation's children in one batch.
+``reorder_genes``; it and 2-opt take genome matrices, one mask or point pair
+per row, so the engines build a generation's children in one batch of each.
+OX also crosses parent matrices row by row, for its own tests and callers.
 """
 
 from __future__ import annotations

@@ -22,3 +22,8 @@ def test_demo_exits_zero(script, args, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    if script == "single_run.py":  # each snapshot once, in run order
+        lines = proc.stdout.splitlines()
+        start = next(k for k, line in enumerate(lines) if line.split()[:1] == ["evals"]) + 1
+        evals = [int(line.split()[0]) for line in lines[start:lines.index("", start)]]
+        assert evals == sorted(set(evals)) and evals[-1] == int(args[1]), proc.stdout

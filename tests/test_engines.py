@@ -8,12 +8,21 @@ from hypothesis import strategies as st
 
 import mfopt.engines
 import mfopt.tasks
-from mfopt.core import evaluate_skill_task, is_valid_genome
+from conftest import format_tsplib, format_vrp
+from mfopt.core import (
+    Population,
+    assign_ranks_and_fitness,
+    evaluate_all_tasks,
+    evaluate_skill_task,
+    is_valid_genome,
+    random_genome,
+)
 from mfopt.engines import (
     EngineConfig,
     GenerationRecord,
     RmpMatrix,
     RunTrace,
+    _mfea_pair,
     _other_member,
     rmp_update,
     run_dmfea2,
@@ -21,6 +30,8 @@ from mfopt.engines import (
     transfer_outcome,
 )
 from mfopt.harness import load_environment
+from mfopt.operators import CrossoverWindow, order_crossover
+from mfopt.parsers import parse_problem
 
 
 @pytest.fixture
@@ -38,7 +49,9 @@ class TestRmpMatrix:
     def test_initial_matrix(self):
         m = RmpMatrix.initial(3, 0.95, 0.99, 0.99)
         assert m.entries.shape == (3, 3)
-        assert (m.entries == 0.95).all()
+        diagonal = np.eye(3, dtype=bool)
+        assert (m.entries[diagonal] == 1.0).all()  # MFEA-II's unit diagonal
+        assert (m.entries[~diagonal] == 0.95).all()
 
     def test_positive_update_divides(self):
         m = RmpMatrix.initial(2, 0.5, 0.99, 0.99)
@@ -168,6 +181,60 @@ class TestEngineRuns:
         assert [b.cost for b in b1] == [b.cost for b in b2]
 
 
+@st.composite
+def problem_texts(draw):
+    """A TSP or CVRP instance of 3 to 20 genes as file text, CVRP capacities
+    tight: the largest demand fills a vehicle."""
+    d = draw(st.integers(min_value=3, max_value=20))
+    points = st.tuples(st.integers(0, 100), st.integers(0, 100))
+    if draw(st.booleans()):
+        coords = draw(st.lists(points, min_size=d, max_size=d))
+        return format_tsplib(mfopt.tasks.TspInstance("gen", np.array(coords, dtype=float)))
+    coords = draw(st.lists(points, min_size=d + 1, max_size=d + 1))
+    demands = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    return format_vrp(mfopt.tasks.CvrpInstance("gen", coords[0], np.array(coords[1:], dtype=float),
+                                               np.array(demands), max(demands)))
+
+
+# Every field at an edge of its range; rmp_floor <= rmp_init in each pair.
+EDGE_CONFIGS = st.builds(
+    dict,
+    rmp_scalar=st.sampled_from([0.0, 1.0]),
+    p_m=st.sampled_from([0.0, 1.0]),
+    w=st.sampled_from([1e-9, 1.0]),
+    delta_inc=st.sampled_from([1e-3, 1.0]),
+    delta_dec=st.sampled_from([1e-3, 1.0]),
+    floor_init=st.sampled_from([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.1, 0.95)]),
+)
+
+
+class TestRunInvariants:
+    @given(texts=st.lists(problem_texts(), min_size=1, max_size=4), fields=EDGE_CONFIGS,
+           pop=st.sampled_from([2, 4]), extra=st.integers(min_value=0, max_value=41),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_both_engines_keep_the_run_invariants(self, texts, fields, pop, extra, seed):
+        tasks = [parse_problem(text) for text in texts]
+        floor, init = fields.pop("floor_init")
+        budget = pop * len(tasks) + extra  # odd budgets cut a pair
+        config = EngineConfig(population_size=pop, eval_budget=budget, rmp_floor=floor,
+                              rmp_init=init, **fields)
+        for runner in (run_mfea, run_dmfea2):
+            best, trace = runner(tasks, config, np.random.default_rng(seed))
+            evals = [r.evaluations for r in trace.records]
+            assert evals[-1] == budget and evals == sorted(set(evals))
+            costs = np.array([r.best_costs for r in trace.records])
+            if pop >= len(tasks):  # else selection cannot keep one best per task
+                assert (np.diff(costs, axis=0) <= 0).all()  # a best cost never worsens
+            for k, result in enumerate(best):
+                assert is_valid_genome(result.genome)
+                assert result.cost == evaluate_skill_task(result.genome, k, tasks) == costs[-1, k]
+            for r in trace.records if runner is run_dmfea2 else ():
+                m = np.array(r.rmp)
+                assert np.array_equal(m, m.T) and (np.diag(m) == 1.0).all()
+                assert ((floor <= m) & (m <= 1.0)).all()
+
+
 class TestMfeaBatches:
     def test_one_generation_costs_at_most_k_calls(self, monkeypatch):
         tasks = load_environment("TE_4_1").tasks  # four TSPs
@@ -189,9 +256,9 @@ class TestMfeaBatches:
 
     def test_one_generation_builds_its_children_in_one_call_each(self, monkeypatch):
         # OX children and 2-opt mutants are built once per generation, one
-        # kernel row per parent pair, never with one operator call per child.
+        # kernel row per child, never with one operator call per child.
         tasks = load_environment("TE_4_1").tasks
-        rows = {"order_crossover": [], "two_opt": []}
+        rows = {"reorder_genes": [], "two_opt": []}
         for name, seen in rows.items():
             def counted(genomes, *args, _real=getattr(mfopt.engines, name), _seen=seen, **kw):
                 _seen.append(len(genomes))
@@ -201,8 +268,34 @@ class TestMfeaBatches:
         _, trace = run_mfea(tasks, small_config(eval_budget=20 * 4 + 20, rmp_scalar=0.5),
                             np.random.default_rng(0))
         assert [r.evaluations for r in trace.records] == [80, 100]
-        assert rows["order_crossover"] == [10]
+        assert rows["reorder_genes"] == [20]
         assert len(rows["two_opt"]) == 1 and rows["two_opt"][0] >= 2
+
+    def test_mfea_ox_children_equal_order_crossover(self, monkeypatch):
+        # At rmp_scalar 1 every pair crosses. A twin generator replays the
+        # generation's draws, so children 2p and 2p + 1 must be the two OX
+        # children of pair p under its drawn window.
+        tasks = load_environment("TE_4_1").tasks
+        config = small_config(eval_budget=20 * 4 + 20, rmp_scalar=1.0)
+        children, select = [], mfopt.engines.elitist_select
+
+        def select_spy(current, offspring, p_size):
+            children.append(offspring.genomes)
+            return select(current, offspring, p_size)
+
+        monkeypatch.setattr(mfopt.engines, "elitist_select", select_spy)
+        run_mfea(tasks, config, np.random.default_rng(5))
+        twin = np.random.default_rng(5)
+        genomes = np.array([random_genome(76, twin) for _ in range(20)])
+        pop = assign_ranks_and_fitness(Population(genomes, evaluate_all_tasks(genomes, tasks)))
+        order, skill_of = twin.permutation(20).tolist(), pop.skill.tolist()
+        (offspring,) = children
+        for p, (ia, ib) in enumerate(zip(order[::2], order[1::2])):
+            (record, _, _), _ = _mfea_pair(ia, ib, skill_of, 76, config, twin)
+            lo, hi = record[2:4]
+            expected = order_crossover(genomes[ia], genomes[ib], CrossoverWindow(lo, hi - lo))
+            assert np.array_equal(offspring[2 * p], expected[0])
+            assert np.array_equal(offspring[2 * p + 1], expected[1])
 
 
 class TestAdaptiveSpecifics:
