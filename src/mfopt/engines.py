@@ -9,8 +9,8 @@ it inherited).
 A generation draws each child as (child, skill, cost). A dMFEA-II inter-task
 child is a genome, costed before the next draw because its cost updates a matrix
 cell; every other child is a record with cost ``UNEVALUATED``. That marker alone
-decides which children the loop builds (all records by one ``reorder_genes`` and
-one ``two_opt`` call) and costs (per skill task).
+decides which children the loop builds (all records in one ``build_children``
+call) and costs (per skill task).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     UNEVALUATED,
@@ -33,7 +32,7 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import _dox_window, _two_points, dynamic_ox, reorder_genes, two_opt
+from .operators import _dox_window, _two_points, build_children, dynamic_ox, two_opt
 from .operators import order_crossover  # noqa: F401  unused here; mfbench's tracer wraps it by name
 
 log = logging.getLogger(__name__)
@@ -216,22 +215,11 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
         built, skills, child_costs = zip(*children)
         skills, child_costs = np.array(skills), np.array(child_costs)
-        # A record (a, b, lo, hi, i, j, ox) is genome a with its genes in [lo, hi), or outside
-        # it if ox, put in the order they take in b (read cyclically from hi if ox; reversed
-        # if b is a), then 2-opted at (i, j) if i < j. Records draw nothing, so all are built
-        # here, then costed per skill task.
         deferred = child_costs == UNEVALUATED  # the records
         offspring = np.empty((len(children), d_max), dtype=np.int64)
         fixed, pos = np.flatnonzero(~deferred), np.flatnonzero(deferred)
         offspring[fixed] = np.reshape([built[r] for r in fixed], (-1, d_max))
-        a, b, lo, hi, i, j, ox = np.array([built[r] for r in pos], dtype=np.int64).reshape(-1, 7).T
-        cycled = sliding_window_view(np.hstack((pop.genomes, pop.genomes)), d_max, axis=1)
-        donors = cycled[b, hi * ox]  # row b, read from hi if ox
-        donors[a == b] = donors[a == b, ::-1]
-        cols = np.arange(d_max)
-        chosen = ((lo[:, None] <= cols) & (cols < hi[:, None])) != ox[:, None]
-        offspring[pos] = reorder_genes(pop.genomes[a], donors, chosen)
-        offspring[pos[i < j]] = two_opt(offspring[pos[i < j]], i[i < j], j[i < j])
+        offspring[pos] = build_children(pop.genomes, [built[r] for r in pos])
         for t in np.unique(skills[deferred]):
             rows = deferred & (skills == t)
             child_costs[rows] = evaluate_skill_task(offspring[rows], t, tasks)

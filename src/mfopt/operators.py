@@ -1,9 +1,9 @@
 """Variation operators: Order Crossover, its dynamic parent-centric
 variant (dOX) whose transfer volume is driven by the adaptive transfer
-matrix, and 2-opt segment reversal. OX and dOX share one kernel,
-``reorder_genes``; it and 2-opt take genome matrices, one mask or point pair
-per row, so the engines build a generation's children in one batch of each.
-OX also crosses parent matrices row by row, for its own tests and callers.
+matrix, and 2-opt segment reversal. Each operator takes one genome (OX a
+pair); ``build_children`` is the batch, one child per record over a genome
+matrix, built with the kernel OX and dOX share, ``reorder_genes``, and the
+one-genome 2-opt.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ class CrossoverWindow:
 
     Windows never wrap: start is drawn from [0, d_max - length].
     """
-    start: int | np.ndarray
-    length: int | np.ndarray
+    start: int
+    length: int
 
     def __post_init__(self):
-        if np.min(self.length) < 1 or np.min(self.start) < 0:
+        if self.length < 1 or self.start < 0:
             raise ValueError(f"need window start >= 0 and length >= 1, got {self}")
 
 
@@ -49,24 +49,18 @@ def order_crossover(
     """Order Crossover between two permutations of the same length.
 
     Child 1 keeps ``a``'s segment inside the window and takes the rest
-    from ``b``; child 2 is the symmetric case. Parent matrices are crossed
-    row by row in one batch, under a window of per-row arrays.
+    from ``b``; child 2 is the symmetric case.
     """
-    if np.shape(a) != np.shape(b):
-        raise ValueError("parents must share d_max")
-    n = np.shape(a)[-1]
+    if np.ndim(a) != 1 or np.shape(a) != np.shape(b):
+        raise ValueError(f"order_crossover takes two 1-D genomes of one length, "
+                         f"got shapes {np.shape(a)} and {np.shape(b)}")
+    n = len(a)
     if window is None and rng is None:
         raise ValueError("need a window or an rng to draw one")
     lo, hi = (window.start, window.start + window.length) if window else _two_points(n + 1, rng)
-    if np.max(hi) > n:
+    if hi > n:
         raise ValueError("window exceeds genome bounds")
-    # Row r of child keeps keep[r][lo:hi] and puts its other genes in the order of
-    # fill[r] read cyclically from hi.
-    keep, fill = np.array((a, b)).reshape(-1, n), np.array((b, a)).reshape(-1, n)
-    lo, hi, pos = np.array((lo, lo)).ravel(), np.array((hi, hi)).ravel(), np.arange(n)
-    fill = sliding_window_view(np.hstack((fill, fill)), n, axis=1)[np.arange(len(hi)), hi]
-    outside = (pos < lo[:, None]) | (hi[:, None] <= pos)
-    return tuple(reorder_genes(keep, fill, outside).reshape((2,) + np.shape(a)))
+    return tuple(build_children(np.array((a, b)), ((0, 1, lo, hi, 0, 0, 1), (1, 0, lo, hi, 0, 0, 1))))
 
 
 def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
@@ -81,24 +75,22 @@ def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
 
 def two_opt(
     genome: np.ndarray,
-    i: int | np.ndarray | None = None,
-    j: int | np.ndarray | None = None,
+    i: int | None = None,
+    j: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Reverse the segment between positions i and j inclusive.
 
     With no explicit (i, j), a random pair with i < j is drawn; i == j is
-    rejected so the move always changes the genome. A genome matrix takes
-    arrays i and j and reverses one segment per row.
+    rejected so the move always changes the genome.
     """
-    n = genome.shape[-1]
+    if genome.ndim != 1:
+        raise ValueError(f"two_opt takes one genome, got shape {genome.shape}")
+    n = len(genome)
     if (i is None) != (j is None) or (i is None and rng is None):
         raise ValueError("need both i and j, or neither and an rng")
     if i is None:
         i, j = _two_points(n, rng)
-    if genome.ndim > 1:
-        rows = [two_opt(row, a, b) for row, a, b in zip(genome, i, j, strict=True)]
-        return np.array(rows, dtype=genome.dtype).reshape(genome.shape)
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     out = genome.copy()
@@ -157,3 +149,21 @@ def dynamic_ox(
     inside = np.zeros(len(dominant), dtype=bool)
     inside[lo:hi] = True
     return reorder_genes(dominant, dominant[::-1] if swap else donor, inside)
+
+
+def build_children(genomes: np.ndarray, records) -> np.ndarray:
+    """One child per record ``(a, b, lo, hi, i, j, ox)`` over the rows of ``genomes``:
+    genome a with its genes in [lo, hi), or outside it if ox, put in the order they
+    take in b (read cyclically from hi if ox; reversed if b is a), then 2-opted at
+    (i, j) if i < j."""
+    n = genomes.shape[1]
+    a, b, lo, hi, i, j, ox = np.array(records, dtype=np.int64).reshape(-1, 7).T
+    cycled = sliding_window_view(np.hstack((genomes, genomes)), n, axis=1)
+    donors = cycled[b, hi * ox]  # row b, read from hi if ox
+    donors[a == b] = donors[a == b, ::-1]
+    cols = np.arange(n)
+    chosen = ((lo[:, None] <= cols) & (cols < hi[:, None])) != ox[:, None]
+    children = reorder_genes(genomes[a], donors, chosen)
+    for r in np.flatnonzero(i < j).tolist():
+        children[r] = two_opt(children[r], i[r], j[r])
+    return children

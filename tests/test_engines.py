@@ -256,20 +256,28 @@ class TestMfeaBatches:
 
     def test_one_generation_builds_its_children_in_one_call_each(self, monkeypatch):
         # OX children and 2-opt mutants are built once per generation, one
-        # kernel row per child, never with one operator call per child.
+        # record per child, never with one operator call per child.
         tasks = load_environment("TE_4_1").tasks
-        rows = {"reorder_genes": [], "two_opt": []}
-        for name, seen in rows.items():
-            def counted(genomes, *args, _real=getattr(mfopt.engines, name), _seen=seen, **kw):
-                _seen.append(len(genomes))
-                return _real(genomes, *args, **kw)
-            monkeypatch.setattr(mfopt.engines, name, counted)
+        batches, singles = [], []
+        build, mutate = mfopt.engines.build_children, mfopt.engines.two_opt
+
+        def build_spy(genomes, records):
+            batches.append(np.array(records))
+            return build(genomes, records)
+
+        def two_opt_spy(*args, **kw):
+            singles.append(args)
+            return mutate(*args, **kw)
+
+        monkeypatch.setattr(mfopt.engines, "build_children", build_spy)
+        monkeypatch.setattr(mfopt.engines, "two_opt", two_opt_spy)
         # rmp 0.5 gives both OX pairs and 2-opt pairs in the generation.
         _, trace = run_mfea(tasks, small_config(eval_budget=20 * 4 + 20, rmp_scalar=0.5),
                             np.random.default_rng(0))
         assert [r.evaluations for r in trace.records] == [80, 100]
-        assert rows["reorder_genes"] == [20]
-        assert len(rows["two_opt"]) == 1 and rows["two_opt"][0] >= 2
+        (records,) = batches
+        assert records.shape == (20, 7) and not singles
+        assert records[:, 6].any() and (records[:, 4] < records[:, 5]).any()  # OX and 2-opt
 
     def test_mfea_ox_children_equal_order_crossover(self, monkeypatch):
         # At rmp_scalar 1 every pair crosses. A twin generator replays the
@@ -354,21 +362,22 @@ class TestAdaptiveSpecifics:
             assert (np.diag(rec.rmp) == 1.0).all()
 
     def test_one_generation_builds_its_dox_records_in_one_call(self, monkeypatch):
-        # Intra-task dOX children are records, built with one kernel call per
-        # generation; only inter-task children call dynamic_ox, one at a time.
+        # Intra-task dOX children are records, built with one build_children
+        # call per generation; only inter-task children call dynamic_ox, one at
+        # a time.
         tasks = load_environment("TE_8").tasks
         rows, singles = [], []
-        reorder, dox = mfopt.engines.reorder_genes, mfopt.engines.dynamic_ox
+        build, dox = mfopt.engines.build_children, mfopt.engines.dynamic_ox
 
-        def reorder_spy(dominant, donor, inside):
-            rows.append(len(dominant))
-            return reorder(dominant, donor, inside)
+        def build_spy(genomes, records):
+            rows.append(len(records))
+            return build(genomes, records)
 
         def dox_spy(*args):
             singles.append(args)
             return dox(*args)
 
-        monkeypatch.setattr(mfopt.engines, "reorder_genes", reorder_spy)
+        monkeypatch.setattr(mfopt.engines, "build_children", build_spy)
         monkeypatch.setattr(mfopt.engines, "dynamic_ox", dox_spy)
         _, trace = run_dmfea2(tasks, small_config(eval_budget=20 * 8 + 20), np.random.default_rng(4))
         assert [r.evaluations for r in trace.records] == [160, 180]

@@ -11,9 +11,9 @@ from mfopt.operators import (
     CrossoverWindow,
     _dox_window,
     _two_points,
+    build_children,
     dynamic_ox,
     order_crossover,
-    reorder_genes,
     two_opt,
     window_length,
 )
@@ -160,6 +160,7 @@ class TestBatchedOrderCrossover:
     @example(seed=1, n=80, m=12)
     @settings(max_examples=200, deadline=None)
     def test_every_row_matches_the_reference(self, seed, n, m):
+        # OX records over stacked parents, a[r] in row r and b[r] in row m + r.
         # Random windows plus the edge cases: a window at 0, one ending at n,
         # one of length n - 1, and the whole genome.
         gen, (a, b) = _parents(seed, n, m)
@@ -167,39 +168,21 @@ class TestBatchedOrderCrossover:
         edges = [(0, int(gen.integers(1, n + 1))), (int(gen.integers(0, n)), n),
                  (0, n - 1), (1, n), (0, n)]
         bounds[:len(edges)] = edges[:m]
-        lo, hi = np.array(bounds).T
-        c1, c2 = order_crossover(a, b, window=CrossoverWindow(lo, hi - lo))
-        for r in range(m):
-            assert list(c1[r]) == reference_ox(a[r], b[r], lo[r], hi[r])
-            assert list(c2[r]) == reference_ox(b[r], a[r], lo[r], hi[r])
-
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=2, max_value=80), st.integers(min_value=1, max_value=12))
-    @settings(max_examples=100, deadline=None)
-    def test_matrix_call_equals_per_row_calls(self, seed, n, m):
-        gen, (a, b) = _parents(seed, n, m)
-        starts = gen.integers(0, n, m)
-        lengths = np.array([gen.integers(1, n - s + 1) for s in starts])
-        c1, c2 = order_crossover(a, b, window=CrossoverWindow(starts, lengths))
-        for r in range(m):
-            r1, r2 = order_crossover(a[r], b[r], window=CrossoverWindow(int(starts[r]),
-                                                                        int(lengths[r])))
-            assert np.array_equal(c1[r], r1) and np.array_equal(c2[r], r2)
+        records = [(p, q, lo, hi, 0, 0, 1) for r, (lo, hi) in enumerate(bounds)
+                   for p, q in ((r, m + r), (m + r, r))]
+        children = build_children(np.vstack((a, b)), records)
+        for r, (lo, hi) in enumerate(bounds):
+            assert list(children[2 * r]) == reference_ox(a[r], b[r], lo, hi)
+            assert list(children[2 * r + 1]) == reference_ox(b[r], a[r], lo, hi)
 
     def test_bad_matrix_windows(self, rng):
-        _, (a, b) = _parents(0, 6, 3)
-        with pytest.raises(ValueError):  # a matrix needs one window per row
-            order_crossover(a, b, window=CrossoverWindow(0, 2))
-        with pytest.raises(ValueError):
-            order_crossover(a, b, rng=rng)
-        with pytest.raises(ValueError):  # one window short
-            order_crossover(a, b, window=CrossoverWindow(np.array([0, 1]), np.array([2, 2])))
-        with pytest.raises(ValueError):  # one window too long
-            order_crossover(a, b, window=CrossoverWindow(np.array([0, 1, 5]), np.array([2, 2, 2])))
-        with pytest.raises(ValueError):
-            CrossoverWindow(np.array([0, 1]), np.array([2, 0]))
-        with pytest.raises(ValueError):
-            order_crossover(a, b[:2], window=CrossoverWindow(0, 2))
+        # Parent matrices are refused whatever the window; the batch is build_children.
+        _, (a, b) = _parents(0, 8, 2)
+        for kwargs in (dict(window=CrossoverWindow(0, 2)), dict(rng=rng)):
+            with pytest.raises(ValueError, match="two 1-D genomes of one length"):
+                order_crossover(a, b, **kwargs)
+        with pytest.raises(ValueError, match="two 1-D genomes of one length"):
+            order_crossover(a[0], b, window=CrossoverWindow(0, 2))
 
 
 class TestTwoOpt:
@@ -226,6 +209,14 @@ class TestTwoOpt:
         with pytest.raises(ValueError):
             two_opt(g)  # no rng, no indices
 
+    def test_refuses_a_genome_matrix(self, rng):
+        # Rows would be reversed as genes; the batch is build_children.
+        genomes = np.tile(np.arange(1, 6), (3, 1))
+        with pytest.raises(ValueError, match="one genome"):
+            two_opt(genomes, 0, 2)
+        with pytest.raises(ValueError, match="one genome"):
+            two_opt(genomes, rng=rng)
+
     def test_half_given_pair_rejected(self, rng):
         # A lone i or j is an error, not a cue to draw both points.
         g = np.arange(1, 6)
@@ -235,27 +226,6 @@ class TestTwoOpt:
         with pytest.raises(ValueError, match="both i and j"):
             two_opt(g, j=3, rng=rng)
         assert rng.bit_generator.state == state  # nothing was drawn
-
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=2, max_value=80), st.integers(min_value=0, max_value=12))
-    @settings(max_examples=200, deadline=None)
-    def test_matrix_call_equals_per_row_calls(self, seed, n, m):
-        gen, (genomes, _) = _parents(seed, n, m)
-        points = np.array([_two_points(n, gen) for _ in range(m)], dtype=np.int64).reshape(m, 2)
-        out = two_opt(genomes, points[:, 0], points[:, 1])
-        assert out.shape == genomes.shape and out.dtype == genomes.dtype
-        for r, (i, j) in enumerate(points.tolist()):
-            assert np.array_equal(out[r], two_opt(genomes[r], i, j))
-
-    def test_matrix_checks_every_row(self):
-        genomes = np.tile(np.arange(1, 6), (3, 1))
-        for i, j in (([0, 1, 2], [4, 3, 2]), ([0, -1, 2], [4, 3, 3]), ([0, 1, 2], [4, 3, 5])):
-            with pytest.raises(ValueError):
-                two_opt(genomes, np.array(i), np.array(j))
-        with pytest.raises(ValueError):  # one pair short
-            two_opt(genomes, np.array([0, 1]), np.array([2, 3]))
-        with pytest.raises(TypeError):  # a matrix needs one pair per row
-            two_opt(genomes, 0, 2)
 
 
 class TestDynamicOx:
@@ -336,25 +306,80 @@ class TestBatchedDynamicOx:
     @settings(max_examples=300, deadline=None)
     def test_rows_match_reference(self, seed, m):
         # The engine draws each dOX child with _dox_window, which decides the
-        # no-change fallback at once, then builds all of them with one kernel
-        # call, a fallback row with the reversed dominant as its donor. Every
-        # row and the generator's state afterwards match the reference.
+        # no-change fallback at once, then builds all of them as records in
+        # one build_children call, a fallback row (r, r, lo, lo + 2, 0, 0, 0)
+        # reordering its window by the reversed dominant. Every row and the
+        # generator's state afterwards match the reference.
         gen = np.random.default_rng(seed)
         n = int(gen.integers(2, 40))
         rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-        rows, expected = [], []
-        for _ in range(m):
+        genomes, records, expected = np.empty((2 * m, n), dtype=np.int64), [], []
+        for r in range(m):
             dom = gen.permutation(n) + 1
             don = dom.copy() if gen.random() < 0.3 else gen.permutation(n) + 1
+            genomes[r], genomes[m + r] = dom, don  # dominant in row r, donor in row m + r
             # d_k below d_max, and small w and d_k for one-gene windows.
             d_k = int(gen.integers(1, n + 1))
             entry = float(gen.uniform(0.1, 1.0))
             w = 0.05 if gen.random() < 0.2 else float(gen.uniform(0.1, 1.0))
             lo, hi, swap = _dox_window(dom, don, entry, w, d_k, rng)
             assert hi - lo == (2 if swap else window_length(w, entry, d_k, n))
-            rows.append((dom, dom[::-1] if swap else don, lo, hi))
+            records.append((r, r if swap else m + r, lo, hi, 0, 0, 0))
             expected.append(reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng))
-        dom, don, lo, hi = (np.array(column) for column in zip(*rows))
-        inside = (lo[:, None] <= np.arange(n)) & (np.arange(n) < hi[:, None])
-        assert np.array_equal(reorder_genes(dom, don, inside), np.array(expected))
+        assert np.array_equal(build_children(genomes, records), np.array(expected))
+        assert rng.random() == ref_rng.random()
+
+
+class TestBuildChildren:
+    def test_no_records_build_no_children(self):
+        # A dMFEA-II generation whose children are all inter-task has no records.
+        genomes = np.array([np.arange(1, 7), np.arange(6, 0, -1)])
+        children = build_children(genomes, [])
+        assert children.shape == (0, 6) and children.dtype == genomes.dtype
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=16))
+    @example(seed=0, n=2, m=1)
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_batch_rows_match_their_references(self, seed, n, m):
+        # One batch of every record kind the engines draw, in random order:
+        # OX pairs, dOX children (no-change swaps included), 2-opt-only
+        # children and empty-window fallbacks, each kind with or without a
+        # random 2-opt move. Row k equals its record's reference, and the
+        # batch leaves its genomes as they were.
+        gen = np.random.default_rng(seed)
+        rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+        pool = [gen.permutation(n) + 1 for _ in range(m)]
+        genomes = np.array(pool + pool)  # row m + p is a twin of row p
+        before = genomes.copy()
+
+        def move():
+            return _two_points(n, gen) if gen.random() < 0.5 else (0, 0)
+
+        rows = []  # (record, reference child before its move)
+        for _ in range(m):
+            p, q = (int(x) for x in gen.integers(2 * m, size=2))
+            kind = int(gen.integers(5))
+            if kind == 0 and p != q:  # an OX pair
+                lo, hi = _two_points(n + 1, gen)
+                rows.append(((p, q, lo, hi, *move(), 1), reference_ox(genomes[p], genomes[q], lo, hi)))
+                rows.append(((q, p, lo, hi, *move(), 1), reference_ox(genomes[q], genomes[p], lo, hi)))
+            elif kind in (1, 2):  # dOX, against a random mate or against the twin
+                q = (p + m) % (2 * m) if kind == 2 else q
+                d_k, entry = int(gen.integers(1, n + 1)), float(gen.uniform(0.1, 1.0))
+                lo, hi, swap = _dox_window(genomes[p], genomes[q], entry, 0.5, d_k, rng)
+                child = reference_dynamic_ox(genomes[p], genomes[q], entry, 0.5, d_k, ref_rng)
+                rows.append(((p, p if swap else q, lo, hi, *move(), 0), child))
+            elif kind == 3:  # a 2-opt-only child, as MFEA and the no-mate fallback draw it
+                rows.append(((p, p, 0, 0, *_two_points(n, gen), 0), genomes[p]))
+            else:  # an empty window anywhere, with any donor
+                lo = int(gen.integers(n + 1))
+                rows.append(((p, q, lo, lo, *move(), 0), genomes[p]))
+        rows = [rows[k] for k in gen.permutation(len(rows))]
+        children = build_children(genomes, [record for record, _ in rows])
+        assert children.shape == (len(rows), n)
+        for child, ((*_, i, j, _), reference) in zip(children, rows):
+            expected = two_opt(np.array(reference), i, j) if i < j else np.array(reference)
+            assert np.array_equal(child, expected)
+        assert np.array_equal(genomes, before)
         assert rng.random() == ref_rng.random()
