@@ -32,7 +32,8 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import _dox_window, _two_points, build_children, dynamic_ox, two_opt
+from .operators import (_dox_window, _two_points, build_children, dynamic_ox, gene_positions,
+                        two_opt, window_length)
 from .operators import order_crossover  # noqa: F401  unused here; mfbench's tracer wraps it by name
 
 log = logging.getLogger(__name__)
@@ -202,13 +203,18 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     evaluations = config.population_size * k_tasks
     rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor) if adaptive else None
+    # Intra-task dOX windows: the unit diagonal is never updated, so one length per task.
+    lengths = [window_length(config.w, rmp.get(t, t), d, d_max) for t, d in enumerate(dims)] \
+        if adaptive else None
 
     trace = RunTrace([_record(0, evaluations, pop, rmp)])
     while evaluations < config.eval_budget:
         order = rng.permutation(len(pop.costs)).tolist()
         buckets = [np.flatnonzero(pop.skill == t) for t in range(k_tasks)] if adaptive else None
+        where = gene_positions(pop.genomes) if adaptive else None
         skill_of = pop.skill.tolist()
-        pairs = (_dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng)
+        pairs = (_dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, config,
+                              tasks, rng)
                  if adaptive else _mfea_pair(ia, ib, skill_of, d_max, config, rng)
                  for ia, ib in zip(order[::2], order[1::2]))
         # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
@@ -251,10 +257,10 @@ def _other_member(bucket, idx, r):
     return bucket[r] if bucket[r] < idx else bucket[r + 1]
 
 
-def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
-    """One parent pair under the adaptive matrix scheme, mates drawn from the
-    skill ``buckets``; yields (genome, skill, cost) per inter-task child, after
-    its update, and (record, skill, UNEVALUATED) per other child."""
+def _dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, config, tasks, rng):
+    """One parent pair under the adaptive matrix scheme, mates drawn from the skill
+    ``buckets`` and read by their rows of ``where``; yields (genome, skill, cost) per
+    inter-task child, after its update, and (record, skill, UNEVALUATED) per other child."""
     ta, tb = skill_of[ia], skill_of[ib]
     n = pop.genomes.shape[1]
     if ta == tb:
@@ -288,8 +294,7 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, rmp, dims, config, tasks, rng):
             yield (idx, idx, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED  # the parent, 2-opted
             continue
         mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
-        lo, hi, swap = _dox_window(pop.genomes[idx], pop.genomes[mate], rmp.get(t, t), config.w,
-                                   dims[t], rng)
+        lo, hi, swap = _dox_window(pop.genomes[idx], where[mate], lengths[t], rng)
         move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
         yield (idx, idx if swap else mate, lo, hi, *move, 0), t, UNEVALUATED
 

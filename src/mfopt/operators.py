@@ -1,15 +1,16 @@
-"""Variation operators: Order Crossover, its dynamic parent-centric
-variant (dOX) whose transfer volume is driven by the adaptive transfer
-matrix, and 2-opt segment reversal. Each operator takes one genome (OX a
-pair); ``build_children`` is the batch, one child per record over a genome
-matrix, built with the kernel OX and dOX share, ``reorder_genes``, and the
-one-genome 2-opt.
+"""Variation operators: Order Crossover, dynamic parent-centric OX (dOX),
+whose window is sized by the adaptive transfer matrix and whose draw reads
+the donor's ``gene_positions`` row (one table per generation in the engine),
+and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
+one child per record over a genome matrix, built with OX's and dOX's kernel
+``reorder_genes`` and the one-genome 2-opt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,12 +32,12 @@ class CrossoverWindow:
 
 def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
     """Two distinct points of range(n), ascending, drawn with exactly the bits
-    of ``sorted(rng.choice(n, 2, replace=False))``: numpy's Floyd sample, then
-    the one draw that its two-element shuffle spends."""
+    of ``sorted(rng.choice(n, 2, replace=False))``: numpy's Floyd sample, then the
+    32-bit word its two-element shuffle spends, taken as the cheaper float32 draw."""
     a = int(rng.integers(n - 1))
     b = int(rng.integers(n))
     b = n - 1 if b == a else b
-    rng.integers(2)
+    rng.random(dtype=np.float32)
     return (a, b) if a < b else (b, a)
 
 
@@ -98,14 +99,19 @@ def two_opt(
     return out
 
 
-def _dox_window(dominant, donor, rmp_entry, w, d_k, rng) -> tuple[int, int, bool]:
-    """dOX's draws: its window [lo, hi), or, if the donor keeps the window's genes in
-    order, the adjacent swap [lo, lo + 2) drawn instead (flag True)."""
-    n = len(dominant)
-    length = window_length(w, rmp_entry, d_k, n)
+def gene_positions(genomes: np.ndarray) -> np.ndarray:
+    """``where[..., g]``: the position of gene g in one genome, or in each row of a matrix."""
+    where = np.empty((*genomes.shape[:-1], genomes.shape[-1] + 1), dtype=np.int64)
+    rows = () if genomes.ndim == 1 else (np.arange(len(genomes))[:, None],)
+    where[(*rows, genomes)] = np.arange(genomes.shape[-1])
+    return where
+
+
+def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
+    """dOX's draws, reading the donor's ``gene_positions`` row: its window [lo, hi), or, if
+    the donor keeps the window's genes in order, the adjacent swap [lo, lo + 2) (flag True)."""
+    n, at = len(dominant), -1
     lo = int(rng.integers(0, n - length + 1))
-    at, positions = -1, np.empty(n + 1, dtype=np.int64)  # gene g sits at positions[g]
-    positions[donor] = np.arange(n)
     for p in positions[dominant[lo:lo + length]].tolist():  # rising up to a descent
         if p < at:
             return lo, lo + length, False
@@ -145,7 +151,8 @@ def dynamic_ox(
     If the donor imposes no change, one adjacent 2-opt swap (the window's
     order taken from the reversed dominant) makes the child differ.
     """
-    lo, hi, swap = _dox_window(dominant, donor, rmp_entry, w, d_k, rng)
+    length = window_length(w, rmp_entry, d_k, len(dominant))
+    lo, hi, swap = _dox_window(dominant, gene_positions(donor), length, rng)
     inside = np.zeros(len(dominant), dtype=bool)
     inside[lo:hi] = True
     return reorder_genes(dominant, dominant[::-1] if swap else donor, inside)
@@ -157,7 +164,7 @@ def build_children(genomes: np.ndarray, records) -> np.ndarray:
     take in b (read cyclically from hi if ox; reversed if b is a), then 2-opted at
     (i, j) if i < j."""
     n = genomes.shape[1]
-    a, b, lo, hi, i, j, ox = np.array(records, dtype=np.int64).reshape(-1, 7).T
+    a, b, lo, hi, i, j, ox = np.fromiter(chain.from_iterable(records), np.int64).reshape(-1, 7).T
     cycled = sliding_window_view(np.hstack((genomes, genomes)), n, axis=1)
     donors = cycled[b, hi * ox]  # row b, read from hi if ox
     donors[a == b] = donors[a == b, ::-1]

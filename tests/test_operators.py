@@ -13,6 +13,7 @@ from mfopt.operators import (
     _two_points,
     build_children,
     dynamic_ox,
+    gene_positions,
     order_crossover,
     two_opt,
     window_length,
@@ -301,15 +302,32 @@ class TestDynamicOx:
         assert int((child != dom).sum()) == 2  # one adjacent transposition
 
 
+class TestGenePositions:
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_inverts_every_row(self, seed, n, m):
+        # where[r, genomes[r]] == arange(n): one genome, a matrix, and int32 genomes.
+        gen = np.random.default_rng(seed)
+        genomes = np.array([gen.permutation(n) + 1 for _ in range(m)])
+        for g in (genomes, genomes.astype(np.int32)):
+            where = gene_positions(g)
+            assert where.shape == (m, n + 1)
+            for r in range(m):
+                assert np.array_equal(where[r, g[r]], np.arange(n))
+                assert np.array_equal(gene_positions(g[r])[g[r]], np.arange(n))
+
+
 class TestBatchedDynamicOx:
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=1, max_value=12))
     @settings(max_examples=300, deadline=None)
     def test_rows_match_reference(self, seed, m):
-        # The engine draws each dOX child with _dox_window, which decides the
-        # no-change fallback at once, then builds all of them as records in
-        # one build_children call, a fallback row (r, r, lo, lo + 2, 0, 0, 0)
-        # reordering its window by the reversed dominant. Every row and the
-        # generator's state afterwards match the reference.
+        # The engine draws each dOX child with _dox_window over the donor's
+        # gene_positions row, which decides the no-change fallback at once,
+        # then builds all of them as records in one build_children call, a
+        # fallback row (r, r, lo, lo + 2, 0, 0, 0) reordering its window by
+        # the reversed dominant. Every row and the generator's state
+        # afterwards match the reference.
         gen = np.random.default_rng(seed)
         n = int(gen.integers(2, 40))
         rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
@@ -322,8 +340,9 @@ class TestBatchedDynamicOx:
             d_k = int(gen.integers(1, n + 1))
             entry = float(gen.uniform(0.1, 1.0))
             w = 0.05 if gen.random() < 0.2 else float(gen.uniform(0.1, 1.0))
-            lo, hi, swap = _dox_window(dom, don, entry, w, d_k, rng)
-            assert hi - lo == (2 if swap else window_length(w, entry, d_k, n))
+            length = window_length(w, entry, d_k, n)
+            lo, hi, swap = _dox_window(dom, gene_positions(don), length, rng)
+            assert hi - lo == (2 if swap else length)
             records.append((r, r if swap else m + r, lo, hi, 0, 0, 0))
             expected.append(reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng))
         assert np.array_equal(build_children(genomes, records), np.array(expected))
@@ -351,6 +370,7 @@ class TestBuildChildren:
         rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
         pool = [gen.permutation(n) + 1 for _ in range(m)]
         genomes = np.array(pool + pool)  # row m + p is a twin of row p
+        where = gene_positions(genomes)  # one table for the batch, as the engine builds it
         before = genomes.copy()
 
         def move():
@@ -367,7 +387,8 @@ class TestBuildChildren:
             elif kind in (1, 2):  # dOX, against a random mate or against the twin
                 q = (p + m) % (2 * m) if kind == 2 else q
                 d_k, entry = int(gen.integers(1, n + 1)), float(gen.uniform(0.1, 1.0))
-                lo, hi, swap = _dox_window(genomes[p], genomes[q], entry, 0.5, d_k, rng)
+                length = window_length(0.5, entry, d_k, n)
+                lo, hi, swap = _dox_window(genomes[p], where[q], length, rng)
                 child = reference_dynamic_ox(genomes[p], genomes[q], entry, 0.5, d_k, ref_rng)
                 rows.append(((p, p if swap else q, lo, hi, *move(), 0), child))
             elif kind == 3:  # a 2-opt-only child, as MFEA and the no-mate fallback draw it
