@@ -204,8 +204,8 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor) if adaptive else None
     # Intra-task dOX windows: the unit diagonal is never updated, so one length per task.
-    lengths = [window_length(config.w, rmp.get(t, t), d, d_max) for t, d in enumerate(dims)] \
-        if adaptive else None
+    lengths = ([window_length(config.w, rmp.get(t, t), d, d_max) for t, d in enumerate(dims)]
+               if adaptive else None)
 
     trace = RunTrace([_record(0, evaluations, pop, rmp)])
     while evaluations < config.eval_budget:
