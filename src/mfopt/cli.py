@@ -78,8 +78,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    # Bad parameters, environments, trace sets and output directories are
-    # usage errors: exit 2 with a one-line message rather than a traceback.
+    # Bad parameters, environments, trace sets, output directories and unwritable
+    # files are usage errors: exit 2 with a one-line message, not a traceback.
     try:
         if args.command == "report":
             rows = reaggregate(args.outdir, args.environment)
@@ -93,17 +93,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         parser.error(f"cannot create output directory {args.outdir}: {exc.strerror}")
 
+    try:
+        if args.command == "run":
+            best, trace_path = run_repetition(plan, plan.engines[0], 0, "single")
+        else:
+            rows = run_experiment(plan) if args.command == "bench" else rows
+            paths = emit_report(rows, args.outdir)
+    except OSError as exc:
+        parser.error(f"cannot write {exc.filename}: {exc.strerror}")
     if args.command == "run":
-        env, (engine,) = plan.environment, plan.engines
-        best, trace_path = run_repetition(plan, engine, 0, "single")
-        for task, result in zip(env.tasks, best):
-            print(f"{env.name} {engine} {task.name}: best cost {result.cost:g}")
+        for task, result in zip(plan.environment.tasks, best):
+            print(f"{plan.environment.name} {plan.engines[0]} {task.name}: best cost {result.cost:g}")
         print(f"trace written to {trace_path}")
         return 0
-
-    if args.command == "bench":
-        rows = run_experiment(plan)
-    paths = emit_report(rows, args.outdir)
     for r in rows:
         print(f"{r.environment} {r.engine:9s} {r.instance:10s} "
               f"mean={r.mean:10.2f} std={r.std:8.2f} {r.wilcoxon}")

@@ -160,31 +160,25 @@ def run_repetition(plan: ExperimentPlan, engine: str, rep: int, run: str) -> tup
                            repetition_seed(plan.config.seed, engine, rep))
     path = plan.output_dir / trace_filename(env.name, engine, run)
     path.write_text(trace.to_jsonl())
+    log.info("%s %s %s: %s", env.name, engine, run, [b.cost for b in best])
     return best, path
 
 
 def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
-    """Run every engine x repetition of the plan, persist traces, and
-    aggregate per-instance means, stds and Wilcoxon markers."""
-    env = plan.environment
+    """Run and trace every engine x repetition of the plan; aggregate as ``reaggregate`` does."""
     plan.output_dir.mkdir(parents=True, exist_ok=True)
-
-    finals: dict[str, np.ndarray] = {}
-    for engine in plan.engines:
-        costs = np.empty((plan.repetitions, len(env.tasks)))
-        for rep in range(plan.repetitions):
-            best, _ = run_repetition(plan, engine, rep, f"rep{rep:03d}")
-            costs[rep] = [b.cost for b in best]
-            log.info("%s %s rep %d: %s", env.name, engine, rep, costs[rep])
-        finals[engine] = costs
-
-    return aggregate_rows(env, finals)
+    return aggregate_rows(plan.environment, {
+        engine: [run_repetition(plan, engine, rep, f"rep{rep:03d}")[1]
+                 for rep in range(plan.repetitions)]
+        for engine in plan.engines})
 
 
-def aggregate_rows(env: Environment, finals: dict[str, np.ndarray]) -> list[ReportRow]:
-    """One row per engine of ``finals``, in its order, and task; with both
-    engines and at least two repetitions each, every row of a task carries
-    whether dMFEA-II beats MFEA there by the rank-sum test."""
+def aggregate_rows(env: Environment, traces: dict[str, list[Path]]) -> list[ReportRow]:
+    """One row per engine of ``traces``, in its order, and task, from its trace files'
+    final best costs; with both engines and at least two repetitions each, every row
+    of a task carries whether dMFEA-II beats MFEA there by the rank-sum test."""
+    finals = {engine: np.array([_final_costs(p, len(env.tasks)) for p in paths])
+              for engine, paths in traces.items()}
     markers = ["n/a"] * len(env.tasks)
     if len(finals) == 2 and all(costs.shape[0] >= 2 for costs in finals.values()):
         for k in range(len(env.tasks)):
@@ -249,11 +243,8 @@ def reaggregate(output_dir: Path, environment: str) -> list[ReportRow]:
     """Rebuild report rows from persisted trace files."""
     output_dir = Path(output_dir)
     env = load_environment(environment)
-    finals: dict[str, np.ndarray] = {}
-    for engine in ENGINES:
-        paths = sorted(output_dir.glob(trace_filename(env.name, engine, "rep*")))
-        if paths:
-            finals[engine] = np.array([_final_costs(p, len(env.tasks)) for p in paths])
-    if not finals:
+    traces = {engine: paths for engine in ENGINES
+              if (paths := sorted(output_dir.glob(trace_filename(env.name, engine, "rep*"))))}
+    if not traces:
         raise ValueError(f"no traces for {environment} under {output_dir}")
-    return aggregate_rows(env, finals)
+    return aggregate_rows(env, traces)

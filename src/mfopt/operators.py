@@ -2,8 +2,8 @@
 whose window is sized by the adaptive transfer matrix and whose draw reads
 the donor's ``gene_positions`` row (one table per generation in the engine),
 and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
-one child per record over a genome matrix, built with OX's and dOX's kernel
-``reorder_genes`` and the one-genome 2-opt.
+one child per record over a genome matrix, built in two passes of the kernel
+``reorder_genes``: the crossover window, then the 2-opt move.
 """
 
 from __future__ import annotations
@@ -99,11 +99,17 @@ def two_opt(
     return out
 
 
+def _gene_keys(genomes: np.ndarray) -> np.ndarray:
+    """Keys into one flat table by gene: row r's gene g is entry (n + 1) r + g; one genome, g."""
+    if genomes.ndim == 1:
+        return genomes
+    return genomes + (genomes.shape[1] + 1) * np.arange(len(genomes))[:, None]
+
+
 def gene_positions(genomes: np.ndarray) -> np.ndarray:
     """``where[..., g]``: the position of gene g in one genome, or in each row of a matrix."""
     where = np.empty((*genomes.shape[:-1], genomes.shape[-1] + 1), dtype=np.int64)
-    rows = () if genomes.ndim == 1 else (np.arange(len(genomes))[:, None],)
-    where[(*rows, genomes)] = np.arange(genomes.shape[-1])
+    where.reshape(-1)[_gene_keys(genomes)] = np.arange(genomes.shape[-1])
     return where
 
 
@@ -123,14 +129,10 @@ def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
 def reorder_genes(dominant: np.ndarray, donor: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """OX's and dOX's kernel: the dominant genome with its genes at the ``inside``
     positions put in the order they take in the donor; matrices, row by row."""
-    n, keys, donor_keys = dominant.shape[-1], dominant, donor
-    if dominant.ndim > 1:  # one table for all rows: row r's gene g is entry (n + 1) r + g
-        offset = (n + 1) * np.arange(len(dominant))[:, None]
-        keys, donor_keys = dominant + offset, donor + offset
-    chosen = np.zeros(dominant.size // n * (n + 1), dtype=bool)
-    chosen[keys] = inside
+    chosen = np.zeros(dominant.size // dominant.shape[-1] * (dominant.shape[-1] + 1), dtype=bool)
+    chosen[_gene_keys(dominant)] = inside
     child = dominant.copy()
-    child[inside] = donor[chosen[donor_keys]]
+    child[inside] = donor[chosen[_gene_keys(donor)]]
     return child
 
 
@@ -162,7 +164,7 @@ def build_children(genomes: np.ndarray, records) -> np.ndarray:
     """One child per record ``(a, b, lo, hi, i, j, ox)`` over the rows of ``genomes``:
     genome a with its genes in [lo, hi), or outside it if ox, put in the order they
     take in b (read cyclically from hi if ox; reversed if b is a), then 2-opted at
-    (i, j) if i < j."""
+    (i, j) if i < j: one ``reorder_genes`` pass for the windows, one for the moves."""
     n = genomes.shape[1]
     a, b, lo, hi, i, j, ox = np.fromiter(chain.from_iterable(records), np.int64).reshape(-1, 7).T
     cycled = sliding_window_view(np.hstack((genomes, genomes)), n, axis=1)
@@ -171,6 +173,7 @@ def build_children(genomes: np.ndarray, records) -> np.ndarray:
     cols = np.arange(n)
     chosen = ((lo[:, None] <= cols) & (cols < hi[:, None])) != ox[:, None]
     children = reorder_genes(genomes[a], donors, chosen)
-    for r in np.flatnonzero(i < j).tolist():
-        children[r] = two_opt(children[r], i[r], j[r])
+    m = np.flatnonzero(i < j)  # 2-opt: the genes in [i, j] in the order of the reversed row
+    i, j, moved = i[m, None], j[m, None], children[m]
+    children[m] = reorder_genes(moved, moved[:, ::-1], (i <= cols) & (cols <= j))
     return children

@@ -115,6 +115,40 @@ def test_unusable_outdir_is_a_usage_error(command, outdir, tmp_path, capsys, mon
     assert err.splitlines()[-1].startswith("mfopt: error: cannot create output directory ")
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "report"])
+def test_unwritable_output_is_a_usage_error(command, tmp_path, capsys):
+    # The file the command writes is a directory: exit 2 with one line naming it.
+    flags = ["--budget", "200", "--pop", "20", "--outdir", str(tmp_path)]
+    blocked = tmp_path / ("TE_4_3__MFEA__single.jsonl" if command == "run" else "summary.csv")
+    if command == "report":  # traces to report on
+        assert main(["bench", "TE_4_3", "--reps", "2", *flags]) == 0
+        blocked.unlink()
+        flags = flags[-2:]
+    blocked.mkdir()
+    argv = {"run": ["--engine", "MFEA"], "bench": ["--reps", "2"], "report": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "TE_4_3", *argv, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"mfopt: error: cannot write {blocked}: Is a directory"
+
+
+def test_bench_aggregates_only_the_traces_it_wrote(tmp_path, capsys):
+    # bench reads back the rep000 and rep001 traces it wrote, so stale rep002..rep005
+    # traces from an earlier --reps 6 bench leave its table as in a clean directory.
+    # report still merges such files through its rep* glob (ROADMAP item 4).
+    flags = ["--budget", "200", "--pop", "20", "--outdir"]
+    assert main(["bench", "TE_4_3", "--reps", "6", *flags, str(tmp_path / "stale")]) == 0
+    assert (tmp_path / "stale" / "TE_4_3__MFEA__rep005.jsonl").exists()
+    for outdir in ("stale", "clean"):
+        assert main(["bench", "TE_4_3", "--reps", "2", *flags, str(tmp_path / outdir)]) == 0
+    clean = (tmp_path / "clean" / "summary.csv").read_text()
+    assert (tmp_path / "stale" / "summary.csv").read_text() == clean
+    assert main(["report", "TE_4_3", "--outdir", str(tmp_path / "stale")]) == 0
+    assert (tmp_path / "stale" / "summary.csv").read_text() != clean
+
+
 def _vrp(dimension, edge_weight_type="EUC_2D"):
     """CVRP file text: node 1 is the depot, nodes 2..dimension customers."""
     nodes = range(1, dimension + 1)

@@ -364,8 +364,9 @@ class TestBuildChildren:
         # One batch of every record kind the engines draw, in random order:
         # OX pairs, dOX children (no-change swaps included), 2-opt-only
         # children and empty-window fallbacks, each kind with or without a
-        # random 2-opt move. Row k equals its record's reference, and the
-        # batch leaves its genomes as they were.
+        # 2-opt move: a random one, one over the whole genome, or an adjacent
+        # one. Row k equals its record's reference, and the batch leaves its
+        # genomes as they were.
         gen = np.random.default_rng(seed)
         rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
         pool = [gen.permutation(n) + 1 for _ in range(m)]
@@ -373,8 +374,10 @@ class TestBuildChildren:
         where = gene_positions(genomes)  # one table for the batch, as the engine builds it
         before = genomes.copy()
 
-        def move():
-            return _two_points(n, gen) if gen.random() < 0.5 else (0, 0)
+        def move(optional=True):  # a random, whole-genome or adjacent move, or none
+            i = int(gen.integers(n - 1))
+            moves = [_two_points(n, gen), (0, n - 1), (i, i + 1)] + [(0, 0)] * optional
+            return moves[int(gen.integers(len(moves)))]
 
         rows = []  # (record, reference child before its move)
         for _ in range(m):
@@ -392,7 +395,7 @@ class TestBuildChildren:
                 child = reference_dynamic_ox(genomes[p], genomes[q], entry, 0.5, d_k, ref_rng)
                 rows.append(((p, p if swap else q, lo, hi, *move(), 0), child))
             elif kind == 3:  # a 2-opt-only child, as MFEA and the no-mate fallback draw it
-                rows.append(((p, p, 0, 0, *_two_points(n, gen), 0), genomes[p]))
+                rows.append(((p, p, 0, 0, *move(optional=False), 0), genomes[p]))
             else:  # an empty window anywhere, with any donor
                 lo = int(gen.integers(n + 1))
                 rows.append(((p, q, lo, lo, *move(), 0), genomes[p]))
