@@ -14,13 +14,16 @@ from pathlib import Path
 
 from .engines import EngineConfig
 from .harness import (
+    BENCH_RUN,
     ENGINES,
+    REPORT_FILES,
     ExperimentPlan,
     emit_report,
     load_environment,
     reaggregate,
     run_experiment,
     run_repetition,
+    trace_filename,
 )
 
 # (flag, EngineConfig field, help); each flag's type and default come from
@@ -78,8 +81,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    # Bad parameters, environments, trace sets, output directories and unwritable
-    # files are usage errors: exit 2 with a one-line message, not a traceback.
+    # Bad parameters, environments, trace sets, output directories and unwritable files are
+    # usage errors: exit 2 with one line, not a traceback; run and bench check before searching.
     try:
         if args.command == "report":
             rows = reaggregate(args.outdir, args.environment)
@@ -88,6 +91,11 @@ def main(argv=None) -> int:
                 config=_config(args), environment=load_environment(args.environment),
                 engines=tuple(args.engines), repetitions=args.reps, output_dir=args.outdir)
             args.outdir.mkdir(parents=True, exist_ok=True)
+            runs = ["single"] if args.command == "run" else [*map(BENCH_RUN.format, range(args.reps))]
+            outputs = [trace_filename(plan.environment.name, e, r) for e in plan.engines for r in runs]
+            outputs += REPORT_FILES if args.command == "bench" else ()
+            if blocked := [path for path in map(args.outdir.joinpath, outputs) if path.is_dir()]:
+                parser.error(f"cannot write {blocked[0]}: Is a directory")
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:

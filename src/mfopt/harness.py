@@ -27,6 +27,8 @@ from .stats import Direction, SampleSet, ranksum_test, summarize
 log = logging.getLogger(__name__)
 
 ENGINES = ("MFEA", "dMFEA-II")
+BENCH_RUN = "rep{:03d}"  # the ``run`` of a bench repetition's trace_filename
+REPORT_FILES = ("summary.csv", "results.json")  # what emit_report writes, in order
 
 # Bundled instance files per environment; each file's TYPE header gives its kind.
 BUILTIN_ENVIRONMENTS = {
@@ -168,7 +170,7 @@ def run_experiment(plan: ExperimentPlan) -> list[ReportRow]:
     """Run and trace every engine x repetition of the plan; aggregate as ``reaggregate`` does."""
     plan.output_dir.mkdir(parents=True, exist_ok=True)
     return aggregate_rows(plan.environment, {
-        engine: [run_repetition(plan, engine, rep, f"rep{rep:03d}")[1]
+        engine: [run_repetition(plan, engine, rep, BENCH_RUN.format(rep))[1]
                  for rep in range(plan.repetitions)]
         for engine in plan.engines})
 
@@ -206,7 +208,7 @@ def emit_report(rows: list[ReportRow], output_dir: Path) -> dict[str, Path]:
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
-    csv_path = output_dir / "summary.csv"
+    csv_path, json_path = (output_dir / name for name in REPORT_FILES)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["environment", "engine", "instance", "mean", "std",
@@ -217,7 +219,6 @@ def emit_report(rows: list[ReportRow], output_dir: Path) -> dict[str, Path]:
                          "" if r.optimum is None else r.optimum])
     csv_path.write_text(buf.getvalue())
 
-    json_path = output_dir / "results.json"
     json_path.write_text(json.dumps([r.__dict__ for r in rows], indent=2,
                                     default=str) + "\n")
     return {"summary": csv_path, "results": json_path}

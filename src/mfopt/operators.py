@@ -18,10 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 @dataclass(frozen=True)
 class CrossoverWindow:
-    """Contiguous cutting window [start, start + length) over a genome.
-
-    Windows never wrap: start is drawn from [0, d_max - length].
-    """
+    """Contiguous cutting window [start, start + length) over a genome; it never wraps."""
     start: int
     length: int
 

@@ -116,8 +116,9 @@ def test_unusable_outdir_is_a_usage_error(command, outdir, tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "report"])
-def test_unwritable_output_is_a_usage_error(command, tmp_path, capsys):
-    # The file the command writes is a directory: exit 2 with one line naming it.
+def test_unwritable_output_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+    # The file the command writes is a directory: exit 2 with one line naming it,
+    # and run and bench refuse it before their search.
     flags = ["--budget", "200", "--pop", "20", "--outdir", str(tmp_path)]
     blocked = tmp_path / ("TE_4_3__MFEA__single.jsonl" if command == "run" else "summary.csv")
     if command == "report":  # traces to report on
@@ -125,10 +126,16 @@ def test_unwritable_output_is_a_usage_error(command, tmp_path, capsys):
         blocked.unlink()
         flags = flags[-2:]
     blocked.mkdir()
+    searched = []
+    if command == "run":
+        monkeypatch.setattr("mfopt.harness._run_one", lambda *a: searched.append(a))
     argv = {"run": ["--engine", "MFEA"], "bench": ["--reps", "2"], "report": []}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, "TE_4_3", *argv, *flags])
     assert exc.value.code == 2
+    assert not searched
+    if command == "bench":  # no trace written before the refusal
+        assert not list(tmp_path.glob("*.jsonl"))
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1] == f"mfopt: error: cannot write {blocked}: Is a directory"

@@ -19,20 +19,7 @@ from mfopt.operators import (
     window_length,
 )
 
-
-def reference_ox(keeper, filler, lo, hi):
-    """Independent OX reference: keep keeper[lo:hi], then walk filler
-    cyclically from position hi, appending unseen values left to right."""
-    n = len(keeper)
-    child = [None] * n
-    child[lo:hi] = list(keeper[lo:hi])
-    seen = set(keeper[lo:hi])
-    fill = [filler[(hi + t) % n] for t in range(n)]
-    fill = [v for v in fill if v not in seen]
-    it = iter(fill)
-    for pos in list(range(lo)) + list(range(hi, n)):
-        child[pos] = next(it)
-    return child
+from test_acceptance import reference_ox
 
 
 def reference_dynamic_ox(dominant, donor, rmp_entry, w, d_k, rng):
@@ -148,37 +135,10 @@ class TestOrderCrossover:
         c1, c2 = order_crossover(a, b, rng=rng)
         assert is_valid_genome(c1) and is_valid_genome(c2)
 
-
-def _parents(seed, n, m):
-    gen = np.random.default_rng(seed)
-    return gen, np.array([gen.permutation(n) + 1 for _ in range(2 * m)]).reshape(2, m, n)
-
-
-class TestBatchedOrderCrossover:
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=2, max_value=80), st.integers(min_value=1, max_value=12))
-    @example(seed=0, n=2, m=1)
-    @example(seed=1, n=80, m=12)
-    @settings(max_examples=200, deadline=None)
-    def test_every_row_matches_the_reference(self, seed, n, m):
-        # OX records over stacked parents, a[r] in row r and b[r] in row m + r.
-        # Random windows plus the edge cases: a window at 0, one ending at n,
-        # one of length n - 1, and the whole genome.
-        gen, (a, b) = _parents(seed, n, m)
-        bounds = [sorted(gen.choice(n + 1, 2, replace=False).tolist()) for _ in range(m)]
-        edges = [(0, int(gen.integers(1, n + 1))), (int(gen.integers(0, n)), n),
-                 (0, n - 1), (1, n), (0, n)]
-        bounds[:len(edges)] = edges[:m]
-        records = [(p, q, lo, hi, 0, 0, 1) for r, (lo, hi) in enumerate(bounds)
-                   for p, q in ((r, m + r), (m + r, r))]
-        children = build_children(np.vstack((a, b)), records)
-        for r, (lo, hi) in enumerate(bounds):
-            assert list(children[2 * r]) == reference_ox(a[r], b[r], lo, hi)
-            assert list(children[2 * r + 1]) == reference_ox(b[r], a[r], lo, hi)
-
     def test_bad_matrix_windows(self, rng):
         # Parent matrices are refused whatever the window; the batch is build_children.
-        _, (a, b) = _parents(0, 8, 2)
+        gen = np.random.default_rng(0)
+        a, b = np.array([gen.permutation(8) + 1 for _ in range(4)]).reshape(2, 2, 8)
         for kwargs in (dict(window=CrossoverWindow(0, 2)), dict(rng=rng)):
             with pytest.raises(ValueError, match="two 1-D genomes of one length"):
                 order_crossover(a, b, **kwargs)
@@ -230,28 +190,6 @@ class TestTwoOpt:
 
 
 class TestDynamicOx:
-    def test_child_is_permutation_and_differs(self, rng):
-        for _ in range(500):
-            n = int(rng.integers(4, 40))
-            dom, don = rng.permutation(n) + 1, rng.permutation(n) + 1
-            d_k = int(rng.integers(2, n + 1))
-            child = dynamic_ox(dom, don, float(rng.uniform(0.1, 1.0)), 0.5,
-                               d_k, rng)
-            assert is_valid_genome(child)
-            assert not np.array_equal(child, dom)
-
-    def test_parent_centric_bound(self, rng):
-        # Positions differing from the dominant parent never exceed the
-        # window length plus the two positions a fallback swap can touch.
-        for _ in range(2000):
-            n = int(rng.integers(4, 40))
-            dom, don = rng.permutation(n) + 1, rng.permutation(n) + 1
-            d_k = int(rng.integers(2, n + 1))
-            entry = float(rng.uniform(0.1, 1.0))
-            child = dynamic_ox(dom, don, entry, 0.5, d_k, rng)
-            bound = window_length(0.5, entry, d_k, n) + 2
-            assert int((child != dom).sum()) <= bound
-
     def test_window_reordered_by_donor(self):
         # Window [1, 4) of dominant holds (2, 3, 4); the donor orders
         # those values 4, 3, 2, so the child's window becomes (4, 3, 2).
@@ -318,37 +256,6 @@ class TestGenePositions:
                 assert np.array_equal(gene_positions(g[r])[g[r]], np.arange(n))
 
 
-class TestBatchedDynamicOx:
-    @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=1, max_value=12))
-    @settings(max_examples=300, deadline=None)
-    def test_rows_match_reference(self, seed, m):
-        # The engine draws each dOX child with _dox_window over the donor's
-        # gene_positions row, which decides the no-change fallback at once,
-        # then builds all of them as records in one build_children call, a
-        # fallback row (r, r, lo, lo + 2, 0, 0, 0) reordering its window by
-        # the reversed dominant. Every row and the generator's state
-        # afterwards match the reference.
-        gen = np.random.default_rng(seed)
-        n = int(gen.integers(2, 40))
-        rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-        genomes, records, expected = np.empty((2 * m, n), dtype=np.int64), [], []
-        for r in range(m):
-            dom = gen.permutation(n) + 1
-            don = dom.copy() if gen.random() < 0.3 else gen.permutation(n) + 1
-            genomes[r], genomes[m + r] = dom, don  # dominant in row r, donor in row m + r
-            # d_k below d_max, and small w and d_k for one-gene windows.
-            d_k = int(gen.integers(1, n + 1))
-            entry = float(gen.uniform(0.1, 1.0))
-            w = 0.05 if gen.random() < 0.2 else float(gen.uniform(0.1, 1.0))
-            length = window_length(w, entry, d_k, n)
-            lo, hi, swap = _dox_window(dom, gene_positions(don), length, rng)
-            assert hi - lo == (2 if swap else length)
-            records.append((r, r if swap else m + r, lo, hi, 0, 0, 0))
-            expected.append(reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng))
-        assert np.array_equal(build_children(genomes, records), np.array(expected))
-        assert rng.random() == ref_rng.random()
-
-
 class TestBuildChildren:
     def test_no_records_build_no_children(self):
         # A dMFEA-II generation whose children are all inter-task has no records.
@@ -357,16 +264,17 @@ class TestBuildChildren:
         assert children.shape == (0, 6) and children.dtype == genomes.dtype
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=16))
+           st.integers(min_value=2, max_value=80), st.integers(min_value=1, max_value=16))
     @example(seed=0, n=2, m=1)
+    @example(seed=1, n=80, m=12)
     @settings(max_examples=300, deadline=None)
     def test_mixed_batch_rows_match_their_references(self, seed, n, m):
         # One batch of every record kind the engines draw, in random order:
-        # OX pairs, dOX children (no-change swaps included), 2-opt-only
-        # children and empty-window fallbacks, each kind with or without a
-        # 2-opt move: a random one, one over the whole genome, or an adjacent
-        # one. Row k equals its record's reference, and the batch leaves its
-        # genomes as they were.
+        # OX pairs, dOX children (no-change swaps and one-gene windows
+        # included), 2-opt-only children and empty-window fallbacks, each kind
+        # with or without a 2-opt move: a random one, one over the whole
+        # genome, or an adjacent one. Row k equals its record's reference, and
+        # the batch leaves its genomes as they were.
         gen = np.random.default_rng(seed)
         rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
         pool = [gen.permutation(n) + 1 for _ in range(m)]
@@ -379,20 +287,27 @@ class TestBuildChildren:
             moves = [_two_points(n, gen), (0, n - 1), (i, i + 1)] + [(0, 0)] * optional
             return moves[int(gen.integers(len(moves)))]
 
+        def ox_window():  # a random window, one at 0, one ending at n, or of length n - 1 or n
+            windows = [_two_points(n + 1, gen), (0, int(gen.integers(1, n + 1))),
+                       (int(gen.integers(n)), n), (0, n - 1), (1, n), (0, n)]
+            return windows[int(gen.integers(len(windows)))]
+
         rows = []  # (record, reference child before its move)
         for _ in range(m):
             p, q = (int(x) for x in gen.integers(2 * m, size=2))
             kind = int(gen.integers(5))
             if kind == 0 and p != q:  # an OX pair
-                lo, hi = _two_points(n + 1, gen)
+                lo, hi = ox_window()
                 rows.append(((p, q, lo, hi, *move(), 1), reference_ox(genomes[p], genomes[q], lo, hi)))
                 rows.append(((q, p, lo, hi, *move(), 1), reference_ox(genomes[q], genomes[p], lo, hi)))
             elif kind in (1, 2):  # dOX, against a random mate or against the twin
                 q = (p + m) % (2 * m) if kind == 2 else q
                 d_k, entry = int(gen.integers(1, n + 1)), float(gen.uniform(0.1, 1.0))
-                length = window_length(0.5, entry, d_k, n)
+                w = 0.05 if gen.random() < 0.2 else float(gen.uniform(0.1, 1.0))
+                length = window_length(w, entry, d_k, n)
                 lo, hi, swap = _dox_window(genomes[p], where[q], length, rng)
-                child = reference_dynamic_ox(genomes[p], genomes[q], entry, 0.5, d_k, ref_rng)
+                assert hi - lo == (2 if swap else length)
+                child = reference_dynamic_ox(genomes[p], genomes[q], entry, w, d_k, ref_rng)
                 rows.append(((p, p if swap else q, lo, hi, *move(), 0), child))
             elif kind == 3:  # a 2-opt-only child, as MFEA and the no-mate fallback draw it
                 rows.append(((p, p, 0, 0, *move(optional=False), 0), genomes[p]))
