@@ -82,10 +82,10 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
 
     # Bad parameters, environments, trace sets, output directories and unwritable files are
-    # usage errors: exit 2 with one line, not a traceback; run and bench check before searching.
+    # usage errors: exit 2 with one line, not a traceback; checked before any search or write.
     try:
         if args.command == "report":
-            rows = reaggregate(args.outdir, args.environment)
+            rows, outputs = reaggregate(args.outdir, args.environment), REPORT_FILES
         else:
             plan = ExperimentPlan(
                 config=_config(args), environment=load_environment(args.environment),
@@ -94,8 +94,8 @@ def main(argv=None) -> int:
             runs = ["single"] if args.command == "run" else [*map(BENCH_RUN.format, range(args.reps))]
             outputs = [trace_filename(plan.environment.name, e, r) for e in plan.engines for r in runs]
             outputs += REPORT_FILES if args.command == "bench" else ()
-            if blocked := [path for path in map(args.outdir.joinpath, outputs) if path.is_dir()]:
-                parser.error(f"cannot write {blocked[0]}: Is a directory")
+        if blocked := [path for path in map(args.outdir.joinpath, outputs) if path.is_dir()]:
+            parser.error(f"cannot write {blocked[0]}: Is a directory")
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:

@@ -1,9 +1,8 @@
-import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mfopt.engines
@@ -53,34 +52,24 @@ class TestRmpMatrix:
         assert (m.entries[diagonal] == 1.0).all()  # MFEA-II's unit diagonal
         assert (m.entries[~diagonal] == 0.95).all()
 
-    def test_positive_update_divides(self):
-        m = RmpMatrix.initial(2, 0.5, 0.99, 0.99)
-        rmp_update(m, 0, 1, transfer_positive=True)
-        assert m.get(0, 1) == pytest.approx(0.5 / 0.99)
-        assert m.get(1, 0) == m.get(0, 1)  # symmetry is maintained
-
-    def test_negative_update_multiplies(self):
-        m = RmpMatrix.initial(2, 0.5, 0.99, 0.99)
-        rmp_update(m, 0, 1, transfer_positive=False)
-        assert m.get(0, 1) == pytest.approx(0.5 * 0.99)
-
-    def test_ceiling_and_floor(self):
-        m = RmpMatrix.initial(2, 0.999, 0.99, 0.99)
-        rmp_update(m, 0, 1, True)
-        assert m.get(0, 1) == 1.0
-        m2 = RmpMatrix.initial(2, 0.1004, 0.99, 0.99)
-        rmp_update(m2, 0, 1, False)
-        assert m2.get(0, 1) == 0.1
-
-    @given(st.floats(min_value=0.1, max_value=1.0),
-           st.floats(min_value=0.5, max_value=0.9999),
-           st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_update_stays_in_bounds(self, entry, delta, positive):
-        m = RmpMatrix.initial(2, entry, delta, delta)
+    # The floor, the entry, both factors and the sign are drawn independently,
+    # so a factor applied on the wrong transfer fails.
+    @given(floor_entry=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+           delta_inc=st.floats(1e-6, 1.0), delta_dec=st.floats(1e-6, 1.0),
+           positive=st.booleans())
+    @example(floor_entry=[0.1, 0.5], delta_inc=0.99, delta_dec=0.99, positive=True)
+    @example(floor_entry=[0.1, 0.5], delta_inc=0.99, delta_dec=0.99, positive=False)
+    @example(floor_entry=[0.1, 0.999], delta_inc=0.99, delta_dec=0.99, positive=True)  # ceiling
+    @example(floor_entry=[0.1, 0.1004], delta_inc=0.99, delta_dec=0.99, positive=False)  # floor
+    @settings(max_examples=300, deadline=None)
+    def test_update_divides_or_multiplies_within_bounds(self, floor_entry, delta_inc, delta_dec,
+                                                        positive):
+        floor, entry = floor_entry
+        m = RmpMatrix.initial(2, entry, delta_inc, delta_dec, floor)
         rmp_update(m, 0, 1, positive)
-        assert 0.1 <= m.get(0, 1) <= 1.0
-        assert m.get(0, 1) == m.get(1, 0)
+        expected = min(1.0, entry / delta_inc) if positive else max(floor, entry * delta_dec)
+        assert m.get(0, 1) == m.get(1, 0) == expected
+        assert floor <= m.get(0, 1) <= 1.0
 
 
 class TestTransferOutcome:
@@ -137,37 +126,12 @@ class TestTrace:
 @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2],
                          ids=["mfea", "dmfea2"])
 class TestEngineRuns:
-    # Budgets from the initialization cost (20 x 2 tasks) upward, odd ones
-    # included: children come in pairs, but the budget binds per child.
-    @given(budget=st.integers(min_value=40, max_value=700),
-           seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @example(budget=601, seed=0)
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_budget_respected_and_progress(self, runner, two_tasks, budget, seed):
-        cfg = small_config(eval_budget=budget)
-        best, trace = runner(two_tasks, cfg, np.random.default_rng(seed))
-        assert len(best) == 2
-        assert trace.records[-1].evaluations == budget
-        evals = [r.evaluations for r in trace.records]
-        assert evals == sorted(evals)
-        for k in range(2):
-            per_gen = [r.best_costs[k] for r in trace.records]
-            assert per_gen == sorted(per_gen, reverse=True)  # never regresses
-
     def test_solves_tiny_instances(self, runner, two_tasks):
         best, _ = runner(two_tasks, small_config(eval_budget=2000),
                          np.random.default_rng(1))
         assert best[0].cost == 40.0  # square perimeter
         assert best[1].cost == 8.0   # collinear sweep
         assert is_valid_genome(best[0].genome)
-
-    def test_deterministic_given_rng_seed(self, runner, two_tasks):
-        cfg = small_config(eval_budget=800)
-        b1, t1 = runner(two_tasks, cfg, np.random.default_rng(7))
-        b2, t2 = runner(two_tasks, cfg, np.random.default_rng(7))
-        assert [b.cost for b in b1] == [b.cost for b in b2]
-        assert t1.to_jsonl() == t2.to_jsonl()
 
     def test_single_task(self, runner, square_tsp):
         best, _ = runner([square_tsp], small_config(eval_budget=500),
@@ -226,13 +190,21 @@ class TestRunInvariants:
             costs = np.array([r.best_costs for r in trace.records])
             if pop >= len(tasks):  # else selection cannot keep one best per task
                 assert (np.diff(costs, axis=0) <= 0).all()  # a best cost never worsens
+            assert len(best) == len(tasks)
             for k, result in enumerate(best):
                 assert is_valid_genome(result.genome)
                 assert result.cost == evaluate_skill_task(result.genome, k, tasks) == costs[-1, k]
-            for r in trace.records if runner is run_dmfea2 else ():
-                m = np.array(r.rmp)
-                assert np.array_equal(m, m.T) and (np.diag(m) == 1.0).all()
-                assert ((floor <= m) & (m <= 1.0)).all()
+            if runner is run_dmfea2:
+                matrices = np.array([r.rmp for r in trace.records])
+                for m in matrices:
+                    assert m.shape == (len(tasks), len(tasks))
+                    assert np.array_equal(m, m.T) and (np.diag(m) == 1.0).all()
+                    assert ((floor <= m) & (m <= 1.0)).all()
+                # A factor of 1 leaves its direction still: delta_inc raises an
+                # entry, delta_dec lowers it.
+                steps = np.diff(matrices, axis=0)
+                assert config.delta_inc < 1 or (steps <= 0).all()
+                assert config.delta_dec < 1 or (steps >= 0).all()
 
 
 class TestMfeaBatches:
@@ -310,11 +282,6 @@ class TestAdaptiveSpecifics:
     def test_trace_carries_rmp_snapshots(self, two_tasks):
         _, trace = run_dmfea2(two_tasks, small_config(eval_budget=600),
                               np.random.default_rng(0))
-        for rec in trace.records:
-            m = np.array(rec.rmp)
-            assert m.shape == (2, 2)
-            assert (m >= 0.1).all() and (m <= 1.0).all()
-            assert np.array_equal(m, m.T)
         # the matrix actually moves from its initial value
         assert not np.allclose(trace.records[0].rmp, trace.records[-1].rmp)
 
@@ -346,20 +313,6 @@ class TestAdaptiveSpecifics:
         for r in range(len(bucket) - 1):
             expected = bucket[r + (r >= np.searchsorted(bucket, idx))]
             assert _other_member(bucket, idx, r) == expected
-
-    def test_no_same_skill_mate_falls_back_to_two_opt(self, caplog):
-        # Two members on two tasks: a pair of different skills that takes the
-        # intra-task branch finds each parent alone in its skill bucket, so
-        # both children are 2-opt mutants; the diagonal stays at MFEA-II's 1.
-        tasks = load_environment("TE_4_1").tasks[:2]
-        config = small_config(population_size=2, eval_budget=400)
-        with caplog.at_level(logging.INFO, logger="mfopt.engines"):
-            best, trace = run_dmfea2(tasks, config, np.random.default_rng(0))
-        assert "no same-skill mate" in caplog.text
-        assert trace.records[-1].evaluations == 400
-        assert all(is_valid_genome(b.genome) for b in best)
-        for rec in trace.records:
-            assert (np.diag(rec.rmp) == 1.0).all()
 
     def test_one_generation_builds_its_dox_records_in_one_call(self, monkeypatch):
         # Intra-task dOX children are records, built with one build_children

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -18,24 +17,7 @@ from mfopt.stats import (
     summarize,
 )
 
-
-def exact_mannwhitney(x, y):
-    """Exact Mann-Whitney by full enumeration: returns the one-sided
-    p-values P(W <= w_obs) and P(W >= w_obs) over every way of assigning
-    the pooled midranks to the first sample."""
-    from scipy.stats import rankdata
-
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    n, m = len(x), len(y)
-    ranks = rankdata(np.concatenate([x, y]))
-    w_obs = ranks[:n].sum()
-    total = at_most = at_least = 0
-    for combo in itertools.combinations(range(n + m), n):
-        w = ranks[list(combo)].sum()
-        total += 1
-        at_most += w <= w_obs + 1e-12
-        at_least += w >= w_obs - 1e-12
-    return at_most / total, at_least / total
+from test_acceptance import exact_mannwhitney
 
 
 class TestSummarize:
@@ -152,17 +134,6 @@ class TestRanksum:
                         disagreements += 1
         assert checked > 500
         assert disagreements <= checked * 0.05
-
-    @given(st.integers(min_value=0, max_value=2 ** 31))
-    @settings(max_examples=200, deadline=None)
-    def test_antisymmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(2, 15)), int(rng.integers(2, 15))
-        x = rng.integers(0, 10, n).astype(float)
-        y = rng.integers(0, 10, m).astype(float)
-        za = ranksum_test(SampleSet(x), SampleSet(y)).z_value
-        zb = ranksum_test(SampleSet(y), SampleSet(x)).z_value
-        assert abs(za + zb) < 1e-12
 
 
 def test_runtime_imports_no_scipy():

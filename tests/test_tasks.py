@@ -87,12 +87,6 @@ class TestTsp:
         # Crossing diagonals: 2 * (10 + 14), with hypot(10,10) = 14.14 -> 14.
         assert tsp_cost(np.array([1, 3, 2, 4]), square_tsp) == 48.0
 
-    def test_rotation_and_reversal_invariance(self, line_tsp, rng):
-        base = rng.permutation(5) + 1
-        c = tsp_cost(base, line_tsp)
-        assert tsp_cost(np.roll(base, 2), line_tsp) == c
-        assert tsp_cost(base[::-1].copy(), line_tsp) == c
-
     def test_needs_three_cities(self):
         with pytest.raises(ValueError):
             TspInstance(name="tiny", coords=np.zeros((2, 2)))
@@ -124,12 +118,6 @@ class TestCvrp:
         assert [list(r) for r in plan.routes] == [[1, 2], [3, 4]]
         # Each route: 10 out + 14 across + 10 back = 34.
         assert plan.total_distance == 68.0
-
-    def test_cost_matches_decode(self, tiny_cvrp, rng):
-        for _ in range(20):
-            perm = rng.permutation(4) + 1
-            assert cvrp_cost(perm, tiny_cvrp) == \
-                cvrp_decode(perm, tiny_cvrp).total_distance
 
     @pytest.mark.parametrize("name", ["P-n50-k7", "P-n50-k8", "P-n55-k7", "P-n55-k8"])
     def test_cost_matches_decode_on_bundled(self, name):
