@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -132,6 +133,13 @@ class TestEngineRuns:
         assert best[0].cost == 40.0  # square perimeter
         assert best[1].cost == 8.0   # collinear sweep
         assert is_valid_genome(best[0].genome)
+
+    def test_deterministic_given_rng_seed(self, runner, two_tasks):
+        cfg = small_config(eval_budget=800)
+        b1, t1 = runner(two_tasks, cfg, np.random.default_rng(7))
+        b2, t2 = runner(two_tasks, cfg, np.random.default_rng(7))
+        assert [b.cost for b in b1] == [b.cost for b in b2]
+        assert t1.to_jsonl() == t2.to_jsonl()
 
     def test_single_task(self, runner, square_tsp):
         best, _ = runner([square_tsp], small_config(eval_budget=500),
@@ -313,6 +321,20 @@ class TestAdaptiveSpecifics:
         for r in range(len(bucket) - 1):
             expected = bucket[r + (r >= np.searchsorted(bucket, idx))]
             assert _other_member(bucket, idx, r) == expected
+
+    def test_no_same_skill_mate_falls_back_to_two_opt(self, caplog):
+        # Two members on two tasks: a pair of different skills that takes the
+        # intra-task branch finds each parent alone in its skill bucket, so
+        # both children are 2-opt mutants; the diagonal stays at MFEA-II's 1.
+        tasks = load_environment("TE_4_1").tasks[:2]
+        config = small_config(population_size=2, eval_budget=400)
+        with caplog.at_level(logging.INFO, logger="mfopt.engines"):
+            best, trace = run_dmfea2(tasks, config, np.random.default_rng(0))
+        assert "no same-skill mate" in caplog.text
+        assert trace.records[-1].evaluations == 400
+        assert all(is_valid_genome(b.genome) for b in best)
+        for rec in trace.records:
+            assert (np.diag(rec.rmp) == 1.0).all()
 
     def test_one_generation_builds_its_dox_records_in_one_call(self, monkeypatch):
         # Intra-task dOX children are records, built with one build_children

@@ -135,6 +135,17 @@ class TestRanksum:
         assert checked > 500
         assert disagreements <= checked * 0.05
 
+    @given(st.integers(min_value=0, max_value=2 ** 31))
+    @settings(max_examples=200, deadline=None)
+    def test_antisymmetry(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 15)), int(rng.integers(2, 15))
+        x = rng.integers(0, 10, n).astype(float)
+        y = rng.integers(0, 10, m).astype(float)
+        za = ranksum_test(SampleSet(x), SampleSet(y)).z_value
+        zb = ranksum_test(SampleSet(y), SampleSet(x)).z_value
+        assert abs(za + zb) < 1e-12
+
 
 def test_runtime_imports_no_scipy():
     # Out of process: other tests load scipy into this one.
