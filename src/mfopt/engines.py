@@ -118,12 +118,11 @@ def rmp_update(m: RmpMatrix, i: int, j: int, transfer_positive: bool) -> RmpMatr
     multiplies by delta_dec (clamped at the floor).
     """
     entry = m.entries[i, j]
-    if transfer_positive:
-        entry = min(1.0, entry / m.delta_inc)
+    if transfer_positive:  # as min(1.0, entry / delta_inc), with no overflow past 1
+        entry = 1.0 if entry >= m.delta_inc else entry / m.delta_inc
     else:
         entry = max(m.floor, entry * m.delta_dec)
-    m.entries[i, j] = entry
-    m.entries[j, i] = entry
+    m.entries[i, j] = m.entries[j, i] = entry
     return m
 
 
@@ -188,8 +187,50 @@ def _record(generation: int, evaluations: int, pop: Population,
     )
 
 
+class _Draws:
+    """A PCG64 Generator's scalar draws in one pair loop, computed as numpy does (Lemire's method
+    over 32-bit halves) from blocks of raw words; ``sync`` leaves it as numpy's calls would."""
+    def __init__(self, rng, block):
+        self._bits, self._block, self._words, self._taken = rng.bit_generator, block, [], 0
+        self._saved = self._bits.state  # numpy leaves uinteger stale when it clears has_uint32
+        self._has32, self._half = self._saved["has_uint32"], self._saved["uinteger"]
+
+    def _u64(self):
+        if not self._words:  # the unused words, the next one last
+            self._words = self._bits.random_raw(self._block).tolist()[::-1]
+            self._taken += self._block
+        return self._words.pop()
+
+    def _u32(self):
+        if self._has32:
+            self._has32 = 0
+            return self._half
+        word = self._u64()
+        self._has32, self._half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low, high=None):
+        low, n = (0, low) if high is None else (low, high - low)
+        if n == 1:
+            return low
+        m = self._u32() * n
+        while m & 0xFFFFFFFF < n and m & 0xFFFFFFFF < (0x100000000 - n) % n:  # numpy's test order
+            m = self._u32() * n
+        return low + (m >> 32)
+
+    def random(self, dtype=np.float64):
+        return ((self._u32() >> 8) * 2.0 ** -24 if dtype is np.float32
+                else (self._u64() >> 11) * 2.0 ** -53)
+
+    def sync(self):
+        self._bits.state = self._saved
+        self._bits.advance(self._taken - len(self._words))  # which clears has_uint32
+        self._bits.state = {**self._bits.state, "has_uint32": self._has32, "uinteger": self._half}
+
+
 def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     rng = np.random.default_rng(config.seed if rng is None else rng)
+    replay = type(rng.bit_generator) is np.random.PCG64  # else the pair loop draws from rng
     k_tasks = len(tasks)
     dims = [t.dimension for t in tasks]
     config.check_init_budget(k_tasks)
@@ -210,15 +251,18 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     trace = RunTrace([_record(0, evaluations, pop, rmp)])
     while evaluations < config.eval_budget:
         order = rng.permutation(len(pop.costs)).tolist()
+        draws = _Draws(rng, 8 * config.population_size) if replay else rng
         buckets = [np.flatnonzero(pop.skill == t) for t in range(k_tasks)] if adaptive else None
         where = gene_positions(pop.genomes) if adaptive else None
         skill_of = pop.skill.tolist()
         pairs = (_dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, config,
-                              tasks, rng)
-                 if adaptive else _mfea_pair(ia, ib, skill_of, d_max, config, rng)
+                              tasks, draws)
+                 if adaptive else _mfea_pair(ia, ib, skill_of, d_max, config, draws)
                  for ia, ib in zip(order[::2], order[1::2]))
         # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
+        if replay:
+            draws.sync()
         built, skills, child_costs = zip(*children)
         skills, child_costs = np.array(skills), np.array(child_costs)
         deferred = child_costs == UNEVALUATED  # the records

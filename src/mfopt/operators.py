@@ -28,9 +28,9 @@ class CrossoverWindow:
 
 
 def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Two distinct points of range(n), ascending, drawn with exactly the bits
-    of ``sorted(rng.choice(n, 2, replace=False))``: numpy's Floyd sample, then the
-    32-bit word its two-element shuffle spends, taken as the cheaper float32 draw."""
+    """Two distinct points of range(n), ascending, with exactly the bits of numpy's
+    ``sorted(rng.choice(n, 2, replace=False))``: Floyd's sample, then its shuffle's 32-bit word
+    as a float32 draw. The engines pass an object with ``rng``'s ``integers`` and ``random``."""
     a = int(rng.integers(n - 1))
     b = int(rng.integers(n))
     b = n - 1 if b == a else b
@@ -79,8 +79,8 @@ def two_opt(
 ) -> np.ndarray:
     """Reverse the segment between positions i and j inclusive.
 
-    With no explicit (i, j), a random pair with i < j is drawn; i == j is
-    rejected so the move always changes the genome.
+    With no explicit (i, j), a random pair with i < j is drawn, so the move always changes
+    the genome. The engines pass, as ``rng``, an object with the same ``integers`` and ``random``.
     """
     if genome.ndim != 1:
         raise ValueError(f"two_opt takes one genome, got shape {genome.shape}")
@@ -112,7 +112,8 @@ def gene_positions(genomes: np.ndarray) -> np.ndarray:
 
 def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
     """dOX's draws, reading the donor's ``gene_positions`` row: its window [lo, hi), or, if
-    the donor keeps the window's genes in order, the adjacent swap [lo, lo + 2) (flag True)."""
+    the donor keeps the window's genes in order, the adjacent swap [lo, lo + 2) (flag True).
+    The engines pass, as ``rng``, an object with ``Generator``'s ``integers`` and ``random``."""
     n, at = len(dominant), -1
     lo = int(rng.integers(0, n - length + 1))
     for p in positions[dominant[lo:lo + length]].tolist():  # rising up to a descent
@@ -143,12 +144,12 @@ def dynamic_ox(
 ) -> np.ndarray:
     """Dynamic parent-centric OX.
 
-    The child equals the dominant parent outside a cutting window of
-    length w * rmp * d_k; inside the window the dominant's genes are
-    re-ordered to follow their relative order in the donor, so the amount
-    of transferred material scales with the learned transfer probability.
-    If the donor imposes no change, one adjacent 2-opt swap (the window's
-    order taken from the reversed dominant) makes the child differ.
+    The child equals the dominant parent outside a cutting window of length w * rmp * d_k;
+    inside the window the dominant's genes are re-ordered to follow their relative order in
+    the donor, so the amount of transferred material scales with the learned transfer
+    probability. If the donor imposes no change, one adjacent 2-opt swap (the window's order
+    taken from the reversed dominant) makes the child differ. The engines pass, as ``rng``, an
+    object with the same ``integers`` and ``random``.
     """
     length = window_length(w, rmp_entry, d_k, len(dominant))
     lo, hi, swap = _dox_window(dominant, gene_positions(donor), length, rng)

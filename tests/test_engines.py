@@ -22,6 +22,7 @@ from mfopt.engines import (
     GenerationRecord,
     RmpMatrix,
     RunTrace,
+    _Draws,
     _mfea_pair,
     _other_member,
     rmp_update,
@@ -45,6 +46,9 @@ def small_config(**kw):
     return EngineConfig(**defaults)
 
 
+FACTORS = st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=True)
+
+
 class TestRmpMatrix:
     def test_initial_matrix(self):
         m = RmpMatrix.initial(3, 0.95, 0.99, 0.99)
@@ -54,11 +58,12 @@ class TestRmpMatrix:
         assert (m.entries[~diagonal] == 0.95).all()
 
     # The floor, the entry, both factors and the sign are drawn independently,
-    # so a factor applied on the wrong transfer fails.
+    # so a factor applied on the wrong transfer fails. Factors span (0, 1],
+    # subnormals included: a division must not overflow on the way to the clamp.
     @given(floor_entry=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
-           delta_inc=st.floats(1e-6, 1.0), delta_dec=st.floats(1e-6, 1.0),
-           positive=st.booleans())
+           delta_inc=FACTORS, delta_dec=FACTORS, positive=st.booleans())
     @example(floor_entry=[0.1, 0.5], delta_inc=0.99, delta_dec=0.99, positive=True)
+    @example(floor_entry=[0.1, 0.5], delta_inc=5e-324, delta_dec=0.99, positive=True)
     @example(floor_entry=[0.1, 0.5], delta_inc=0.99, delta_dec=0.99, positive=False)
     @example(floor_entry=[0.1, 0.999], delta_inc=0.99, delta_dec=0.99, positive=True)  # ceiling
     @example(floor_entry=[0.1, 0.1004], delta_inc=0.99, delta_dec=0.99, positive=False)  # floor
@@ -384,3 +389,82 @@ class TestAdaptiveSpecifics:
         for genome, row in zip(children.genomes, children.costs):
             t = int(np.flatnonzero(np.isfinite(row))[0])
             assert row[t] == evaluate_skill_task(genome, t, tasks)
+
+
+class _DirectPCG64(np.random.PCG64):
+    """PCG64's stream under another type, so the engines draw from the Generator itself."""
+
+
+def _stream_state(gen):
+    state = gen.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"]
+
+
+# One scalar call of the pair loop: (method, n, low); n spans the Lemire edge cases.
+DRAW_CALLS = st.tuples(
+    st.sampled_from(["integers(n)", "integers(low, low + n)", "random()", "random(float32)"]),
+    st.sampled_from([1, 2, 76, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1),
+    st.integers(-1000, 1000))
+
+
+def _call(gen, method, n, low):
+    return {"integers(n)": lambda: gen.integers(n),
+            "integers(low, low + n)": lambda: gen.integers(low, low + n),
+            "random()": lambda: gen.random(),
+            "random(float32)": lambda: gen.random(dtype=np.float32)}[method]()
+
+
+class TestDrawReplay:
+    # ``half``, if not None, is a buffered 32-bit half to start from, as a
+    # float32 draw leaves one.
+    @given(seed=st.integers(0, 2**64 - 1), half=st.none() | st.integers(0, 2**32 - 1),
+           block=st.integers(1, 20), calls=st.lists(DRAW_CALLS, max_size=60))
+    @example(seed=0, half=None, block=1, calls=[("integers(n)", 2**31 + 1, 0)] * 20)
+    # n = 2^31 + 1 rejects a low half below (2^32 - n) mod n = 2^31 - 1, and this
+    # half's low half, (2^31 - 2) n mod 2^32, is one below that threshold.
+    @example(seed=0, half=2**31 - 2, block=1, calls=[("integers(n)", 2**31 + 1, 0)])
+    @settings(max_examples=300, deadline=None)
+    def test_replay_equals_numpy_draws_and_state(self, seed, half, block, calls):
+        # Values, the full state after sync (has_uint32 and a stale uinteger
+        # included) and the next permutation all equal numpy's own calls.
+        real, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half is not None:
+            for gen in (real, twin):
+                gen.bit_generator.state = {**gen.bit_generator.state, "has_uint32": 1,
+                                           "uinteger": half}
+        draws = _Draws(real, block)
+        for call in calls:
+            assert _call(draws, *call) == _call(twin, *call)
+        draws.sync()
+        assert real.bit_generator.state == twin.bit_generator.state
+        assert np.array_equal(real.permutation(50), twin.permutation(50))
+
+    @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2], ids=["mfea", "dmfea2"])
+    @pytest.mark.parametrize("pop, budget", [(2, 301), (20, 1013), (200, 12_000)])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_replayed_run_equals_direct_run(self, runner, pop, budget, seed, monkeypatch):
+        tasks = load_environment("TE_8").tasks
+        config = small_config(population_size=pop, eval_budget=budget)
+        replayed = np.random.Generator(np.random.PCG64(seed))
+        direct = np.random.Generator(_DirectPCG64(seed))
+        made = []  # the generators each _Draws replays
+        monkeypatch.setattr(mfopt.engines, "_Draws",
+                            lambda rng, block: made.append(rng) or _Draws(rng, block))
+        best_r, trace_r = runner(tasks, config, replayed)
+        best_d, trace_d = runner(tasks, config, direct)
+        assert made and all(gen is replayed for gen in made)
+        assert trace_r.to_jsonl() == trace_d.to_jsonl()
+        assert all(np.array_equal(r.genome, d.genome) for r, d in zip(best_r, best_d))
+        assert _stream_state(replayed) == _stream_state(direct)
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM,
+                                      np.random.SFC64], ids=lambda b: b.__name__)
+    def test_other_bit_generators_run_and_repeat(self, bits):
+        tasks = load_environment("TE_4_1").tasks
+        config = small_config(eval_budget=801)
+        (best_a, trace_a), (best_b, trace_b) = (
+            run_dmfea2(tasks, config, np.random.Generator(bits(5))) for _ in range(2))
+        assert trace_a.records[-1].evaluations == 801
+        assert trace_a.to_jsonl() == trace_b.to_jsonl()
+        assert all(is_valid_genome(a.genome) and np.array_equal(a.genome, b.genome)
+                   for a, b in zip(best_a, best_b))
