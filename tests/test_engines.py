@@ -400,18 +400,15 @@ def _stream_state(gen):
     return state["state"], state["has_uint32"], state["uinteger"]
 
 
-# One scalar call of the pair loop: (method, n, low); n spans the Lemire edge cases.
-DRAW_CALLS = st.tuples(
-    st.sampled_from(["integers(n)", "integers(low, low + n)", "random()", "random(float32)"]),
-    st.sampled_from([1, 2, 76, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1),
-    st.integers(-1000, 1000))
-
-
-def _call(gen, method, n, low):
-    return {"integers(n)": lambda: gen.integers(n),
-            "integers(low, low + n)": lambda: gen.integers(low, low + n),
-            "random()": lambda: gen.random(),
-            "random(float32)": lambda: gen.random(dtype=np.float32)}[method]()
+# The pair loop's four scalar calls, as (method, args, kwargs); the ranges n
+# include Lemire's edge cases.
+RANGES = st.sampled_from([1, 2, 76, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1)
+DRAW_CALLS = st.one_of(
+    RANGES.map(lambda n: ("integers", (n,), {})),
+    st.tuples(st.integers(-1000, 1000), RANGES).map(
+        lambda low_n: ("integers", (low_n[0], sum(low_n)), {})),
+    st.just(("random", (), {})),
+    st.just(("random", (), {"dtype": np.float32})))
 
 
 class TestDrawReplay:
@@ -419,10 +416,10 @@ class TestDrawReplay:
     # float32 draw leaves one.
     @given(seed=st.integers(0, 2**64 - 1), half=st.none() | st.integers(0, 2**32 - 1),
            block=st.integers(1, 20), calls=st.lists(DRAW_CALLS, max_size=60))
-    @example(seed=0, half=None, block=1, calls=[("integers(n)", 2**31 + 1, 0)] * 20)
-    # n = 2^31 + 1 rejects a low half below (2^32 - n) mod n = 2^31 - 1, and this
-    # half's low half, (2^31 - 2) n mod 2^32, is one below that threshold.
-    @example(seed=0, half=2**31 - 2, block=1, calls=[("integers(n)", 2**31 + 1, 0)])
+    @example(seed=0, half=None, block=1, calls=[("integers", (2**31 + 1,), {})] * 20)
+    # n = 2^31 + 1 rejects a product whose low 32 bits fall below (2^32 - n) mod n
+    # = 2^31 - 1; the half 2^31 - 2 gives (2^31 - 2) n mod 2^32 = 2^31 - 2, one below.
+    @example(seed=0, half=2**31 - 2, block=1, calls=[("integers", (2**31 + 1,), {})])
     @settings(max_examples=300, deadline=None)
     def test_replay_equals_numpy_draws_and_state(self, seed, half, block, calls):
         # Values, the full state after sync (has_uint32 and a stale uinteger
@@ -433,8 +430,8 @@ class TestDrawReplay:
                 gen.bit_generator.state = {**gen.bit_generator.state, "has_uint32": 1,
                                            "uinteger": half}
         draws = _Draws(real, block)
-        for call in calls:
-            assert _call(draws, *call) == _call(twin, *call)
+        for method, args, kwargs in calls:
+            assert getattr(draws, method)(*args, **kwargs) == getattr(twin, method)(*args, **kwargs)
         draws.sync()
         assert real.bit_generator.state == twin.bit_generator.state
         assert np.array_equal(real.permutation(50), twin.permutation(50))
