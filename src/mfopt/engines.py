@@ -19,6 +19,7 @@ import json
 import logging
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -188,26 +189,13 @@ def _record(generation: int, evaluations: int, pop: Population,
 
 
 class _Draws:
-    """A PCG64 Generator's scalar draws in one pair loop, computed as numpy does (Lemire's method
-    over 32-bit halves) from blocks of raw words; ``sync`` leaves it as numpy's calls would."""
-    def __init__(self, rng, block):
-        self._bits, self._block, self._words, self._taken = rng.bit_generator, block, [], 0
-        self._saved = self._bits.state  # numpy leaves uinteger stale when it clears has_uint32
-        self._has32, self._half = self._saved["has_uint32"], self._saved["uinteger"]
-
-    def _u64(self):
-        if not self._words:  # the unused words, the next one last
-            self._words = self._bits.random_raw(self._block).tolist()[::-1]
-            self._taken += self._block
-        return self._words.pop()
-
-    def _u32(self):
-        if self._has32:
-            self._has32 = 0
-            return self._half
-        word = self._u64()
-        self._has32, self._half = 1, word >> 32
-        return word & 0xFFFFFFFF
+    """A Generator's scalar draws in a run's pair loop: its bit generator's own C calls with
+    numpy's arithmetic (Lemire's method over 32-bit words), so values and state equal numpy's.
+    The calls skip numpy's per-generator lock: share no Generator across threads during a run."""
+    def __init__(self, rng):
+        bits = rng.bit_generator.ctypes
+        self._u32 = partial(bits.next_uint32, bits.state_address)
+        self._double = partial(bits.next_double, bits.state_address)
 
     def integers(self, low, high=None):
         low, n = (0, low) if high is None else (low, high - low)
@@ -219,18 +207,11 @@ class _Draws:
         return low + (m >> 32)
 
     def random(self, dtype=np.float64):
-        return ((self._u32() >> 8) * 2.0 ** -24 if dtype is np.float32
-                else (self._u64() >> 11) * 2.0 ** -53)
-
-    def sync(self):
-        self._bits.state = self._saved
-        self._bits.advance(self._taken - len(self._words))  # which clears has_uint32
-        self._bits.state = {**self._bits.state, "has_uint32": self._has32, "uinteger": self._half}
+        return (self._u32() >> 8) * 2.0 ** -24 if dtype is np.float32 else self._double()
 
 
 def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     rng = np.random.default_rng(config.seed if rng is None else rng)
-    replay = type(rng.bit_generator) is np.random.PCG64  # else the pair loop draws from rng
     k_tasks = len(tasks)
     dims = [t.dimension for t in tasks]
     config.check_init_budget(k_tasks)
@@ -249,9 +230,9 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
                if adaptive else None)
 
     trace = RunTrace([_record(0, evaluations, pop, rmp)])
+    draws = _Draws(rng)  # the pair loop's scalar draws; permutations come from rng itself
     while evaluations < config.eval_budget:
         order = rng.permutation(len(pop.costs)).tolist()
-        draws = _Draws(rng, 8 * config.population_size) if replay else rng
         buckets = [np.flatnonzero(pop.skill == t) for t in range(k_tasks)] if adaptive else None
         where = gene_positions(pop.genomes) if adaptive else None
         skill_of = pop.skill.tolist()
@@ -261,8 +242,6 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
                  for ia, ib in zip(order[::2], order[1::2]))
         # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
         children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
-        if replay:
-            draws.sync()
         built, skills, child_costs = zip(*children)
         skills, child_costs = np.array(skills), np.array(child_costs)
         deferred = child_costs == UNEVALUATED  # the records

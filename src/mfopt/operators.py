@@ -3,7 +3,8 @@ whose window is sized by the adaptive transfer matrix and whose draw reads
 the donor's ``gene_positions`` row (one table per generation in the engine),
 and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
 one child per record over a genome matrix, built in two passes of the kernel
-``reorder_genes``: the crossover window, then the 2-opt move.
+``reorder_genes``: the crossover window, then the 2-opt move. Where an operator takes an
+``rng``, the engines pass an object with ``Generator``'s ``integers`` and ``random``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class CrossoverWindow:
 def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
     """Two distinct points of range(n), ascending, with exactly the bits of numpy's
     ``sorted(rng.choice(n, 2, replace=False))``: Floyd's sample, then its shuffle's 32-bit word
-    as a float32 draw. The engines pass an object with ``rng``'s ``integers`` and ``random``."""
+    as a float32 draw."""
     a = int(rng.integers(n - 1))
     b = int(rng.integers(n))
     b = n - 1 if b == a else b
@@ -80,7 +81,7 @@ def two_opt(
     """Reverse the segment between positions i and j inclusive.
 
     With no explicit (i, j), a random pair with i < j is drawn, so the move always changes
-    the genome. The engines pass, as ``rng``, an object with the same ``integers`` and ``random``.
+    the genome.
     """
     if genome.ndim != 1:
         raise ValueError(f"two_opt takes one genome, got shape {genome.shape}")
@@ -112,8 +113,7 @@ def gene_positions(genomes: np.ndarray) -> np.ndarray:
 
 def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
     """dOX's draws, reading the donor's ``gene_positions`` row: its window [lo, hi), or, if
-    the donor keeps the window's genes in order, the adjacent swap [lo, lo + 2) (flag True).
-    The engines pass, as ``rng``, an object with ``Generator``'s ``integers`` and ``random``."""
+    the donor keeps the window's genes in order, the adjacent swap [lo, lo + 2) (flag True)."""
     n, at = len(dominant), -1
     lo = int(rng.integers(0, n - length + 1))
     for p in positions[dominant[lo:lo + length]].tolist():  # rising up to a descent
@@ -148,8 +148,7 @@ def dynamic_ox(
     inside the window the dominant's genes are re-ordered to follow their relative order in
     the donor, so the amount of transferred material scales with the learned transfer
     probability. If the donor imposes no change, one adjacent 2-opt swap (the window's order
-    taken from the reversed dominant) makes the child differ. The engines pass, as ``rng``, an
-    object with the same ``integers`` and ``random``.
+    taken from the reversed dominant) makes the child differ.
     """
     length = window_length(w, rmp_entry, d_k, len(dominant))
     lo, hi, swap = _dox_window(dominant, gene_positions(donor), length, rng)

@@ -139,10 +139,13 @@ def test_unusable_outdir_is_a_usage_error(command, outdir, tmp_path, capsys, mon
     assert err.splitlines()[-1].startswith("mfopt: error: cannot create output directory ")
 
 
-@pytest.mark.parametrize("command", ["run", "bench", "report"])
-def test_unwritable_output_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("case", ["run", "bench", "report", "late"])
+def test_unwritable_output_is_a_usage_error(case, tmp_path, capsys, monkeypatch):
     # The file the command writes is a directory: exit 2 with one line naming it,
     # before any search or write. report writes summary.csv before results.json.
+    # Late: run's trace is a dangling link into a missing directory, which only the
+    # write after the search finds; that too is one line and exit 2.
+    command = "run" if case == "late" else case
     flags = ["--budget", "200", "--pop", "20", "--outdir", str(tmp_path)]
     blocked = tmp_path / {"run": "TE_4_3__MFEA__single.jsonl", "bench": "summary.csv",
                           "report": "results.json"}[command]
@@ -151,9 +154,12 @@ def test_unwritable_output_is_a_usage_error(command, tmp_path, capsys, monkeypat
         blocked.unlink()
         (tmp_path / "summary.csv").write_text("stub\n")
         flags = flags[-2:]
-    blocked.mkdir()
+    if case == "late":
+        blocked.symlink_to(tmp_path / "missing" / "trace.jsonl")
+    else:
+        blocked.mkdir()
     searched = []
-    if command == "run":
+    if case == "run":
         monkeypatch.setattr("mfopt.harness._run_one", lambda *a: searched.append(a))
     argv = {"run": ["--engine", "MFEA"], "bench": ["--reps", "2"], "report": []}[command]
     with pytest.raises(SystemExit) as exc:
@@ -166,7 +172,8 @@ def test_unwritable_output_is_a_usage_error(command, tmp_path, capsys, monkeypat
         assert (tmp_path / "summary.csv").read_text() == "stub\n"
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1] == f"mfopt: error: cannot write {blocked}: Is a directory"
+    reason = "No such file or directory" if case == "late" else "Is a directory"
+    assert err.splitlines()[-1] == f"mfopt: error: cannot write {blocked}: {reason}"
 
 
 def test_bench_aggregates_only_the_traces_it_wrote(tmp_path, capsys):

@@ -391,77 +391,77 @@ class TestAdaptiveSpecifics:
             assert row[t] == evaluate_skill_task(genome, t, tasks)
 
 
-class _DirectPCG64(np.random.PCG64):
-    """PCG64's stream under another type, so the engines draw from the Generator itself."""
+BIT_GENERATORS = pytest.mark.parametrize(
+    "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+             np.random.MT19937], ids=lambda b: b.__name__)
 
 
-def _stream_state(gen):
-    state = gen.bit_generator.state
-    return state["state"], state["has_uint32"], state["uinteger"]
+def _same_state(a, b):
+    """Bit-generator states compared recursively, since Philox's holds arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-# The pair loop's four scalar calls, as (method, args, kwargs); the ranges n
-# include Lemire's edge cases.
+# The pair loop's four scalar calls, as (method, args, kwargs), and the permutation each
+# generation draws from the Generator itself; the ranges n include Lemire's edge cases.
 RANGES = st.sampled_from([1, 2, 76, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1)
 DRAW_CALLS = st.one_of(
     RANGES.map(lambda n: ("integers", (n,), {})),
     st.tuples(st.integers(-1000, 1000), RANGES).map(
         lambda low_n: ("integers", (low_n[0], sum(low_n)), {})),
     st.just(("random", (), {})),
-    st.just(("random", (), {"dtype": np.float32})))
+    st.just(("random", (), {"dtype": np.float32})),
+    st.just(("permutation", (7,), {})))
 
 
 class TestDrawReplay:
-    # ``half``, if not None, is a buffered 32-bit half to start from, as a
-    # float32 draw leaves one.
-    @given(seed=st.integers(0, 2**64 - 1), half=st.none() | st.integers(0, 2**32 - 1),
-           block=st.integers(1, 20), calls=st.lists(DRAW_CALLS, max_size=60))
-    @example(seed=0, half=None, block=1, calls=[("integers", (2**31 + 1,), {})] * 20)
-    # n = 2^31 + 1 rejects a product whose low 32 bits fall below (2^32 - n) mod n
-    # = 2^31 - 1; the half 2^31 - 2 gives (2^31 - 2) n mod 2^32 = 2^31 - 2, one below.
-    @example(seed=0, half=2**31 - 2, block=1, calls=[("integers", (2**31 + 1,), {})])
+    @BIT_GENERATORS
+    @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(DRAW_CALLS, max_size=60))
+    # n = 2^31 + 1 rejects a product whose low 32 bits fall below (2^32 - n) mod n = 2^31 - 1,
+    # about one draw in two; after a float32 draw, PCG64 serves the next from its buffered half.
+    @example(seed=0, calls=[("integers", (2**31 + 1,), {})] * 20)
+    @example(seed=0, calls=[("random", (), {"dtype": np.float32}), ("integers", (2**31 + 1,), {})])
     @settings(max_examples=300, deadline=None)
-    def test_replay_equals_numpy_draws_and_state(self, seed, half, block, calls):
-        # Values, the full state after sync (has_uint32 and a stale uinteger
-        # included) and the next permutation all equal numpy's own calls.
-        real, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        if half is not None:
-            for gen in (real, twin):
-                gen.bit_generator.state = {**gen.bit_generator.state, "has_uint32": 1,
-                                           "uinteger": half}
-        draws = _Draws(real, block)
+    def test_replay_equals_numpy_draws_and_state(self, bits, seed, calls):
+        # Values, the full final state and the next permutation all equal numpy's own calls,
+        # with a permutation drawn by the Generator itself between any two of them.
+        real, twin = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+        draws = _Draws(real)
         for method, args, kwargs in calls:
-            assert getattr(draws, method)(*args, **kwargs) == getattr(twin, method)(*args, **kwargs)
-        draws.sync()
-        assert real.bit_generator.state == twin.bit_generator.state
+            source = real if method == "permutation" else draws
+            assert np.array_equal(getattr(source, method)(*args, **kwargs),
+                                  getattr(twin, method)(*args, **kwargs))
+        assert _same_state(real.bit_generator.state, twin.bit_generator.state)
         assert np.array_equal(real.permutation(50), twin.permutation(50))
 
+    def test_rejection_edge_equals_numpy(self):
+        # n = 2^31 + 1 rejects a product whose low 32 bits fall below (2^32 - n) mod n
+        # = 2^31 - 1; the buffered half 2^31 - 2 gives (2^31 - 2) n mod 2^32 = 2^31 - 2, one below.
+        real, twin = np.random.default_rng(0), np.random.default_rng(0)
+        for gen in (real, twin):
+            gen.bit_generator.state = {**gen.bit_generator.state, "has_uint32": 1,
+                                       "uinteger": 2**31 - 2}
+        assert _Draws(real).integers(2**31 + 1) == twin.integers(2**31 + 1)
+        assert real.bit_generator.state == twin.bit_generator.state
+
+    @BIT_GENERATORS
     @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2], ids=["mfea", "dmfea2"])
     @pytest.mark.parametrize("pop, budget", [(2, 301), (20, 1013), (200, 12_000)])
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_replayed_run_equals_direct_run(self, runner, pop, budget, seed, monkeypatch):
+    def test_replayed_run_equals_direct_run(self, bits, runner, pop, budget, seed, monkeypatch):
+        # The reference draws from the Generator itself: a _Draws that is the Generator.
         tasks = load_environment("TE_8").tasks
         config = small_config(population_size=pop, eval_budget=budget)
-        replayed = np.random.Generator(np.random.PCG64(seed))
-        direct = np.random.Generator(_DirectPCG64(seed))
-        made = []  # the generators each _Draws replays
-        monkeypatch.setattr(mfopt.engines, "_Draws",
-                            lambda rng, block: made.append(rng) or _Draws(rng, block))
-        best_r, trace_r = runner(tasks, config, replayed)
+        drawn, direct = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+        made = []  # the generators each _Draws draws from
+        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: made.append(rng) or _Draws(rng))
+        best_r, trace_r = runner(tasks, config, drawn)
+        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: rng)
         best_d, trace_d = runner(tasks, config, direct)
-        assert made and all(gen is replayed for gen in made)
+        assert len(made) == 1 and made[0] is drawn  # one per run
+        assert trace_r.records[-1].evaluations == budget
         assert trace_r.to_jsonl() == trace_d.to_jsonl()
-        assert all(np.array_equal(r.genome, d.genome) for r, d in zip(best_r, best_d))
-        assert _stream_state(replayed) == _stream_state(direct)
-
-    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM,
-                                      np.random.SFC64], ids=lambda b: b.__name__)
-    def test_other_bit_generators_run_and_repeat(self, bits):
-        tasks = load_environment("TE_4_1").tasks
-        config = small_config(eval_budget=801)
-        (best_a, trace_a), (best_b, trace_b) = (
-            run_dmfea2(tasks, config, np.random.Generator(bits(5))) for _ in range(2))
-        assert trace_a.records[-1].evaluations == 801
-        assert trace_a.to_jsonl() == trace_b.to_jsonl()
-        assert all(is_valid_genome(a.genome) and np.array_equal(a.genome, b.genome)
-                   for a, b in zip(best_a, best_b))
+        assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)
+                   for r, d in zip(best_r, best_d))
+        assert _same_state(drawn.bit_generator.state, direct.bit_generator.state)
