@@ -193,7 +193,7 @@ class _Draws:
     numpy's arithmetic (Lemire's method over 32-bit words), so values and state equal numpy's.
     The calls skip numpy's per-generator lock: share no Generator across threads during a run."""
     def __init__(self, rng):
-        bits = rng.bit_generator.ctypes
+        bits, self._rng = rng.bit_generator.ctypes, rng  # the C state lives as long as rng
         self._u32 = partial(bits.next_uint32, bits.state_address)
         self._double = partial(bits.next_double, bits.state_address)
 

@@ -418,8 +418,8 @@ DRAW_CALLS = st.one_of(
 class TestDrawReplay:
     @BIT_GENERATORS
     @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(DRAW_CALLS, max_size=60))
-    # n = 2^31 + 1 rejects a product whose low 32 bits fall below (2^32 - n) mod n = 2^31 - 1,
-    # about one draw in two; after a float32 draw, PCG64 serves the next from its buffered half.
+    # n = 2^31 + 1 rejects about one product in two; after a float32 draw, PCG64 serves the
+    # next 32-bit word from its buffered half.
     @example(seed=0, calls=[("integers", (2**31 + 1,), {})] * 20)
     @example(seed=0, calls=[("random", (), {"dtype": np.float32}), ("integers", (2**31 + 1,), {})])
     @settings(max_examples=300, deadline=None)
