@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -391,9 +392,8 @@ class TestAdaptiveSpecifics:
             assert row[t] == evaluate_skill_task(genome, t, tasks)
 
 
-BIT_GENERATORS = pytest.mark.parametrize(
-    "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
-             np.random.MT19937], ids=lambda b: b.__name__)
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937]
 
 
 def _same_state(a, b):
@@ -415,17 +415,42 @@ DRAW_CALLS = st.one_of(
     st.just(("permutation", (7,), {})))
 
 
+def _check_drawn_run_equals_direct_run(bits, runner, pop, budget, seed, monkeypatch):
+    """A run through _Draws equals one that draws from the Generator itself."""
+    tasks = load_environment("TE_8").tasks
+    config = small_config(population_size=pop, eval_budget=budget)
+    drawn, direct = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+    made = []  # the generators each _Draws draws from
+    monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: made.append(rng) or _Draws(rng))
+    best_r, trace_r = runner(tasks, config, drawn)
+    # The reference: a _Draws that is the Generator.
+    monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: rng)
+    best_d, trace_d = runner(tasks, config, direct)
+    assert len(made) == 1 and made[0] is drawn  # one per run
+    assert trace_r.records[-1].evaluations == budget
+    assert trace_r.to_jsonl() == trace_d.to_jsonl()
+    assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)
+               for r, d in zip(best_r, best_d))
+    assert _same_state(drawn.bit_generator.state, direct.bit_generator.state)
+
+
+POP_BUDGETS = [(2, 301), (20, 1013), (200, 12_000)]
+SEEDS = [3, 4]
+
+
 class TestDrawReplay:
-    @BIT_GENERATORS
-    @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(DRAW_CALLS, max_size=60))
+    @given(bits=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**64 - 1),
+           calls=st.lists(DRAW_CALLS, max_size=60))
     # n = 2^31 + 1 rejects about one product in two; after a float32 draw, PCG64 serves the
     # next 32-bit word from its buffered half.
-    @example(seed=0, calls=[("integers", (2**31 + 1,), {})] * 20)
-    @example(seed=0, calls=[("random", (), {"dtype": np.float32}), ("integers", (2**31 + 1,), {})])
-    @settings(max_examples=300, deadline=None)
+    @example(bits=np.random.PCG64, seed=0, calls=[("integers", (2**31 + 1,), {})] * 20)
+    @example(bits=np.random.PCG64, seed=0,
+             calls=[("random", (), {"dtype": np.float32}), ("integers", (2**31 + 1,), {})])
+    @settings(max_examples=1500, deadline=None)
     def test_replay_equals_numpy_draws_and_state(self, bits, seed, calls):
-        # Values, the full final state and the next permutation all equal numpy's own calls,
-        # with a permutation drawn by the Generator itself between any two of them.
+        # For every numpy bit generator: values, the full final state and the next
+        # permutation all equal numpy's own calls, with a permutation drawn by the
+        # Generator itself between any two of them.
         real, twin = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
         draws = _Draws(real)
         for method, args, kwargs in calls:
@@ -445,23 +470,19 @@ class TestDrawReplay:
         assert _Draws(real).integers(2**31 + 1) == twin.integers(2**31 + 1)
         assert real.bit_generator.state == twin.bit_generator.state
 
-    @BIT_GENERATORS
     @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2], ids=["mfea", "dmfea2"])
-    @pytest.mark.parametrize("pop, budget", [(2, 301), (20, 1013), (200, 12_000)])
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_replayed_run_equals_direct_run(self, bits, runner, pop, budget, seed, monkeypatch):
-        # The reference draws from the Generator itself: a _Draws that is the Generator.
-        tasks = load_environment("TE_8").tasks
-        config = small_config(population_size=pop, eval_budget=budget)
-        drawn, direct = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
-        made = []  # the generators each _Draws draws from
-        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: made.append(rng) or _Draws(rng))
-        best_r, trace_r = runner(tasks, config, drawn)
-        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: rng)
-        best_d, trace_d = runner(tasks, config, direct)
-        assert len(made) == 1 and made[0] is drawn  # one per run
-        assert trace_r.records[-1].evaluations == budget
-        assert trace_r.to_jsonl() == trace_d.to_jsonl()
-        assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)
-                   for r, d in zip(best_r, best_d))
-        assert _same_state(drawn.bit_generator.state, direct.bit_generator.state)
+    @pytest.mark.parametrize("pop, budget", POP_BUDGETS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_replayed_run_equals_direct_run(self, runner, pop, budget, seed, monkeypatch):
+        # numpy's default bit generator, PCG64.
+        _check_drawn_run_equals_direct_run(np.random.PCG64, runner, pop, budget, seed,
+                                           monkeypatch)
+
+    @pytest.mark.parametrize("bits", [b for b in BIT_GENERATORS if b is not np.random.PCG64],
+                             ids=lambda b: b.__name__)
+    def test_other_bit_generators_run_and_repeat(self, bits, monkeypatch):
+        # The same engine, population, budget and seed cases as for PCG64, repeated exactly
+        # by draws taken from the Generator itself.
+        for runner in (run_mfea, run_dmfea2):
+            for (pop, budget), seed in itertools.product(POP_BUDGETS, SEEDS):
+                _check_drawn_run_equals_direct_run(bits, runner, pop, budget, seed, monkeypatch)
