@@ -109,7 +109,7 @@ class RmpMatrix:
                    delta_inc=delta_inc, delta_dec=delta_dec, floor=floor)
 
     def get(self, i: int, j: int) -> float:
-        return float(self.entries[i, j])
+        return self.entries.item(i, j)
 
 
 def rmp_update(m: RmpMatrix, i: int, j: int, transfer_positive: bool) -> RmpMatrix:
@@ -118,7 +118,7 @@ def rmp_update(m: RmpMatrix, i: int, j: int, transfer_positive: bool) -> RmpMatr
     Positive transfer divides by delta_inc (clamped at 1.0); negative
     multiplies by delta_dec (clamped at the floor).
     """
-    entry = m.entries[i, j]
+    entry = m.entries.item(i, j)
     if transfer_positive:  # as min(1.0, entry / delta_inc), with no overflow past 1
         entry = 1.0 if entry >= m.delta_inc else entry / m.delta_inc
     else:
@@ -233,7 +233,8 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     draws = _Draws(rng)  # the pair loop's scalar draws; permutations come from rng itself
     while evaluations < config.eval_budget:
         order = rng.permutation(len(pop.costs)).tolist()
-        buckets = [np.flatnonzero(pop.skill == t) for t in range(k_tasks)] if adaptive else None
+        buckets = ([np.flatnonzero(pop.skill == t).tolist() for t in range(k_tasks)]
+                   if adaptive else None)
         where = gene_positions(pop.genomes) if adaptive else None
         skill_of = pop.skill.tolist()
         pairs = (_dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, config,

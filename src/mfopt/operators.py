@@ -125,7 +125,7 @@ def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
 
 
 def reorder_genes(dominant: np.ndarray, donor: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """OX's and dOX's kernel: the dominant genome with its genes at the ``inside``
+    """``build_children``'s kernel: the dominant genome with its genes at the ``inside``
     positions put in the order they take in the donor; matrices, row by row."""
     chosen = np.zeros(dominant.size // dominant.shape[-1] * (dominant.shape[-1] + 1), dtype=bool)
     chosen[_gene_keys(dominant)] = inside
@@ -151,10 +151,12 @@ def dynamic_ox(
     taken from the reversed dominant) makes the child differ.
     """
     length = window_length(w, rmp_entry, d_k, len(dominant))
-    lo, hi, swap = _dox_window(dominant, gene_positions(donor), length, rng)
-    inside = np.zeros(len(dominant), dtype=bool)
-    inside[lo:hi] = True
-    return reorder_genes(dominant, dominant[::-1] if swap else donor, inside)
+    positions = gene_positions(donor)
+    lo, hi, swap = _dox_window(dominant, positions, length, rng)
+    child = dominant.copy()
+    window = child[lo:hi]  # sorted by the donor's positions, or the two genes swapped
+    window[:] = window[::-1] if swap else window[positions[window].argsort()]
+    return child
 
 
 def build_children(genomes: np.ndarray, records) -> np.ndarray:
@@ -166,9 +168,9 @@ def build_children(genomes: np.ndarray, records) -> np.ndarray:
     a, b, lo, hi, i, j, ox = np.fromiter(chain.from_iterable(records), np.int64).reshape(-1, 7).T
     cycled = sliding_window_view(np.hstack((genomes, genomes)), n, axis=1)
     donors = cycled[b, hi * ox]  # row b, read from hi if ox
-    donors[a == b] = donors[a == b, ::-1]
+    donors[a == b] = np.compress(a == b, donors, axis=0)[:, ::-1]
     cols = np.arange(n)
-    chosen = ((lo[:, None] <= cols) & (cols < hi[:, None])) != ox[:, None]
+    chosen = (cols >= lo[:, None]) ^ (cols >= hi[:, None]) ^ ox.astype(bool)[:, None]
     children = reorder_genes(genomes[a], donors, chosen)
     m = np.flatnonzero(i < j)  # 2-opt: the genes in [i, j] in the order of the reversed row
     i, j, moved = i[m, None], j[m, None], children[m]

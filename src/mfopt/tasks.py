@@ -14,9 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _euc2d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise EUC_2D distances between coordinate arrays (n,2) and (m,2)."""
-    diff = a[:, None, :] - b[None, :, :]
+def _euc2d_matrix(points: np.ndarray) -> np.ndarray:
+    """EUC_2D distances between the (x, y) rows of ``points``, row k being city k; a
+    NaN or infinite coordinate is a ValueError naming the first such city."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"city {bad[0]} has a non-finite coordinate: {points[bad[0]].tolist()}")
+    diff = points[:, None, :] - points[None, :, :]
     return np.floor(np.sqrt((diff ** 2).sum(axis=2)) + 0.5).astype(np.int64)
 
 
@@ -29,20 +33,21 @@ def project(genomes: np.ndarray, dimension: int) -> np.ndarray:
     """
     if dimension > genomes.shape[-1]:
         raise ValueError(f"task dimension {dimension} exceeds d_max {genomes.shape[-1]}")
-    return genomes[genomes <= dimension].reshape(genomes.shape[:-1] + (dimension,))
+    kept = genomes[genomes <= dimension]
+    return kept if genomes.ndim == 1 else kept.reshape(genomes.shape[:-1] + (dimension,))
 
 
 @dataclass
 class TspInstance:
     name: str
     coords: np.ndarray  # (dimension, 2)
-    _dist: np.ndarray = field(init=False, repr=False)
+    _dist: np.ndarray = field(init=False, repr=False)  # by city id; city 0, the origin, unused
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
         if self.dimension < 3:
             raise ValueError("TSP instance needs at least 3 cities")
-        self._dist = _euc2d_matrix(self.coords, self.coords)
+        self._dist = _euc2d_matrix(np.vstack(([0.0, 0.0], self.coords)))
 
     @property
     def dimension(self) -> int:
@@ -54,9 +59,8 @@ class TspInstance:
 
 def tsp_cost(perm: np.ndarray, inst: TspInstance):
     """Closed-tour length of each ``perm`` row (1-based city ids) on ``inst``."""
-    idx = perm - 1
     d = inst._dist
-    total = d[idx[..., :-1], idx[..., 1:]].sum(axis=-1) + d[idx[..., -1], idx[..., 0]]
+    total = d[perm[..., :-1], perm[..., 1:]].sum(axis=-1) + d[perm[..., -1], perm[..., 0]]
     return float(total) if perm.ndim == 1 else total.astype(float)
 
 
@@ -67,8 +71,8 @@ class CvrpInstance:
     customer_coords: np.ndarray  # (dimension, 2)
     demands: np.ndarray          # (dimension,)
     capacity: int
-    # (customer distances, depot distances, demands, capacity) as Python ints
-    # for cvrp_cost: list indexing is several times cheaper than numpy scalars.
+    # (distances, depot distances, demands, capacity) by customer id, the depot being 0, as Python
+    # ints for cvrp_cost: list indexing is several times cheaper than numpy scalars.
     _lists: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -76,14 +80,14 @@ class CvrpInstance:
         self.demands = np.asarray(self.demands, dtype=np.int64)
         if len(self.demands) != len(self.customer_coords):
             raise ValueError("demand count does not match customer count")
-        if (self.demands > self.capacity).any():
-            raise ValueError("a single customer demand exceeds vehicle capacity")
+        bad = np.flatnonzero((self.demands < 0) | (self.demands > self.capacity))
+        if bad.size:
+            raise ValueError(f"demands[{bad[0]}] = {self.demands[bad[0]]} is outside "
+                             f"[0, {self.capacity}]")
         if self.dimension < 2:
             raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
-        depot = np.asarray([self.depot_coord], dtype=float)
-        self._lists = (_euc2d_matrix(self.customer_coords, self.customer_coords).tolist(),
-                       _euc2d_matrix(depot, self.customer_coords)[0].tolist(),
-                       self.demands.tolist(), int(self.capacity))
+        dist = _euc2d_matrix(np.vstack(([self.depot_coord], self.customer_coords))).tolist()
+        self._lists = (dist, dist[0], [0, *self.demands.tolist()], int(self.capacity))
 
     @property
     def dimension(self) -> int:
@@ -103,7 +107,7 @@ def cvrp_cost(perm: np.ndarray, inst: CvrpInstance):
     reference.
     """
     dist, depot, demands, cap = inst._lists
-    rows = (perm - 1).tolist()
+    rows = perm.tolist()
     costs = []
     for idx in (rows if perm.ndim > 1 else (rows,)):
         prev = idx[0]

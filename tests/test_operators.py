@@ -23,18 +23,16 @@ from test_acceptance import reference_ox
 
 
 def reference_dynamic_ox(dominant, donor, rmp_entry, w, d_k, rng):
-    """Independent dOX reference with the same draws: scatter each donor
-    value's position, argsort the window by it, and fall back to an
+    """Independent dOX reference with the same draws: refill the window with
+    its genes in the order a scan of the donor meets them, and fall back to an
     adjacent swap when the whole child equals the dominant parent."""
     n = len(dominant)
     length = window_length(w, rmp_entry, d_k, n)
     lo = int(rng.integers(0, n - length + 1))
     hi = lo + length
     child = dominant.copy()
-    segment = child[lo:hi]
-    donor_pos = np.empty(n + 1, dtype=np.int64)
-    donor_pos[donor] = np.arange(n)
-    child[lo:hi] = segment[np.argsort(donor_pos[segment], kind="stable")]
+    window = set(child[lo:hi].tolist())
+    child[lo:hi] = [g for g in donor.tolist() if g in window]
     if np.array_equal(child, dominant):
         i = int(rng.integers(0, n - 1))
         child = two_opt(child, i, i + 1)

@@ -54,6 +54,13 @@ def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
     return RoutePlan(routes=routes, total_distance=float(total))
 
 
+def tour_length(perm: np.ndarray, inst: TspInstance) -> float:
+    """Closed-tour length summed from the coordinates with ``euc2d_distance``,
+    independently of the instance's own table: the reference for ``tsp_cost``."""
+    stops = inst.coords[perm - 1].tolist()
+    return float(sum(euc2d_distance(a, b) for a, b in zip(stops, stops[1:] + stops[:1])))
+
+
 def _route_distance(idx: np.ndarray, inst: CvrpInstance) -> int:
     # Measured from the coordinates, independently of the instance's own tables.
     stops = [inst.depot_coord, *inst.customer_coords[idx].tolist(), inst.depot_coord]
@@ -71,14 +78,22 @@ class TestProject:
         with pytest.raises(ValueError):
             project(np.array([2, 1]), 3)
 
-    @given(permutations, st.integers(min_value=1, max_value=40))
+    @given(permutations, st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_projection_is_valid_and_idempotent(self, perm, dim):
+    def test_projection_is_valid_and_idempotent(self, perm, dim, seed):
         g = np.array(perm)
         dim = min(dim, len(g))
         p = project(g, dim)
         assert sorted(p) == list(range(1, dim + 1))
         assert np.array_equal(project(p, dim), p)
+        # A matrix projects row by row, each row as it does alone.
+        rng = np.random.default_rng(seed)
+        rows = np.array([g, *(rng.permutation(len(g)) + 1 for _ in range(3))])
+        projected = project(rows, dim)
+        assert projected.shape == (4, dim)
+        assert all(np.array_equal(row, project(alone, dim))
+                   for row, alone in zip(projected, rows))
 
 
 class TestTsp:
@@ -91,11 +106,20 @@ class TestTsp:
         with pytest.raises(ValueError):
             TspInstance(name="tiny", coords=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        # The parser refuses such a file; the class must too, not cast NaN
+        # into integer distances. The message names the city id.
+        coords = np.zeros((4, 2))
+        coords[2, 1] = bad
+        with pytest.raises(ValueError, match="city 3 has a non-finite coordinate"):
+            TspInstance(name="bad", coords=coords)
+
     def test_distance_rounding_half_up(self):
-        # hypot = 0.5 exactly must round to 1, not 0.
+        # hypot = 0.5 exactly must round to 1, not 0: 1 + 5 + 5, not 0 + 5 + 5.
         inst = TspInstance(name="r", coords=np.array(
             [[0.0, 0.0], [0.5, 0.0], [0.0, 5.0]]))
-        assert inst._dist[0, 1] == 1
+        assert tsp_cost(np.array([1, 2, 3]), inst) == 11.0
 
     @given(st.integers(min_value=0, max_value=2 ** 31), permutations)
     @settings(max_examples=50, deadline=None)
@@ -107,9 +131,24 @@ class TestTsp:
         inst = TspInstance(name="rand", coords=rng.uniform(0, 100, (n, 2)))
         p = np.array(perm)
         c = tsp_cost(p, inst)
+        assert c == tour_length(p, inst)
         assert c == tsp_cost(np.roll(p, 1), inst)
         assert c == tsp_cost(p[::-1].copy(), inst)
         assert c >= 0
+        # Matrix rows: the same tour rotated and reversed, and another one.
+        rows = np.array([p, np.roll(p, 1), p[::-1], rng.permutation(n) + 1])
+        assert tsp_cost(rows, inst).tolist() == [c, c, c, tour_length(rows[3], inst)]
+
+    @pytest.mark.parametrize("name", ["berlin52", "eil51", "st70", "eil76"])
+    def test_cost_matches_coordinates_on_bundled(self, name):
+        inst = next(t for t in load_environment("TE_4_1").tasks if t.name == name)
+        rng = np.random.default_rng(0)
+        identity = np.arange(1, inst.dimension + 1)
+        perms = np.array([identity, identity[::-1],
+                          *(rng.permutation(inst.dimension) + 1 for _ in range(500))])
+        expected = [tour_length(perm, inst) for perm in perms]
+        assert [tsp_cost(perm, inst) for perm in perms] == expected
+        assert tsp_cost(perms, inst).tolist() == expected
 
 
 class TestCvrp:
@@ -137,11 +176,27 @@ class TestCvrp:
         plan = cvrp_decode(np.array([1, 2, 3, 4]), big)
         assert len(plan.routes) == 1
 
-    def test_demand_exceeding_capacity_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("demands, match", [
+        ([6, 11, 8], r"demands\[1\] = 11 is outside \[0, 10\]"),
+        # Unchecked, this instance costs the tour [1, 2, 3] as one route with load 9.
+        ([-5, 8, 6], r"demands\[0\] = -5 is outside \[0, 10\]"),
+    ], ids=["over capacity", "negative"])
+    def test_demand_outside_range_rejected(self, demands, match):
+        # As the parser does, naming the first bad demand.
+        with pytest.raises(ValueError, match=match):
             CvrpInstance(name="bad", depot_coord=(0, 0),
-                         customer_coords=np.array([[1.0, 0.0]]),
-                         demands=np.array([11]), capacity=10)
+                         customer_coords=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+                         demands=np.array(demands), capacity=10)
+
+    @pytest.mark.parametrize("depot, customer, city", [
+        ((np.nan, 0.0), (1.0, 0.0), 0), ((0.0, 0.0), (1.0, np.inf), 2),
+    ], ids=["depot", "customer"])
+    def test_non_finite_coordinate_rejected(self, depot, customer, city):
+        # The depot is city 0 and customer k is city k, as in the cost tables.
+        with pytest.raises(ValueError, match=f"city {city} has a non-finite coordinate"):
+            CvrpInstance(name="bad", depot_coord=depot,
+                         customer_coords=np.array([[1.0, 1.0], customer]),
+                         demands=np.array([1, 1]), capacity=10)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_customers_rejected(self, n):
