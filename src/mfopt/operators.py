@@ -147,8 +147,8 @@ def dynamic_ox(
     The child equals the dominant parent outside a cutting window of length w * rmp * d_k;
     inside the window the dominant's genes are re-ordered to follow their relative order in
     the donor, so the amount of transferred material scales with the learned transfer
-    probability. If the donor imposes no change, one adjacent 2-opt swap (the window's order
-    taken from the reversed dominant) makes the child differ.
+    probability. If the donor imposes no change, one adjacent 2-opt swap at a freshly drawn
+    position makes the child differ.
     """
     length = window_length(w, rmp_entry, d_k, len(dominant))
     positions = gene_positions(donor)

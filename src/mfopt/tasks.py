@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _euc2d_matrix(points: np.ndarray) -> np.ndarray:
-    """EUC_2D distances between the (x, y) rows of ``points``, row k being city k; a
-    NaN or infinite coordinate is a ValueError naming the first such city."""
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise ValueError(f"city {bad[0]} has a non-finite coordinate: {points[bad[0]].tolist()}")
+def _euc2d_matrix(points: np.ndarray, first: int) -> np.ndarray:
+    """EUC_2D distances between the (x, y) rows of ``points``, row k being city first + k;
+    a NaN or infinite coordinate is a ValueError naming the first such city."""
+    if not np.isfinite(points).all():
+        k = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
+        raise ValueError(f"city {first + k} has a non-finite coordinate: {points[k].tolist()}")
     diff = points[:, None, :] - points[None, :, :]
     return np.floor(np.sqrt((diff ** 2).sum(axis=2)) + 0.5).astype(np.int64)
 
@@ -41,13 +41,14 @@ def project(genomes: np.ndarray, dimension: int) -> np.ndarray:
 class TspInstance:
     name: str
     coords: np.ndarray  # (dimension, 2)
-    _dist: np.ndarray = field(init=False, repr=False)  # by city id; city 0, the origin, unused
+    _dist: np.ndarray = field(init=False, repr=False)  # by city id; row and column 0 unused
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
         if self.dimension < 3:
             raise ValueError("TSP instance needs at least 3 cities")
-        self._dist = _euc2d_matrix(np.vstack(([0.0, 0.0], self.coords)))
+        self._dist = np.zeros((self.dimension + 1,) * 2, dtype=np.int64)
+        self._dist[1:, 1:] = _euc2d_matrix(self.coords, 1)
 
     @property
     def dimension(self) -> int:
@@ -86,7 +87,7 @@ class CvrpInstance:
                              f"[0, {self.capacity}]")
         if self.dimension < 2:
             raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
-        dist = _euc2d_matrix(np.vstack(([self.depot_coord], self.customer_coords))).tolist()
+        dist = _euc2d_matrix(np.vstack(([self.depot_coord], self.customer_coords)), 0).tolist()
         self._lists = (dist, dist[0], [0, *self.demands.tolist()], int(self.capacity))
 
     @property
