@@ -189,25 +189,22 @@ def _record(generation: int, evaluations: int, pop: Population,
 
 
 class _Draws:
-    """A Generator's scalar draws in a run's pair loop: its bit generator's own C calls with
-    numpy's arithmetic (Lemire's method over 32-bit words), so values and state equal numpy's.
-    The calls skip numpy's per-generator lock: share no Generator across threads during a run."""
+    """A Generator's two scalar calls in a run's pair loop, ``integers(n)`` and ``random()``:
+    its bit generator's own C calls, ``next_uint32`` under numpy's arithmetic (Lemire's method)
+    and ``next_double`` itself, so values and state equal numpy's. The calls skip numpy's
+    per-generator lock: share no Generator across threads during a run."""
     def __init__(self, rng):
         bits, self._rng = rng.bit_generator.ctypes, rng  # the C state lives as long as rng
         self._u32 = partial(bits.next_uint32, bits.state_address)
-        self._double = partial(bits.next_double, bits.state_address)
+        self.random = partial(bits.next_double, bits.state_address)
 
-    def integers(self, low, high=None):
-        low, n = (0, low) if high is None else (low, high - low)
+    def integers(self, n):
         if n == 1:
-            return low
+            return 0
         m = self._u32() * n
         while m & 0xFFFFFFFF < n and m & 0xFFFFFFFF < (0x100000000 - n) % n:  # numpy's test order
             m = self._u32() * n
-        return low + (m >> 32)
-
-    def random(self, dtype=np.float64):
-        return (self._u32() >> 8) * 2.0 ** -24 if dtype is np.float32 else self._double()
+        return m >> 32
 
 
 def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
@@ -301,7 +298,7 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, conf
         for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
             genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
                                 config.w, d_k, rng)
-            genome = two_opt(genome, rng=rng) if rng.random() < config.p_m else genome
+            genome = two_opt(genome, rng) if rng.random() < config.p_m else genome
             skill = ta if rng.random() < 0.5 else tb
             cost = evaluate_skill_task(genome, skill, tasks)
             parent = ia if skill == ta else ib

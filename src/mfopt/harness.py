@@ -219,8 +219,7 @@ def emit_report(rows: list[ReportRow], output_dir: Path) -> dict[str, Path]:
                          "" if r.optimum is None else r.optimum])
     csv_path.write_text(buf.getvalue())
 
-    json_path.write_text(json.dumps([r.__dict__ for r in rows], indent=2,
-                                    default=str) + "\n")
+    json_path.write_text(json.dumps([r.__dict__ for r in rows], indent=2) + "\n")
     return {"summary": csv_path, "results": json_path}
 
 

@@ -4,7 +4,8 @@ the donor's ``gene_positions`` row (one table per generation in the engine),
 and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
 one child per record over a genome matrix, built in two passes of the kernel
 ``reorder_genes``: the crossover window, then the 2-opt move. Where an operator takes an
-``rng``, the engines pass an object with ``Generator``'s ``integers`` and ``random``.
+``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and the engines' draw object
+(``Generator``'s ``integers(n)`` and ``random()`` alone) serve alike.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ class CrossoverWindow:
 
 def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
     """Two distinct points of range(n), ascending, with exactly the bits of numpy's
-    ``sorted(rng.choice(n, 2, replace=False))``: Floyd's sample, then its shuffle's 32-bit word
-    as a float32 draw."""
+    ``sorted(rng.choice(n, 2, replace=False))``: Floyd's sample by ``integers(n - 1)`` and
+    ``integers(n)``, then ``integers(2**32)``, which spends its shuffle's one 32-bit word."""
     a = int(rng.integers(n - 1))
     b = int(rng.integers(n))
     b = n - 1 if b == a else b
-    rng.random(dtype=np.float32)
+    rng.integers(2**32)
     return (a, b) if a < b else (b, a)
 
 
@@ -72,26 +73,12 @@ def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
     return max(1, min(raw, d_max - 1))
 
 
-def two_opt(
-    genome: np.ndarray,
-    i: int | None = None,
-    j: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Reverse the segment between positions i and j inclusive.
-
-    With no explicit (i, j), a random pair with i < j is drawn, so the move always changes
-    the genome.
-    """
+def two_opt(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Reverse the segment between two drawn positions i < j inclusive, so the move always
+    changes the genome."""
     if genome.ndim != 1:
         raise ValueError(f"two_opt takes one genome, got shape {genome.shape}")
-    n = len(genome)
-    if (i is None) != (j is None) or (i is None and rng is None):
-        raise ValueError("need both i and j, or neither and an rng")
-    if i is None:
-        i, j = _two_points(n, rng)
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
+    i, j = _two_points(len(genome), rng)
     out = genome.copy()
     out[i:j + 1] = out[i:j + 1][::-1]
     return out
@@ -115,19 +102,19 @@ def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
     """dOX's draws, reading the donor's ``gene_positions`` row: its window [lo, hi), or, if
     the donor keeps the window's genes in order, the adjacent swap [lo, lo + 2) (flag True)."""
     n, at = len(dominant), -1
-    lo = int(rng.integers(0, n - length + 1))
+    lo = int(rng.integers(n - length + 1))
     for p in positions[dominant[lo:lo + length]].tolist():  # rising up to a descent
         if p < at:
             return lo, lo + length, False
         at = p
-    lo = int(rng.integers(0, n - 1))
+    lo = int(rng.integers(n - 1))
     return lo, lo + 2, True
 
 
 def reorder_genes(dominant: np.ndarray, donor: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """``build_children``'s kernel: the dominant genome with its genes at the ``inside``
-    positions put in the order they take in the donor; matrices, row by row."""
-    chosen = np.zeros(dominant.size // dominant.shape[-1] * (dominant.shape[-1] + 1), dtype=bool)
+    positions put in the order they take in the donor, row by row of genome matrices."""
+    chosen = np.zeros(len(dominant) * (dominant.shape[1] + 1), dtype=bool)
     chosen[_gene_keys(dominant)] = inside
     child = dominant.copy()
     child[inside] = donor[chosen[_gene_keys(donor)]]

@@ -9,9 +9,20 @@ what the published optima of the bundled instances assume.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _points(value, what: str, ndim: int) -> np.ndarray:
+    """``value`` as floats, (x, y) rows if ``ndim`` is 2 or one (x, y) pair if 1; any other
+    shape is a ValueError naming ``what``."""
+    points = np.asarray(value, dtype=float)
+    if points.ndim != ndim or points.shape[-1:] != (2,):
+        raise ValueError(f"{what} must be {'(n, 2)' if ndim == 2 else '(x, y)'}, "
+                         f"got shape {points.shape}")
+    return points
 
 
 def _euc2d_matrix(points: np.ndarray, first: int) -> np.ndarray:
@@ -44,7 +55,7 @@ class TspInstance:
     _dist: np.ndarray = field(init=False, repr=False)  # by city id; row and column 0 unused
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
+        self.coords = _points(self.coords, "coords", 2)
         if self.dimension < 3:
             raise ValueError("TSP instance needs at least 3 cities")
         self._dist = np.zeros((self.dimension + 1,) * 2, dtype=np.int64)
@@ -77,8 +88,13 @@ class CvrpInstance:
     _lists: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.customer_coords = np.asarray(self.customer_coords, dtype=float)
-        self.demands = np.asarray(self.demands, dtype=np.int64)
+        self.customer_coords = _points(self.customer_coords, "customer_coords", 2)
+        depot = _points(self.depot_coord, "depot_coord", 1)
+        if isinstance(self.capacity, bool) or not isinstance(self.capacity, numbers.Integral):
+            raise ValueError(f"capacity must be an integer, got {self.capacity!r}")
+        self.demands = np.asarray(self.demands)
+        if not np.issubdtype(self.demands.dtype, np.integer):
+            raise ValueError(f"demands must be integers, got dtype {self.demands.dtype}")
         if len(self.demands) != len(self.customer_coords):
             raise ValueError("demand count does not match customer count")
         bad = np.flatnonzero((self.demands < 0) | (self.demands > self.capacity))
@@ -87,7 +103,7 @@ class CvrpInstance:
                              f"[0, {self.capacity}]")
         if self.dimension < 2:
             raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
-        dist = _euc2d_matrix(np.vstack(([self.depot_coord], self.customer_coords)), 0).tolist()
+        dist = _euc2d_matrix(np.vstack((depot, self.customer_coords)), 0).tolist()
         self._lists = (dist, dist[0], [0, *self.demands.tolist()], int(self.capacity))
 
     @property

@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,23 @@ def test_run_subcommand(env_file, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "best cost" in captured
     assert list(out.glob("cli_env__MFEA__single.jsonl"))
+
+
+def test_run_needs_only_numpy(tmp_path):
+    # pyproject.toml lists numpy alone, so a run must not import a test package.
+    code = ("import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] in {'scipy', 'hypothesis', 'pytest', '_pytest'}:\n"
+            "            raise ImportError(f'{name} is refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from mfopt.cli import main\n"
+            "sys.exit(main(['run', 'TE_4_1', '--budget', '2000', '--pop', '20', '--outdir', '.']))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("TE_4_1__dMFEA_II__single.jsonl"))
 
 
 def test_run_is_repetition_zero_of_bench(tmp_path, capsys):

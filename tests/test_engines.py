@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -403,15 +404,13 @@ def _same_state(a, b):
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-# The pair loop's four scalar calls, as (method, args, kwargs), and the permutation each
-# generation draws from the Generator itself; the ranges n include Lemire's edge cases.
-RANGES = st.sampled_from([1, 2, 76, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1)
+# The pair loop's two scalar calls, as (method, args, kwargs), and the permutation each
+# generation draws from the Generator itself; the ranges n include Lemire's edge cases and
+# _two_points' one-word 2^32.
+RANGES = st.sampled_from([1, 2, 76, 2**31 + 1, 2**32 - 1, 2**32]) | st.integers(1, 2**32 - 1)
 DRAW_CALLS = st.one_of(
     RANGES.map(lambda n: ("integers", (n,), {})),
-    st.tuples(st.integers(-1000, 1000), RANGES).map(
-        lambda low_n: ("integers", (low_n[0], sum(low_n)), {})),
     st.just(("random", (), {})),
-    st.just(("random", (), {"dtype": np.float32})),
     st.just(("permutation", (7,), {})))
 
 
@@ -423,8 +422,9 @@ def _check_drawn_run_equals_direct_run(bits, runner, pop, budget, seed, monkeypa
     made = []  # the generators each _Draws draws from
     monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: made.append(rng) or _Draws(rng))
     best_r, trace_r = runner(tasks, config, drawn)
-    # The reference: a _Draws that is the Generator.
-    monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: rng)
+    # The reference: the Generator's own two calls, so any other call form fails the run.
+    monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: SimpleNamespace(
+        integers=lambda n: rng.integers(n), random=lambda: rng.random()))
     best_d, trace_d = runner(tasks, config, direct)
     assert len(made) == 1 and made[0] is drawn  # one per run
     assert trace_r.records[-1].evaluations == budget
@@ -441,11 +441,11 @@ SEEDS = [3, 4]
 class TestDrawReplay:
     @given(bits=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**64 - 1),
            calls=st.lists(DRAW_CALLS, max_size=60))
-    # n = 2^31 + 1 rejects about one product in two; after a float32 draw, PCG64 serves the
+    # n = 2^31 + 1 rejects about one product in two; after a one-word draw, PCG64 serves the
     # next 32-bit word from its buffered half.
     @example(bits=np.random.PCG64, seed=0, calls=[("integers", (2**31 + 1,), {})] * 20)
     @example(bits=np.random.PCG64, seed=0,
-             calls=[("random", (), {"dtype": np.float32}), ("integers", (2**31 + 1,), {})])
+             calls=[("integers", (2**32,), {}), ("integers", (2**31 + 1,), {})])
     @settings(max_examples=1500, deadline=None)
     def test_replay_equals_numpy_draws_and_state(self, bits, seed, calls):
         # For every numpy bit generator: values, the full final state and the next

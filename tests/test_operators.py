@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfopt.core import is_valid_genome
+from mfopt.engines import _Draws
 from mfopt.operators import (
     CrossoverWindow,
     _dox_window,
@@ -20,6 +21,12 @@ from mfopt.operators import (
 )
 
 from test_acceptance import reference_ox
+from test_engines import BIT_GENERATORS, _same_state
+
+
+def reverse(genome, i, j):
+    """The genome with its positions i..j inclusive in reverse order: a 2-opt move's oracle."""
+    return np.concatenate((genome[:i], genome[i:j + 1][::-1], genome[j + 1:]))
 
 
 def reference_dynamic_ox(dominant, donor, rmp_entry, w, d_k, rng):
@@ -28,14 +35,14 @@ def reference_dynamic_ox(dominant, donor, rmp_entry, w, d_k, rng):
     adjacent swap when the whole child equals the dominant parent."""
     n = len(dominant)
     length = window_length(w, rmp_entry, d_k, n)
-    lo = int(rng.integers(0, n - length + 1))
+    lo = int(rng.integers(n - length + 1))
     hi = lo + length
     child = dominant.copy()
     window = set(child[lo:hi].tolist())
     child[lo:hi] = [g for g in donor.tolist() if g in window]
     if np.array_equal(child, dominant):
-        i = int(rng.integers(0, n - 1))
-        child = two_opt(child, i, i + 1)
+        i = int(rng.integers(n - 1))
+        child = reverse(child, i, i + 1)
     return child
 
 
@@ -70,16 +77,19 @@ class TestWindow:
 
 class TestTwoPoints:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=2, max_value=25_000))
-    @example(seed=0, n=2)
+           st.integers(min_value=2, max_value=25_000),
+           st.sampled_from(BIT_GENERATORS), st.booleans())
+    @example(seed=0, n=2, bits=np.random.PCG64, drawn=True)
     @settings(max_examples=300, deadline=None)
-    def test_spends_the_bits_of_rng_choice(self, seed, n):
-        # Same points and same generator state afterwards, so swapping
+    def test_spends_the_bits_of_rng_choice(self, seed, n, bits, drawn):
+        # Same points and same generator state afterwards, drawn through the
+        # engines' _Draws or through the Generator itself, so swapping
         # rng.choice for the helper leaves every seeded run unchanged.
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+        source = _Draws(rng) if drawn else rng
         for _ in range(3):
-            assert _two_points(n, rng) == tuple(sorted(ref.choice(n, 2, replace=False).tolist()))
-        assert rng.bit_generator.state == ref.bit_generator.state
+            assert _two_points(n, source) == tuple(sorted(ref.choice(n, 2, replace=False).tolist()))
+        assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
         assert rng.random() == ref.random()
         assert rng.integers(n) == ref.integers(n)
 
@@ -145,46 +155,23 @@ class TestOrderCrossover:
 
 
 class TestTwoOpt:
-    def test_explicit_reversal(self):
-        g = np.array([1, 2, 3, 4, 5])
-        assert list(two_opt(g, 1, 3)) == [1, 4, 3, 2, 5]
-        assert list(two_opt(g, 0, 4)) == [5, 4, 3, 2, 1]
-
-    def test_involution(self, rng):
-        g = rng.permutation(20) + 1
-        assert np.array_equal(two_opt(two_opt(g, 4, 11), 4, 11), g)
-
     def test_random_move_always_changes(self, rng):
-        g = rng.permutation(15) + 1
-        for _ in range(300):
-            assert not np.array_equal(two_opt(g, rng=rng), g)
-
-    def test_bad_indices(self):
-        g = np.arange(1, 6)
-        with pytest.raises(ValueError):
-            two_opt(g, 3, 3)
-        with pytest.raises(ValueError):
-            two_opt(g, 2, 9)
-        with pytest.raises(ValueError):
-            two_opt(g)  # no rng, no indices
+        # The segment between _two_points' draws on a twin generator, reversed:
+        # the move always changes the genome and spends exactly those draws.
+        twin = copy.deepcopy(rng)
+        for n in (2, 3, 15, 76):
+            g = np.random.default_rng(n).permutation(n) + 1
+            for _ in range(100):
+                child = two_opt(g, rng)
+                assert np.array_equal(child, reverse(g, *_two_points(n, twin)))
+                assert not np.array_equal(child, g)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_refuses_a_genome_matrix(self, rng):
         # Rows would be reversed as genes; the batch is build_children.
         genomes = np.tile(np.arange(1, 6), (3, 1))
         with pytest.raises(ValueError, match="one genome"):
-            two_opt(genomes, 0, 2)
-        with pytest.raises(ValueError, match="one genome"):
-            two_opt(genomes, rng=rng)
-
-    def test_half_given_pair_rejected(self, rng):
-        # A lone i or j is an error, not a cue to draw both points.
-        g = np.arange(1, 6)
-        state = copy.deepcopy(rng.bit_generator.state)
-        with pytest.raises(ValueError, match="both i and j"):
-            two_opt(g, 3, rng=rng)
-        with pytest.raises(ValueError, match="both i and j"):
-            two_opt(g, j=3, rng=rng)
-        assert rng.bit_generator.state == state  # nothing was drawn
+            two_opt(genomes, rng)
 
 
 class TestDynamicOx:
@@ -195,7 +182,7 @@ class TestDynamicOx:
         don = np.array([5, 4, 3, 2, 1])
 
         class FixedRng:
-            def integers(self, lo, hi):
+            def integers(self, n):
                 return 1  # window start
 
             def random(self):  # pragma: no cover - not used here
@@ -316,7 +303,7 @@ class TestBuildChildren:
         children = build_children(genomes, [record for record, _ in rows])
         assert children.shape == (len(rows), n)
         for child, ((*_, i, j, _), reference) in zip(children, rows):
-            expected = two_opt(np.array(reference), i, j) if i < j else np.array(reference)
+            expected = reverse(np.array(reference), i, j) if i < j else np.array(reference)
             assert np.array_equal(child, expected)
         assert np.array_equal(genomes, before)
         assert rng.random() == ref_rng.random()

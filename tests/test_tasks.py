@@ -106,13 +106,19 @@ class TestTsp:
         with pytest.raises(ValueError):
             TspInstance(name="tiny", coords=np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_coordinate_rejected(self, bad):
+    @pytest.mark.parametrize("coords, match", [
+        *(([[0, 0], [0, 0], [0, bad], [0, 0]], "city 3 has a non-finite coordinate")
+          for bad in (np.nan, np.inf, -np.inf)),
+        # Unchecked, this instance costs the tour [1, 2, 3] as 22.0, from 3-D distances.
+        ([[0, 0, 0], [3, 0, 4], [0, 0, 10]], r"coords must be \(n, 2\), got shape \(3, 3\)"),
+        ([[0], [3], [5]], r"coords must be \(n, 2\), got shape \(3, 1\)"),
+        ([0, 3, 5, 9], r"coords must be \(n, 2\), got shape \(4,\)"),
+    ], ids=["nan", "inf", "-inf", "three columns", "one column", "1-D"])
+    def test_non_finite_coordinate_rejected(self, coords, match):
         # The parser refuses such a file; the class must too, not cast NaN
-        # into integer distances. The message names the city id.
-        coords = np.zeros((4, 2))
-        coords[2, 1] = bad
-        with pytest.raises(ValueError, match="city 3 has a non-finite coordinate"):
+        # into integer distances nor cost points of another shape. The message
+        # names the city id or the field.
+        with pytest.raises(ValueError, match=match):
             TspInstance(name="bad", coords=coords)
 
     def test_distance_rounding_half_up(self):
@@ -176,26 +182,37 @@ class TestCvrp:
         plan = cvrp_decode(np.array([1, 2, 3, 4]), big)
         assert len(plan.routes) == 1
 
-    @pytest.mark.parametrize("demands, match", [
-        ([6, 11, 8], r"demands\[1\] = 11 is outside \[0, 10\]"),
+    @pytest.mark.parametrize("demands, capacity, match", [
+        ([6, 11, 8], 10, r"demands\[1\] = 11 is outside \[0, 10\]"),
         # Unchecked, this instance costs the tour [1, 2, 3] as one route with load 9.
-        ([-5, 8, 6], r"demands\[0\] = -5 is outside \[0, 10\]"),
-    ], ids=["over capacity", "negative"])
-    def test_demand_outside_range_rejected(self, demands, match):
-        # As the parser does, naming the first bad demand.
+        ([-5, 8, 6], 10, r"demands\[0\] = -5 is outside \[0, 10\]"),
+        # Unchecked, the first demand decodes as 2.
+        ([2.7, 5, 1], 10, "demands must be integers, got dtype float64"),
+        ([2, 5, 1], np.nan, "capacity must be an integer, got nan"),
+        ([2, 5, 1], "10", "capacity must be an integer, got '10'"),
+        ([2, 5, 1], True, "capacity must be an integer, got True"),
+    ], ids=["over capacity", "negative", "fractional demand", "NaN capacity", "string capacity",
+            "bool capacity"])
+    def test_demand_outside_range_rejected(self, demands, capacity, match):
+        # As the parser does, naming the first bad demand, or the field whose
+        # type the parser would refuse.
         with pytest.raises(ValueError, match=match):
             CvrpInstance(name="bad", depot_coord=(0, 0),
                          customer_coords=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
-                         demands=np.array(demands), capacity=10)
+                         demands=np.array(demands), capacity=capacity)
 
-    @pytest.mark.parametrize("depot, customer, city", [
-        ((np.nan, 0.0), (1.0, 0.0), 0), ((0.0, 0.0), (1.0, np.inf), 2),
-    ], ids=["depot", "customer"])
-    def test_non_finite_coordinate_rejected(self, depot, customer, city):
-        # The depot is city 0 and customer k is city k, as in the cost tables.
-        with pytest.raises(ValueError, match=f"city {city} has a non-finite coordinate"):
-            CvrpInstance(name="bad", depot_coord=depot,
-                         customer_coords=np.array([[1.0, 1.0], customer]),
+    @pytest.mark.parametrize("depot, customers, match", [
+        ((np.nan, 0.0), [[1, 1], [1, 0]], "city 0 has a non-finite coordinate"),
+        ((0.0, 0.0), [[1, 1], [1, np.inf]], "city 2 has a non-finite coordinate"),
+        ((0, 0, 0), [[1, 1], [1, 0]], r"depot_coord must be \(x, y\), got shape \(3,\)"),
+        ((0, 0), [[1, 1, 0], [1, 0, 0]],
+         r"customer_coords must be \(n, 2\), got shape \(2, 3\)"),
+    ], ids=["depot", "customer", "three-entry depot", "three-column customers"])
+    def test_non_finite_coordinate_rejected(self, depot, customers, match):
+        # The depot is city 0 and customer k is city k, as in the cost tables;
+        # points of another shape are refused by field.
+        with pytest.raises(ValueError, match=match):
+            CvrpInstance(name="bad", depot_coord=depot, customer_coords=customers,
                          demands=np.array([1, 1]), capacity=10)
 
     @pytest.mark.parametrize("n", [0, 1])
