@@ -143,9 +143,8 @@ def repetition_seed(base_seed: int, engine: str, repetition: int) -> np.random.S
 
 
 def _run_one(engine: str, tasks, config: EngineConfig, seed_seq) -> tuple[list, RunTrace]:
-    rng = np.random.default_rng(seed_seq)
-    runner = run_dmfea2 if engine == "dMFEA-II" else run_mfea
-    return runner(tasks, config, rng)
+    """Run ``engine``; the runner builds the run's Generator from ``seed_seq``."""
+    return (run_dmfea2 if engine == "dMFEA-II" else run_mfea)(tasks, config, seed_seq)
 
 
 def trace_filename(env: str, engine: str, run: str) -> str:
