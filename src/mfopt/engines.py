@@ -173,17 +173,18 @@ class TaskResult:
     genome: np.ndarray
 
 
-def _best_per_task(pop: Population) -> list[TaskResult]:
-    return [TaskResult(cost=float(pop.costs[i, k]), genome=pop.genomes[i].copy())
-            for k, i in enumerate(pop.costs.argmin(axis=0))]
+def _best_per_task(pop: Population, best: np.ndarray, kept: np.ndarray) -> list[TaskResult]:
+    # The lowest-index member at a task's best cost while one is left, else the one kept.
+    return [TaskResult(float(c), (pop.genomes[i] if pop.costs[i, k] == c else kept[k]).copy())
+            for k, (i, c) in enumerate(zip(pop.costs.argmin(axis=0), best))]
 
 
-def _record(generation: int, evaluations: int, pop: Population,
+def _record(generation: int, evaluations: int, best: np.ndarray,
             rmp: RmpMatrix | None) -> GenerationRecord:
     return GenerationRecord(
         generation=generation,
         evaluations=evaluations,
-        best_costs=pop.costs.min(axis=0).tolist(),
+        best_costs=best.tolist(),
         rmp=None if rmp is None else rmp.entries.tolist(),
     )
 
@@ -226,7 +227,9 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
     lengths = ([window_length(config.w, rmp.get(t, t), d, d_max) for t, d in enumerate(dims)]
                if adaptive else None)
 
-    trace = RunTrace([_record(0, evaluations, pop, rmp)])
+    # Each task's best so far: with fewer members than tasks, selection can drop it.
+    best, kept = pop.costs.min(axis=0), pop.genomes[pop.costs.argmin(axis=0)]
+    trace = RunTrace([_record(0, evaluations, best, rmp)])
     draws = _Draws(rng)  # the pair loop's scalar draws; permutations come from rng itself
     while evaluations < config.eval_budget:
         order = rng.permutation(len(pop.costs)).tolist()
@@ -253,10 +256,13 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         costs = np.full((len(children), k_tasks), UNEVALUATED)
         costs[np.arange(len(children)), skills] = child_costs
         evaluations += len(children)
+        found = costs.min(axis=0)
+        better = found < best
+        best[better], kept[better] = found[better], offspring[costs[:, better].argmin(axis=0)]
         pop = elitist_select(pop, Population(offspring, costs), config.population_size)
-        trace.records.append(_record(len(trace.records), evaluations, pop, rmp))
+        trace.records.append(_record(len(trace.records), evaluations, best, rmp))
 
-    return _best_per_task(pop), trace
+    return _best_per_task(pop, best, kept), trace
 
 
 def _mfea_pair(ia, ib, skill_of, n, config, rng):
