@@ -74,8 +74,9 @@ class ExperimentPlan:
 
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)
-        if not isinstance(self.repetitions, numbers.Integral) or self.repetitions < 1:
-            raise ValueError(f"repetitions must be a positive integer, got {self.repetitions!r}")
+        reps = self.repetitions
+        if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+            raise ValueError(f"repetitions must be a positive integer, got {reps!r}")
         if not self.engines or not set(self.engines) <= set(ENGINES):
             raise ValueError(f"engines must name one or more of {ENGINES}, got {self.engines!r}")
         self.engines = tuple(e for e in ENGINES if e in self.engines)

@@ -198,7 +198,7 @@ def test_unwritable_output_is_a_usage_error(case, tmp_path, capsys, monkeypatch)
 def test_bench_aggregates_only_the_traces_it_wrote(tmp_path, capsys):
     # bench reads back the rep000 and rep001 traces it wrote, so stale rep002..rep005
     # traces from an earlier --reps 6 bench leave its table as in a clean directory.
-    # report still merges such files through its rep* glob (ROADMAP item 4).
+    # report still merges such files through its rep* glob (ROADMAP item 5).
     flags = ["--budget", "200", "--pop", "20", "--outdir"]
     assert main(["bench", "TE_4_3", "--reps", "6", *flags, str(tmp_path / "stale")]) == 0
     assert (tmp_path / "stale" / "TE_4_3__MFEA__rep005.jsonl").exists()

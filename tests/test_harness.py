@@ -145,10 +145,10 @@ class TestExperiment:
             with pytest.raises(ValueError):
                 ExperimentPlan(environment=plan.environment,
                                engines=engines, output_dir=tmp_path)
-        # A fractional repetition count, and a budget below P x K (10 x 2),
+        # A fractional or bool repetition count, and a budget below P x K (10 x 2),
         # fail when the plan is built, before run_experiment makes its directory.
         out = tmp_path / "never_made"
-        for bad in [dict(repetitions=2.5),
+        for bad in [dict(repetitions=2.5), dict(repetitions=True),
                     dict(config=EngineConfig(population_size=10, eval_budget=19))]:
             with pytest.raises(ValueError, match="repetitions|budget"):
                 ExperimentPlan(environment=plan.environment, output_dir=out, **bad)
