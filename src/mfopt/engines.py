@@ -173,12 +173,6 @@ class TaskResult:
     genome: np.ndarray
 
 
-def _best_per_task(pop: Population, best: np.ndarray, kept: np.ndarray) -> list[TaskResult]:
-    # The lowest-index member at a task's best cost while one is left, else the one kept.
-    return [TaskResult(float(c), (pop.genomes[i] if pop.costs[i, k] == c else kept[k]).copy())
-            for k, (i, c) in enumerate(zip(pop.costs.argmin(axis=0), best))]
-
-
 def _record(generation: int, evaluations: int, best: np.ndarray,
             rmp: RmpMatrix | None) -> GenerationRecord:
     return GenerationRecord(
@@ -262,7 +256,7 @@ def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
         pop = elitist_select(pop, Population(offspring, costs), config.population_size)
         trace.records.append(_record(len(trace.records), evaluations, best, rmp))
 
-    return _best_per_task(pop, best, kept), trace
+    return [TaskResult(float(c), g.copy()) for c, g in zip(best, kept)], trace
 
 
 def _mfea_pair(ia, ib, skill_of, n, config, rng):
@@ -326,12 +320,14 @@ def _dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, conf
         yield (idx, idx if swap else mate, lo, hi, *move, 0), t, UNEVALUATED
 
 
-def run_mfea(tasks, config: EngineConfig, rng: np.random.Generator | None = None):
+def run_mfea(tasks, config: EngineConfig,
+             rng: np.random.Generator | np.random.SeedSequence | int | None = None):
     """Baseline multifactorial loop with a fixed scalar mating probability."""
     return _evolve(tasks, config, rng, adaptive=False)
 
 
-def run_dmfea2(tasks, config: EngineConfig, rng: np.random.Generator | None = None):
+def run_dmfea2(tasks, config: EngineConfig,
+               rng: np.random.Generator | np.random.SeedSequence | int | None = None):
     """Adaptive loop: learned transfer matrix plus dynamic parent-centric
     crossover sized by its entries."""
     return _evolve(tasks, config, rng, adaptive=True)

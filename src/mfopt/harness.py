@@ -144,7 +144,6 @@ def repetition_seed(base_seed: int, engine: str, repetition: int) -> np.random.S
 
 
 def _run_one(engine: str, tasks, config: EngineConfig, seed_seq) -> tuple[list, RunTrace]:
-    """Run ``engine``; the runner builds the run's Generator from ``seed_seq``."""
     return (run_dmfea2 if engine == "dMFEA-II" else run_mfea)(tasks, config, seed_seq)
 
 

@@ -231,21 +231,6 @@ class TestRunInvariants:
         assert (np.diff(costs, axis=0) <= 0).all()
         assert best[0].cost == costs[-1, 0] == evaluate_skill_task(best[0].genome, 0, tasks)
 
-    def test_a_best_still_held_is_reported_from_the_population(self, monkeypatch):
-        # With seed 20 the genome that first reached eil51's best has left the
-        # population, and another at that cost is held: the held one is reported.
-        survivors, select = [], mfopt.engines.elitist_select
-        monkeypatch.setattr(mfopt.engines, "elitist_select",
-                            lambda *args: survivors.append(select(*args)) or survivors[-1])
-        best, _ = run_dmfea2(load_environment("TE_4_1").tasks,
-                             EngineConfig(population_size=2, eval_budget=400),
-                             np.random.default_rng(20))
-        pop = survivors[-1]
-        for k, result in enumerate(best):
-            held = np.flatnonzero(pop.costs[:, k] == result.cost)
-            assert held.size == 0 or np.array_equal(result.genome, pop.genomes[held[0]])
-        assert np.flatnonzero(pop.costs[:, 1] == best[1].cost).size
-
 
 class TestMfeaBatches:
     def test_one_generation_costs_at_most_k_calls(self, monkeypatch):
