@@ -2,8 +2,8 @@
 whose window is sized by the adaptive transfer matrix and whose draw reads
 the donor's ``gene_positions`` row (one table per generation in the engine),
 and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
-one child per record over a genome matrix, built in two passes of the kernel
-``reorder_genes``: the crossover window, then the 2-opt move. Where an operator takes an
+one child per record over a genome matrix: it builds the crossover windows with one
+gene-keyed table, then reverses each 2-opt segment by index. Where an operator takes an
 ``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and the engines' draw object
 (``Generator``'s ``integers(n)`` and ``random()`` alone) serve alike.
 """
@@ -111,16 +111,6 @@ def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
     return lo, lo + 2, True
 
 
-def reorder_genes(dominant: np.ndarray, donor: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """``build_children``'s kernel: the dominant genome with its genes at the ``inside``
-    positions put in the order they take in the donor, row by row of genome matrices."""
-    chosen = np.zeros(len(dominant) * (dominant.shape[1] + 1), dtype=bool)
-    chosen[_gene_keys(dominant)] = inside
-    child = dominant.copy()
-    child[inside] = donor[chosen[_gene_keys(donor)]]
-    return child
-
-
 def dynamic_ox(
     dominant: np.ndarray,
     donor: np.ndarray,
@@ -150,16 +140,19 @@ def build_children(genomes: np.ndarray, records) -> np.ndarray:
     """One child per record ``(a, b, lo, hi, i, j, ox)`` over the rows of ``genomes``:
     genome a with its genes in [lo, hi), or outside it if ox, put in the order they
     take in b (read cyclically from hi if ox; reversed if b is a), then 2-opted at
-    (i, j) if i < j: one ``reorder_genes`` pass for the windows, one for the moves."""
+    (i, j) if i < j. One gene-keyed table builds the windows; [i, j] is reversed by index."""
     n = genomes.shape[1]
     a, b, lo, hi, i, j, ox = np.fromiter(chain.from_iterable(records), np.int64).reshape(-1, 7).T
     cycled = sliding_window_view(np.hstack((genomes, genomes)), n, axis=1)
     donors = cycled[b, hi * ox]  # row b, read from hi if ox
     donors[a == b] = np.compress(a == b, donors, axis=0)[:, ::-1]
     cols = np.arange(n)
-    chosen = (cols >= lo[:, None]) ^ (cols >= hi[:, None]) ^ ox.astype(bool)[:, None]
-    children = reorder_genes(genomes[a], donors, chosen)
-    m = np.flatnonzero(i < j)  # 2-opt: the genes in [i, j] in the order of the reversed row
-    i, j, moved = i[m, None], j[m, None], children[m]
-    children[m] = reorder_genes(moved, moved[:, ::-1], (i <= cols) & (cols <= j))
+    inside = (cols >= lo[:, None]) ^ (cols >= hi[:, None]) ^ ox.astype(bool)[:, None]
+    children = genomes[a]
+    chosen = np.zeros(children.size + len(children), dtype=bool)  # by gene, row by row
+    chosen[_gene_keys(children)] = inside
+    children[inside] = donors[chosen[_gene_keys(donors)]]
+    m = np.flatnonzero(i < j)  # 2-opt: position c of [i, j] takes the gene at i + j - c
+    i, j = i[m, None], j[m, None]
+    children[m] = children[m[:, None], np.where((i <= cols) & (cols <= j), i + j - cols, cols)]
     return children

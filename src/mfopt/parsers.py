@@ -168,12 +168,10 @@ def parse_problem(text: str) -> TspInstance | CvrpInstance:
         raise ParseError(f"depot demand must be 0, got {demands[depot - 1]}",
                          sections["DEMAND_SECTION"][where[depot - 1]][0])
 
-    customer_mask = np.ones(dimension, dtype=bool)
-    customer_mask[depot - 1] = False
     return CvrpInstance(
         name=name,
         depot_coord=tuple(coords[depot - 1]),
-        customer_coords=coords[customer_mask],
-        demands=demands[customer_mask],
+        customer_coords=np.delete(coords, depot - 1, axis=0),
+        demands=np.delete(demands, depot - 1),
         capacity=capacity,
     )

@@ -25,12 +25,17 @@ def _points(value, what: str, ndim: int) -> np.ndarray:
     return points
 
 
-def _euc2d_matrix(points: np.ndarray, first: int) -> np.ndarray:
+def _euc2d_matrix(points: np.ndarray, first: int, name: str) -> np.ndarray:
     """EUC_2D distances between the (x, y) rows of ``points``, row k being city first + k;
-    a NaN or infinite coordinate is a ValueError naming the first such city."""
+    a NaN or infinite coordinate is a ValueError naming the first such city. So is a span
+    at which a cost, at most 2 (len(points) + 1) distances, could reach 2**53 and stop being
+    exact in int64 and as a float; that one names instance ``name``."""
     if not np.isfinite(points).all():
         k = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
         raise ValueError(f"city {first + k} has a non-finite coordinate: {points[k].tolist()}")
+    half = points.max(axis=0) / 2 - points.min(axis=0) / 2  # halved, so it cannot overflow
+    if np.hypot(*half) + 0.25 >= 2**51 / (len(points) + 1):  # each distance <= 2 hypot + 0.5
+        raise ValueError(f"instance {name!r} is too wide: a cost could reach 2**53 and be inexact")
     diff = points[:, None, :] - points[None, :, :]
     return np.floor(np.sqrt((diff ** 2).sum(axis=2)) + 0.5).astype(np.int64)
 
@@ -59,7 +64,7 @@ class TspInstance:
         if self.dimension < 3:
             raise ValueError("TSP instance needs at least 3 cities")
         self._dist = np.zeros((self.dimension + 1,) * 2, dtype=np.int64)
-        self._dist[1:, 1:] = _euc2d_matrix(self.coords, 1)
+        self._dist[1:, 1:] = _euc2d_matrix(self.coords, 1, self.name)
 
     @property
     def dimension(self) -> int:
@@ -103,7 +108,7 @@ class CvrpInstance:
                              f"[0, {self.capacity}]")
         if self.dimension < 2:
             raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
-        dist = _euc2d_matrix(np.vstack((depot, self.customer_coords)), 0).tolist()
+        dist = _euc2d_matrix(np.vstack((depot, self.customer_coords)), 0, self.name).tolist()
         self._lists = (dist, dist[0], [0, *self.demands.tolist()], int(self.capacity))
 
     @property

@@ -228,6 +228,7 @@ BAD_INSTANCES = {
     "bad.tsp": "NAME: bad\nTYPE: TSP\n",
     "one.vrp": _vrp(2),
     "good.vrp": _vrp(3),
+    "wide.vrp": _vrp(3).replace("3 3 0", "3 5e18 0"),  # costs past 2**53
 }
 
 
@@ -245,10 +246,12 @@ BAD_INSTANCES = {
     {"name": 7, "instances": ["good.vrp"]},
     {"name": "", "instances": ["good.vrp"]},
     {"name": "rep[1]", "instances": ["good.vrp"]},
+    {"name": "x", "instances": ["wide.vrp"]},
 ], ids=["no instances", "empty instances", "missing instance file",
         "malformed instance file", "JSON syntax error", "not UTF-8", "directory",
         "unreadable file", "one-customer CVRP", "name with /",
-        "non-string name", "empty name", "name with glob characters"])
+        "non-string name", "empty name", "name with glob characters",
+        "costs past 2**53"])
 def test_bad_environment_file_is_a_usage_error(spec, tmp_path, capsys, monkeypatch):
     for name, text in BAD_INSTANCES.items():
         (tmp_path / name).write_text(text)

@@ -158,19 +158,10 @@ class TestEvaluation:
         expected = np.full(per_genome.shape, UNEVALUATED)
         expected[np.arange(len(genomes)), skills] = per_genome[np.arange(len(genomes)), skills]
         assert np.array_equal(costs, expected)
-        assert all(evaluate_skill_task(g, s, bundled_tasks) == per_genome[i, s]
-                   for i, (g, s) in enumerate(zip(genomes, skills)))
-
-    def test_skill_task_matrix_matches_its_rows(self, bundled_tasks):
-        # On each of TE_8's eight tasks, a matrix costs as its rows do one by one:
-        # the one-genome projection and cost paths agree with the batch paths.
-        rng = np.random.default_rng(7)
-        d_max = max(t.dimension for t in bundled_tasks)
-        genomes = np.array([random_genome(d_max, rng) for _ in range(30)])
-        for t in range(len(bundled_tasks)):
-            alone = [evaluate_skill_task(g, t, bundled_tasks) for g in genomes]
-            assert all(type(c) is float for c in alone)
-            assert evaluate_skill_task(genomes, t, bundled_tasks).tolist() == alone
+        # One genome at a time, the cost is a Python float.
+        alone = [evaluate_skill_task(g, s, bundled_tasks) for g, s in zip(genomes, skills)]
+        assert all(type(c) is float for c in alone)
+        assert alone == expected[np.arange(len(genomes)), skills].tolist()
 
 
 class TestElitistSelect:

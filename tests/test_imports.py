@@ -1,10 +1,13 @@
 """Every name a module of ``mfopt`` imports is read in that module. The
-package's ``__init__`` imports only to re-export, so it is not checked."""
+package's ``__init__`` imports only to re-export, so it is not checked. And every
+function or class that a module of ``mfopt`` defines is named somewhere else."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mfopt"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mfopt"
 
 # Imported and never read, as (module, name). engines keeps order_crossover only
 # for mfbench/tracer.py, which wraps it by name (ROADMAP item 1); once the tracer
@@ -29,3 +32,35 @@ def test_each_module_reads_every_name_it_imports():
     unused = {(path.stem, name) for path in SRC.glob("*.py") if path.name != "__init__.py"
               for name in unused_imports(path.read_text())}
     assert unused == ALLOWED
+
+
+def names_used(tree: ast.Module) -> set[str]:
+    """Names the module reads, imports or spells as a dotted string (``"tasks.tsp_cost"``,
+    as mfbench's tracer does), less each top-level definition's reads of its own name."""
+    used = set()
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.split(".")[-1])
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"[\w.]+", node.value)):
+                found.update(node.value.split("."))
+        found.discard(getattr(statement, "name", None))
+        used |= found
+    return used
+
+
+def test_every_definition_is_named_somewhere():
+    # A helper nothing calls, imports or wraps by name is dead code.
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             *(ROOT / "mfbench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    used = set().union(*(names_used(ast.parse(path.read_text())) for path in paths))
+    defined = {(path.stem, node.name) for path in SRC.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert {(module, name) for module, name in defined if name not in used} == set()

@@ -113,7 +113,11 @@ class TestTsp:
         ([[0, 0, 0], [3, 0, 4], [0, 0, 10]], r"coords must be \(n, 2\), got shape \(3, 3\)"),
         ([[0], [3], [5]], r"coords must be \(n, 2\), got shape \(3, 1\)"),
         ([0, 3, 5, 9], r"coords must be \(n, 2\), got shape \(4,\)"),
-    ], ids=["nan", "inf", "-inf", "three columns", "one column", "1-D"])
+        # Unchecked, 5e18 costs a tour -1.37568e+18 (an int64 sum wraps), 1e19 casts to
+        # INT64_MIN distances and 1e200 overflows when squared.
+        *(([[0, 0], [big, 0], [0, big]], r"instance 'bad' is too wide: .* 2\*\*53")
+          for big in (5e18, 1e19, 1e200)),
+    ], ids=["nan", "inf", "-inf", "three columns", "one column", "1-D", "5e18", "1e19", "1e200"])
     def test_non_finite_coordinate_rejected(self, coords, match):
         # The parser refuses such a file; the class must too, not cast NaN
         # into integer distances nor cost points of another shape. The message
@@ -207,7 +211,10 @@ class TestCvrp:
         ((0, 0, 0), [[1, 1], [1, 0]], r"depot_coord must be \(x, y\), got shape \(3,\)"),
         ((0, 0), [[1, 1, 0], [1, 0, 0]],
          r"customer_coords must be \(n, 2\), got shape \(2, 3\)"),
-    ], ids=["depot", "customer", "three-entry depot", "three-column customers"])
+        *(((0, 0), [[big, 0], [0, big]], r"instance 'bad' is too wide: .* 2\*\*53")
+          for big in (5e18, 1e19, 1e200)),
+    ], ids=["depot", "customer", "three-entry depot", "three-column customers",
+            "5e18", "1e19", "1e200"])
     def test_non_finite_coordinate_rejected(self, depot, customers, match):
         # The depot is city 0 and customer k is city k, as in the cost tables;
         # points of another shape are refused by field.
