@@ -6,11 +6,12 @@ live in a learned symmetric K x K matrix updated online from the outcome
 of each transfer (child better or worse than the parent whose skill task
 it inherited).
 
-A generation draws each child as (child, skill, cost). A dMFEA-II inter-task
-child is a genome, costed before the next draw because its cost updates a matrix
-cell; every other child is a record with cost ``UNEVALUATED``. That marker alone
-decides which children the loop builds (all records in one ``build_children``
-call) and costs (per skill task).
+Each engine is a generator of a generation's children, pair by pair, as (child,
+skill, cost); the loop takes as many as the budget allows, so a child's draws are
+made only if the budget takes it. A dMFEA-II inter-task child is a genome, costed
+before the next draw because its cost updates a matrix cell; every other child is
+a record with cost ``UNEVALUATED``. That marker alone decides which children the
+loop builds (all records in one ``build_children`` call) and costs (per skill task).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import logging
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -173,16 +174,6 @@ class TaskResult:
     genome: np.ndarray
 
 
-def _record(generation: int, evaluations: int, best: np.ndarray,
-            rmp: RmpMatrix | None) -> GenerationRecord:
-    return GenerationRecord(
-        generation=generation,
-        evaluations=evaluations,
-        best_costs=best.tolist(),
-        rmp=None if rmp is None else rmp.entries.tolist(),
-    )
-
-
 class _Draws:
     """A Generator's two scalar calls in a run's pair loop, ``integers(n)`` and ``random()``:
     its bit generator's own C calls, ``next_uint32`` under numpy's arithmetic (Lemire's method)
@@ -202,75 +193,66 @@ class _Draws:
         return m >> 32
 
 
-def _evolve(tasks, config: EngineConfig, rng, adaptive: bool):
+def _evolve(tasks, config: EngineConfig, rng, children, rmp: RmpMatrix | None = None):
+    """The one outer loop. ``children(pop, order, draws)`` is the engine, a generator of a
+    generation's children in pair ``order``; ``rmp``, if any, is snapshotted in each record."""
     rng = np.random.default_rng(config.seed if rng is None else rng)
     k_tasks = len(tasks)
-    dims = [t.dimension for t in tasks]
     config.check_init_budget(k_tasks)
     # Freeing a 1 MiB block makes glibc raise its heap-trim threshold to 2 MiB,
     # so each generation's 0.1-0.3 MB temporaries stop faulting fresh pages in.
     np.empty(1 << 17)
 
-    d_max = max(dims)
+    d_max = max(t.dimension for t in tasks)
     genomes = np.array([random_genome(d_max, rng) for _ in range(config.population_size)])
     pop = assign_ranks_and_fitness(Population(genomes, evaluate_all_tasks(genomes, tasks)))
     evaluations = config.population_size * k_tasks
-    rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc,
-                            config.delta_dec, config.rmp_floor) if adaptive else None
-    # Intra-task dOX windows: the unit diagonal is never updated, so one length per task.
-    lengths = ([window_length(config.w, rmp.get(t, t), d, d_max) for t, d in enumerate(dims)]
-               if adaptive else None)
 
     # Each task's best so far: with fewer members than tasks, selection can drop it.
     best, kept = pop.costs.min(axis=0), pop.genomes[pop.costs.argmin(axis=0)]
-    trace = RunTrace([_record(0, evaluations, best, rmp)])
+    trace = RunTrace()
     draws = _Draws(rng)  # the pair loop's scalar draws; permutations come from rng itself
-    while evaluations < config.eval_budget:
+    while True:
+        trace.records.append(GenerationRecord(len(trace.records), evaluations, best.tolist(),
+                                              None if rmp is None else rmp.entries.tolist()))
+        if evaluations >= config.eval_budget:
+            return [TaskResult(float(c), g.copy()) for c, g in zip(best, kept)], trace
         order = rng.permutation(len(pop.costs)).tolist()
-        buckets = ([np.flatnonzero(pop.skill == t).tolist() for t in range(k_tasks)]
-                   if adaptive else None)
-        where = gene_positions(pop.genomes) if adaptive else None
-        skill_of = pop.skill.tolist()
-        pairs = (_dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, config,
-                              tasks, draws)
-                 if adaptive else _mfea_pair(ia, ib, skill_of, d_max, config, draws)
-                 for ia, ib in zip(order[::2], order[1::2]))
-        # Lazy children: the budget binds per child, so an odd remainder cuts a pair.
-        children = list(islice(chain.from_iterable(pairs), config.eval_budget - evaluations))
-        built, skills, child_costs = zip(*children)
+        # Lazy children: a child's draws are made only if the budget takes it.
+        made = list(islice(children(pop, order, draws), config.eval_budget - evaluations))
+        built, skills, child_costs = zip(*made)
         skills, child_costs = np.array(skills), np.array(child_costs)
         deferred = child_costs == UNEVALUATED  # the records
-        offspring = np.empty((len(children), d_max), dtype=np.int64)
+        offspring = np.empty((len(made), d_max), dtype=np.int64)
         fixed, pos = np.flatnonzero(~deferred), np.flatnonzero(deferred)
         offspring[fixed] = np.reshape([built[r] for r in fixed], (-1, d_max))
         offspring[pos] = build_children(pop.genomes, [built[r] for r in pos])
         for t in np.unique(skills[deferred]):
             rows = deferred & (skills == t)
             child_costs[rows] = evaluate_skill_task(offspring[rows], t, tasks)
-        costs = np.full((len(children), k_tasks), UNEVALUATED)
-        costs[np.arange(len(children)), skills] = child_costs
-        evaluations += len(children)
+        costs = np.full((len(made), k_tasks), UNEVALUATED)
+        costs[np.arange(len(made)), skills] = child_costs
+        evaluations += len(made)
         found = costs.min(axis=0)
         better = found < best
         best[better], kept[better] = found[better], offspring[costs[:, better].argmin(axis=0)]
         pop = elitist_select(pop, Population(offspring, costs), config.population_size)
-        trace.records.append(_record(len(trace.records), evaluations, best, rmp))
-
-    return [TaskResult(float(c), g.copy()) for c, g in zip(best, kept)], trace
 
 
-def _mfea_pair(ia, ib, skill_of, n, config, rng):
-    """One parent pair under the baseline scalar-RMP scheme; returns
-    (record, skill, UNEVALUATED) per child."""
-    ta, tb = skill_of[ia], skill_of[ib]
-    if ta != tb and rng.random() > config.rmp_scalar:
-        # An empty window keeps each parent whole: each child is a 2-opt mutant.
-        return [((p, p, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED)
-                for p, t in ((ia, ta), (ib, tb))]
-    lo, hi = _two_points(n + 1, rng)  # the OX pair: each child keeps one parent's segment
-    if ta != tb:
-        ta, tb = ta if rng.random() < 0.5 else tb, ta if rng.random() < 0.5 else tb
-    return [((p, q, lo, hi, 0, 0, 1), t, UNEVALUATED) for p, q, t in ((ia, ib, ta), (ib, ia, tb))]
+def _mfea_children(pop, order, rng, config):
+    """The baseline scalar-RMP scheme; yields (record, skill, UNEVALUATED) per child."""
+    skill_of, n = pop.skill.tolist(), pop.genomes.shape[1]
+    for ia, ib in zip(order[::2], order[1::2]):
+        ta, tb = skill_of[ia], skill_of[ib]
+        if ta != tb and rng.random() > config.rmp_scalar:
+            # An empty window keeps each parent whole: each child is a 2-opt mutant.
+            for p, t in ((ia, ta), (ib, tb)):
+                yield (p, p, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED
+            continue
+        lo, hi = _two_points(n + 1, rng)  # the OX pair: each child keeps one parent's segment
+        for p, q in ((ia, ib), (ib, ia)):
+            skill = ta if ta == tb or rng.random() < 0.5 else tb
+            yield (p, q, lo, hi, 0, 0, 1), skill, UNEVALUATED
 
 
 def _other_member(bucket, idx, r):
@@ -278,56 +260,65 @@ def _other_member(bucket, idx, r):
     return bucket[r] if bucket[r] < idx else bucket[r + 1]
 
 
-def _dmfea2_pair(pop, ia, ib, skill_of, buckets, where, rmp, dims, lengths, config, tasks, rng):
-    """One parent pair under the adaptive matrix scheme, mates drawn from the skill
-    ``buckets`` and read by their rows of ``where``; yields (genome, skill, cost) per
-    inter-task child, after its update, and (record, skill, UNEVALUATED) per other child."""
-    ta, tb = skill_of[ia], skill_of[ib]
-    n = pop.genomes.shape[1]
-    if ta == tb:
-        lo, hi = _two_points(n + 1, rng)
-        for a, b in ((ia, ib), (ib, ia)):
-            move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-            yield (a, b, lo, hi, *move, 1), ta, UNEVALUATED
-        return
-
-    entry = rmp.get(ta, tb)
-    if rng.random() <= entry:
-        # Inter-task parent-centric crossover; each child updates (ta, tb) by whether
-        # it beats the parent whose skill task it inherited.
-        for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
-            genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
-                                config.w, d_k, rng)
-            genome = two_opt(genome, rng) if rng.random() < config.p_m else genome
-            skill = ta if rng.random() < 0.5 else tb
-            cost = evaluate_skill_task(genome, skill, tasks)
-            parent = ia if skill == ta else ib
-            rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[parent, skill]))
-            yield genome, skill, cost
-        return
-
-    # Intra-task branch: each parent crosses with a random same-skill mate at
-    # its diagonal entry, fixed at 1, and updates no matrix cell.
-    for idx, t in ((ia, ta), (ib, tb)):
-        bucket = buckets[t]
-        if len(bucket) == 1:
-            log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-            yield (idx, idx, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED  # the parent, 2-opted
+def _dmfea2_children(pop, order, rng, config, tasks, rmp):
+    """The adaptive matrix scheme, intra-task mates drawn from the skill ``buckets``; yields
+    (genome, skill, cost) per inter-task child, after its update, and (record, skill,
+    UNEVALUATED) per other child."""
+    skill_of, n = pop.skill.tolist(), pop.genomes.shape[1]
+    dims = [t.dimension for t in tasks]
+    buckets = [np.flatnonzero(pop.skill == t).tolist() for t in range(len(tasks))]
+    where = gene_positions(pop.genomes)
+    # Intra-task dOX windows: the unit diagonal is never updated, so one length per task.
+    lengths = [window_length(config.w, rmp.get(t, t), d, n) for t, d in enumerate(dims)]
+    for ia, ib in zip(order[::2], order[1::2]):
+        ta, tb = skill_of[ia], skill_of[ib]
+        if ta == tb:
+            lo, hi = _two_points(n + 1, rng)
+            for a, b in ((ia, ib), (ib, ia)):
+                move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
+                yield (a, b, lo, hi, *move, 1), ta, UNEVALUATED
             continue
-        mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
-        lo, hi, swap = _dox_window(pop.genomes[idx], where[mate], lengths[t], rng)
-        move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-        yield (idx, idx if swap else mate, lo, hi, *move, 0), t, UNEVALUATED
+
+        entry = rmp.get(ta, tb)
+        if rng.random() <= entry:
+            # Inter-task parent-centric crossover; each child updates (ta, tb) by whether
+            # it beats the parent whose skill task it inherited.
+            for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
+                genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
+                                    config.w, d_k, rng)
+                genome = two_opt(genome, rng) if rng.random() < config.p_m else genome
+                skill = ta if rng.random() < 0.5 else tb
+                cost = evaluate_skill_task(genome, skill, tasks)
+                parent = ia if skill == ta else ib
+                rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[parent, skill]))
+                yield genome, skill, cost
+            continue
+
+        # Intra-task branch: each parent crosses with a random same-skill mate at
+        # its diagonal entry, fixed at 1, and updates no matrix cell.
+        for idx, t in ((ia, ta), (ib, tb)):
+            bucket = buckets[t]
+            if len(bucket) == 1:
+                log.info("no same-skill mate for task %d; falling back to 2-opt", t)
+                yield (idx, idx, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED  # 2-opted
+                continue
+            mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
+            lo, hi, swap = _dox_window(pop.genomes[idx], where[mate], lengths[t], rng)
+            move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
+            yield (idx, idx if swap else mate, lo, hi, *move, 0), t, UNEVALUATED
 
 
 def run_mfea(tasks, config: EngineConfig,
              rng: np.random.Generator | np.random.SeedSequence | int | None = None):
     """Baseline multifactorial loop with a fixed scalar mating probability."""
-    return _evolve(tasks, config, rng, adaptive=False)
+    return _evolve(tasks, config, rng, partial(_mfea_children, config=config))
 
 
 def run_dmfea2(tasks, config: EngineConfig,
                rng: np.random.Generator | np.random.SeedSequence | int | None = None):
     """Adaptive loop: learned transfer matrix plus dynamic parent-centric
     crossover sized by its entries."""
-    return _evolve(tasks, config, rng, adaptive=True)
+    rmp = RmpMatrix.initial(len(tasks), config.rmp_init, config.delta_inc,
+                            config.delta_dec, config.rmp_floor)
+    return _evolve(tasks, config, rng,
+                   partial(_dmfea2_children, config=config, tasks=tasks, rmp=rmp), rmp)

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args", [
     ("single_run.py", ["--budget", "2000"]),
     ("transfer_matrix.py", ["--budget", "2000"]),
-    ("engine_comparison.py", ["--budget", "2000", "--reps", "2", "--outdir", "."]),
 ])
 def test_demo_exits_zero(script, args, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

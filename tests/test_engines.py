@@ -1,4 +1,3 @@
-import itertools
 import logging
 import math
 from types import SimpleNamespace
@@ -25,7 +24,7 @@ from mfopt.engines import (
     RmpMatrix,
     RunTrace,
     _Draws,
-    _mfea_pair,
+    _mfea_children,
     _other_member,
     rmp_update,
     run_dmfea2,
@@ -33,7 +32,7 @@ from mfopt.engines import (
     transfer_outcome,
 )
 from mfopt.harness import load_environment
-from mfopt.operators import CrossoverWindow, order_crossover
+from mfopt.operators import CrossoverWindow, _two_points, order_crossover
 from mfopt.parsers import parse_problem
 
 
@@ -231,6 +230,24 @@ class TestRunInvariants:
         assert (np.diff(costs, axis=0) <= 0).all()
         assert best[0].cost == costs[-1, 0] == evaluate_skill_task(best[0].genome, 0, tasks)
 
+    @pytest.mark.parametrize("budget", [5, 7, 9])
+    @pytest.mark.parametrize("rmp_scalar, second_child_draws", [
+        (0.0, lambda draws: _two_points(52, draws)),  # a 2-opt pair: the second child's move
+        (1.0, lambda draws: draws.random()),  # an OX pair: the second child's skill
+    ], ids=["two_opt", "ox"])
+    def test_a_run_draws_nothing_for_a_child_it_does_not_make(self, rmp_scalar,
+                                                               second_child_draws, budget):
+        # Seeded at 0, the last generation's one pair is inter-task at each of these budgets,
+        # and the odd budget cuts it after its first child. Drawing the second child's share
+        # must bring the run's generator to where a run one evaluation longer leaves its own.
+        tasks = load_environment("TE_4_1").tasks[:2]
+        cut, whole = np.random.default_rng(0), np.random.default_rng(0)
+        for gen, b in ((cut, budget), (whole, budget + 1)):
+            run_mfea(tasks, small_config(population_size=2, eval_budget=b,
+                                         rmp_scalar=rmp_scalar), gen)
+        second_child_draws(_Draws(cut))
+        assert cut.bit_generator.state == whole.bit_generator.state
+
 
 class TestMfeaBatches:
     def test_one_generation_costs_at_most_k_calls(self, monkeypatch):
@@ -293,11 +310,11 @@ class TestMfeaBatches:
         twin = np.random.default_rng(5)
         genomes = np.array([random_genome(76, twin) for _ in range(20)])
         pop = assign_ranks_and_fitness(Population(genomes, evaluate_all_tasks(genomes, tasks)))
-        order, skill_of = twin.permutation(20).tolist(), pop.skill.tolist()
+        order = twin.permutation(20).tolist()
+        records = [record for record, _, _ in _mfea_children(pop, order, twin, config)]
         (offspring,) = children
         for p, (ia, ib) in enumerate(zip(order[::2], order[1::2])):
-            (record, _, _), _ = _mfea_pair(ia, ib, skill_of, 76, config, twin)
-            lo, hi = record[2:4]
+            lo, hi = records[2 * p][2:4]
             expected = order_crossover(genomes[ia], genomes[ib], CrossoverWindow(lo, hi - lo))
             assert np.array_equal(offspring[2 * p], expected[0])
             assert np.array_equal(offspring[2 * p + 1], expected[1])
@@ -424,28 +441,15 @@ DRAW_CALLS = st.one_of(
     st.just(("permutation", (7,), {})))
 
 
-def _check_drawn_run_equals_direct_run(bits, runner, pop, budget, seed, monkeypatch):
-    """A run through _Draws equals one that draws from the Generator itself."""
-    tasks = load_environment("TE_8").tasks
-    config = small_config(population_size=pop, eval_budget=budget)
-    drawn, direct = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
-    made = []  # the generators each _Draws draws from
-    monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: made.append(rng) or _Draws(rng))
-    best_r, trace_r = runner(tasks, config, drawn)
-    # The reference: the Generator's own two calls, so any other call form fails the run.
-    monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: SimpleNamespace(
-        integers=lambda n: rng.integers(n), random=lambda: rng.random()))
-    best_d, trace_d = runner(tasks, config, direct)
-    assert len(made) == 1 and made[0] is drawn  # one per run
-    assert trace_r.records[-1].evaluations == budget
-    assert trace_r.to_jsonl() == trace_d.to_jsonl()
-    assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)
-               for r, d in zip(best_r, best_d))
-    assert _same_state(drawn.bit_generator.state, direct.bit_generator.state)
-
-
 POP_BUDGETS = [(2, 301), (20, 1013), (200, 12_000)]
 SEEDS = [3, 4]
+# Every bit generator, runner, population, budget and seed. numpy's default, PCG64, keeps
+# the bare id; every other bit generator's id ends in its name.
+DRAWN_RUNS = [pytest.param(bits, runner, pop, budget, seed, id="-".join(
+                  [str(seed), str(pop), str(budget), runner.__name__.removeprefix("run_")]
+                  + ([] if bits is np.random.PCG64 else [bits.__name__])))
+              for bits in BIT_GENERATORS for runner in (run_mfea, run_dmfea2)
+              for pop, budget in POP_BUDGETS for seed in SEEDS]
 
 
 class TestDrawReplay:
@@ -480,19 +484,22 @@ class TestDrawReplay:
         assert _Draws(real).integers(2**31 + 1) == twin.integers(2**31 + 1)
         assert real.bit_generator.state == twin.bit_generator.state
 
-    @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2], ids=["mfea", "dmfea2"])
-    @pytest.mark.parametrize("pop, budget", POP_BUDGETS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_replayed_run_equals_direct_run(self, runner, pop, budget, seed, monkeypatch):
-        # numpy's default bit generator, PCG64.
-        _check_drawn_run_equals_direct_run(np.random.PCG64, runner, pop, budget, seed,
-                                           monkeypatch)
-
-    @pytest.mark.parametrize("bits", [b for b in BIT_GENERATORS if b is not np.random.PCG64],
-                             ids=lambda b: b.__name__)
-    def test_other_bit_generators_run_and_repeat(self, bits, monkeypatch):
-        # The same engine, population, budget and seed cases as for PCG64, repeated exactly
-        # by draws taken from the Generator itself.
-        for runner in (run_mfea, run_dmfea2):
-            for (pop, budget), seed in itertools.product(POP_BUDGETS, SEEDS):
-                _check_drawn_run_equals_direct_run(bits, runner, pop, budget, seed, monkeypatch)
+    @pytest.mark.parametrize("bits, runner, pop, budget, seed", DRAWN_RUNS)
+    def test_replayed_run_equals_direct_run(self, bits, runner, pop, budget, seed, monkeypatch):
+        # A run through _Draws equals one that draws from the Generator itself.
+        tasks = load_environment("TE_8").tasks
+        config = small_config(population_size=pop, eval_budget=budget)
+        drawn, direct = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+        made = []  # the generators each _Draws draws from
+        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: made.append(rng) or _Draws(rng))
+        best_r, trace_r = runner(tasks, config, drawn)
+        # The reference: the Generator's own two calls, so any other call form fails the run.
+        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: SimpleNamespace(
+            integers=lambda n: rng.integers(n), random=lambda: rng.random()))
+        best_d, trace_d = runner(tasks, config, direct)
+        assert len(made) == 1 and made[0] is drawn  # one per run
+        assert trace_r.records[-1].evaluations == budget
+        assert trace_r.to_jsonl() == trace_d.to_jsonl()
+        assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)
+                   for r, d in zip(best_r, best_d))
+        assert _same_state(drawn.bit_generator.state, direct.bit_generator.state)

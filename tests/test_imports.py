@@ -1,6 +1,7 @@
 """Every name a module of ``mfopt`` imports is read in that module. The
 package's ``__init__`` imports only to re-export, so it is not checked. And every
-function or class that a module of ``mfopt`` defines is named somewhere else."""
+function or class that a module of ``mfopt`` defines is named somewhere else. And every
+test that README.md cites exists."""
 
 import ast
 import re
@@ -64,3 +65,19 @@ def test_every_definition_is_named_somewhere():
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     assert {(module, name) for module, name in defined if name not in used} == set()
+
+
+def test_readme_names_only_existing_tests():
+    # A test README.md cites, as `TestClass::test_name` or as a bare `test_name`, is defined
+    # under tests/ or mfbench/; a bare name may also be a test file's stem.
+    paths = [*(ROOT / "tests").rglob("*.py"), *(ROOT / "mfbench").glob("*.py")]
+    trees = [ast.parse(path.read_text()) for path in paths]
+    methods = {(cls.name, node.name) for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    names = {node.name for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)} | {path.stem for path in paths}
+    readme = (ROOT / "README.md").read_text()
+    cited = set(re.findall(r"(Test\w+)::(test_\w+)", readme))
+    bare = set(re.findall(r"`(test_\w+)`", readme))
+    assert (cited - methods, bare - names) == (set(), set())
