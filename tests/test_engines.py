@@ -10,21 +10,13 @@ from hypothesis import strategies as st
 import mfopt.engines
 import mfopt.tasks
 from conftest import format_tsplib, format_vrp
-from mfopt.core import (
-    Population,
-    assign_ranks_and_fitness,
-    evaluate_all_tasks,
-    evaluate_skill_task,
-    is_valid_genome,
-    random_genome,
-)
+from mfopt.core import evaluate_skill_task, is_valid_genome
 from mfopt.engines import (
     EngineConfig,
     GenerationRecord,
     RmpMatrix,
     RunTrace,
     _Draws,
-    _mfea_children,
     _other_member,
     rmp_update,
     run_dmfea2,
@@ -32,7 +24,7 @@ from mfopt.engines import (
     transfer_outcome,
 )
 from mfopt.harness import load_environment
-from mfopt.operators import CrossoverWindow, _two_points, order_crossover
+from mfopt.operators import _two_points
 from mfopt.parsers import parse_problem
 
 
@@ -249,75 +241,53 @@ class TestRunInvariants:
         assert cut.bit_generator.state == whole.bit_generator.state
 
 
-class TestMfeaBatches:
-    def test_one_generation_costs_at_most_k_calls(self, monkeypatch):
-        tasks = load_environment("TE_4_1").tasks  # four TSPs
-        batches = []
-        real = mfopt.tasks.tsp_cost
-
-        def counted(perm, inst):
-            batches.append(len(perm))
-            return real(perm, inst)
-
-        monkeypatch.setattr(mfopt.tasks, "tsp_cost", counted)
-        _, trace = run_mfea(tasks, small_config(eval_budget=20 * 4 + 20),
-                            np.random.default_rng(0))
-        assert [r.evaluations for r in trace.records] == [80, 100]
-        init, generation = batches[:4], batches[4:]
-        assert init == [20, 20, 20, 20]
-        assert 1 <= len(generation) <= 4 and all(generation)  # no empty batch
-        assert sum(generation) == 20
-
-    def test_one_generation_builds_its_children_in_one_call_each(self, monkeypatch):
-        # OX children and 2-opt mutants are built once per generation, one
-        # record per child, never with one operator call per child.
-        tasks = load_environment("TE_4_1").tasks
-        batches, singles = [], []
-        build, mutate = mfopt.engines.build_children, mfopt.engines.two_opt
-
-        def build_spy(genomes, records):
-            batches.append(np.array(records))
-            return build(genomes, records)
-
-        def two_opt_spy(*args, **kw):
-            singles.append(args)
-            return mutate(*args, **kw)
-
-        monkeypatch.setattr(mfopt.engines, "build_children", build_spy)
-        monkeypatch.setattr(mfopt.engines, "two_opt", two_opt_spy)
-        # rmp 0.5 gives both OX pairs and 2-opt pairs in the generation.
-        _, trace = run_mfea(tasks, small_config(eval_budget=20 * 4 + 20, rmp_scalar=0.5),
-                            np.random.default_rng(0))
-        assert [r.evaluations for r in trace.records] == [80, 100]
-        (records,) = batches
-        assert records.shape == (20, 7) and not singles
-        assert records[:, 6].any() and (records[:, 4] < records[:, 5]).any()  # OX and 2-opt
-
-    def test_mfea_ox_children_equal_order_crossover(self, monkeypatch):
-        # At rmp_scalar 1 every pair crosses. A twin generator replays the
-        # generation's draws, so children 2p and 2p + 1 must be the two OX
-        # children of pair p under its drawn window.
-        tasks = load_environment("TE_4_1").tasks
-        config = small_config(eval_budget=20 * 4 + 20, rmp_scalar=1.0)
-        children, select = [], mfopt.engines.elitist_select
-
-        def select_spy(current, offspring, p_size):
-            children.append(offspring.genomes)
-            return select(current, offspring, p_size)
-
-        monkeypatch.setattr(mfopt.engines, "elitist_select", select_spy)
-        run_mfea(tasks, config, np.random.default_rng(5))
-        twin = np.random.default_rng(5)
-        genomes = np.array([random_genome(76, twin) for _ in range(20)])
-        pop = assign_ranks_and_fitness(Population(genomes, evaluate_all_tasks(genomes, tasks)))
-        order = twin.permutation(20).tolist()
-        records = [record for record, _, _ in _mfea_children(pop, order, twin, config)]
-        (offspring,) = children
-        for p, (ia, ib) in enumerate(zip(order[::2], order[1::2])):
-            lo, hi = records[2 * p][2:4]
-            expected = order_crossover(genomes[ia], genomes[ib], CrossoverWindow(lo, hi - lo))
-            assert np.array_equal(offspring[2 * p], expected[0])
-            assert np.array_equal(offspring[2 * p + 1], expected[1])
+class TestGeneration:
+    @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2], ids=["mfea", "dmfea2"])
+    def test_builds_and_costs_each_child_once(self, runner, monkeypatch):
+        # One generation of 20 children on TE_8's four TSP and four CVRP tasks. Each child is
+        # a record of the generation's one build_children call or, as a dMFEA-II inter-task
+        # child, the genome of its own dynamic_ox call; each is costed once, on its skill task.
+        tasks = load_environment("TE_8").tasks
+        calls = {name: [] for name in ("evaluate_all_tasks", "_mfea_children", "build_children",
+                                        "dynamic_ox", "two_opt", "evaluate_skill_task",
+                                        "elitist_select")}
+        for name, seen in calls.items():
+            def spy(*args, real=getattr(mfopt.engines, name), seen=seen, **kw):
+                seen.append(args)
+                return real(*args, **kw)
+            monkeypatch.setattr(mfopt.engines, name, spy)
+        # rmp 0.5 gives MFEA both OX pairs and 2-opt pairs.
+        _, trace = runner(tasks, small_config(eval_budget=20 * 8 + 20, rmp_scalar=0.5),
+                          np.random.default_rng(4))
+        assert [r.evaluations for r in trace.records] == [160, 180]
+        ((initial, _),) = calls["evaluate_all_tasks"]
+        ((_, records),) = calls["build_children"]
+        records = np.array(records)
+        singles = [g for g, _, _ in calls["evaluate_skill_task"] if g.ndim == 1]
+        batches = {int(t): len(g) for g, t, _ in calls["evaluate_skill_task"] if g.ndim == 2}
+        assert len(initial) == len(records) + len(singles) == 20
+        assert len(singles) == len(calls["dynamic_ox"])
+        # One call per skill task with children, none empty: a child costed twice or never
+        # changes the sum.
+        assert 1 <= len(batches) == len(calls["evaluate_skill_task"]) - len(singles) <= len(tasks)
+        assert all(batches.values()) and sum(batches.values()) == len(records)
+        if runner is run_mfea:
+            assert not (calls["dynamic_ox"] or calls["two_opt"] or singles)
+            ox = records[:, 6] == 1
+            assert ox.any() and not ox.all()
+            # Pair p's two children are kept by order[2p] and order[2p + 1]; an OX child's
+            # donor is the other parent, a 2-opt child's its own.
+            ((_, order, _),) = calls["_mfea_children"]
+            partner = np.reshape(order, (-1, 2))[:, ::-1].ravel()
+            assert np.array_equal(records[:, 0], order)
+            assert np.array_equal(records[:, 1], np.where(ox, partner, order))
+        else:
+            assert len(records) and singles and not calls["_mfea_children"]  # both kinds
+        ((_, children, _),) = calls["elitist_select"]
+        assert (np.isfinite(children.costs).sum(axis=1) == 1).all()
+        for genome, row in zip(children.genomes, children.costs):
+            t = int(np.flatnonzero(np.isfinite(row))[0])
+            assert row[t] == evaluate_skill_task(genome, t, tasks)
 
 
 class TestAdaptiveSpecifics:
@@ -338,11 +308,6 @@ class TestAdaptiveSpecifics:
         (best_a, trace_a), (best_b, trace_b) = runs
         assert trace_a.to_jsonl() == trace_b.to_jsonl()
         assert all(np.array_equal(a.genome, b.genome) for a, b in zip(best_a, best_b))
-
-    def test_baseline_trace_has_no_rmp(self, two_tasks):
-        _, trace = run_mfea(two_tasks, small_config(eval_budget=600),
-                            np.random.default_rng(0))
-        assert all(rec.rmp is None for rec in trace.records)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -369,55 +334,6 @@ class TestAdaptiveSpecifics:
         assert all(is_valid_genome(b.genome) for b in best)
         for rec in trace.records:
             assert (np.diag(rec.rmp) == 1.0).all()
-
-    def test_one_generation_builds_its_dox_records_in_one_call(self, monkeypatch):
-        # Intra-task dOX children are records, built with one build_children
-        # call per generation; only inter-task children call dynamic_ox, one at
-        # a time.
-        tasks = load_environment("TE_8").tasks
-        rows, singles = [], []
-        build, dox = mfopt.engines.build_children, mfopt.engines.dynamic_ox
-
-        def build_spy(genomes, records):
-            rows.append(len(records))
-            return build(genomes, records)
-
-        def dox_spy(*args):
-            singles.append(args)
-            return dox(*args)
-
-        monkeypatch.setattr(mfopt.engines, "build_children", build_spy)
-        monkeypatch.setattr(mfopt.engines, "dynamic_ox", dox_spy)
-        _, trace = run_dmfea2(tasks, small_config(eval_budget=20 * 8 + 20), np.random.default_rng(4))
-        assert [r.evaluations for r in trace.records] == [160, 180]
-        assert len(rows) == 1 and rows[0] >= 2 and singles  # both kinds occur
-        assert rows[0] + len(singles) <= 20
-
-    def test_generation_costs_every_child_once(self, monkeypatch):
-        # Children whose cost updated the matrix and children batched with
-        # the generation alike get one finite cost, on their skill task.
-        tasks = load_environment("TE_8").tasks
-        offspring, shapes = [], []
-        select, evaluate = mfopt.engines.elitist_select, mfopt.engines.evaluate_skill_task
-
-        def select_spy(current, children, p_size):
-            offspring.append(children)
-            return select(current, children, p_size)
-
-        def evaluate_spy(genomes, skill, problems):
-            shapes.append(genomes.ndim)
-            return evaluate(genomes, skill, problems)
-
-        monkeypatch.setattr(mfopt.engines, "elitist_select", select_spy)
-        monkeypatch.setattr(mfopt.engines, "evaluate_skill_task", evaluate_spy)
-        run_dmfea2(tasks, small_config(eval_budget=20 * 8 + 20), np.random.default_rng(4))
-        (children,) = offspring
-        assert set(shapes) == {1, 2}  # one child at a time, and a batch
-        finite = np.isfinite(children.costs)
-        assert (finite.sum(axis=1) == 1).all()
-        for genome, row in zip(children.genomes, children.costs):
-            t = int(np.flatnonzero(np.isfinite(row))[0])
-            assert row[t] == evaluate_skill_task(genome, t, tasks)
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,

@@ -106,18 +106,6 @@ class TestExperiment:
         results = json.loads(paths["results"].read_text())
         assert len(results) == 4
 
-    def test_reaggregate_matches_fresh_rows(self, tmp_path, square_tsp, line_tsp):
-        plan = tiny_plan(tmp_path, square_tsp, line_tsp)
-        fresh = run_experiment(plan)
-        # rebuild from the persisted traces via a config-file environment
-        (tmp_path / "sq.tsp").write_text(format_tsplib(square_tsp))
-        (tmp_path / "ln.tsp").write_text(format_tsplib(line_tsp))
-        (tmp_path / "tinyenv.json").write_text(json.dumps(
-            {"name": "tinyenv", "instances": ["sq.tsp", "ln.tsp"]}))
-        rebuilt = reaggregate(tmp_path, str(tmp_path / "tinyenv.json"))
-        assert [(r.engine, r.mean, r.std) for r in rebuilt] == \
-            [(r.engine, r.mean, r.std) for r in fresh]
-
     def test_plan_config_reaches_every_run(self, tmp_path, square_tsp, line_tsp):
         plan = tiny_plan(tmp_path, square_tsp, line_tsp)
         plan.config = EngineConfig(population_size=10, eval_budget=300,

@@ -1,7 +1,7 @@
 """Every name a module of ``mfopt`` imports is read in that module. The
 package's ``__init__`` imports only to re-export, so it is not checked. And every
 function or class that a module of ``mfopt`` defines is named somewhere else. And every
-test that README.md cites exists."""
+test that README.md or ROADMAP.md cites exists."""
 
 import ast
 import re
@@ -68,8 +68,9 @@ def test_every_definition_is_named_somewhere():
 
 
 def test_readme_names_only_existing_tests():
-    # A test README.md cites, as `TestClass::test_name` or as a bare `test_name`, is defined
-    # under tests/ or mfbench/; a bare name may also be a test file's stem.
+    # A test README.md or ROADMAP.md cites, as `TestClass::test_name` or as a bare
+    # `test_name`, is defined under tests/ or mfbench/; a bare name may also be a test
+    # file's stem.
     paths = [*(ROOT / "tests").rglob("*.py"), *(ROOT / "mfbench").glob("*.py")]
     trees = [ast.parse(path.read_text()) for path in paths]
     methods = {(cls.name, node.name) for tree in trees for cls in ast.walk(tree)
@@ -77,7 +78,7 @@ def test_readme_names_only_existing_tests():
                if isinstance(node, ast.FunctionDef)}
     names = {node.name for tree in trees for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef)} | {path.stem for path in paths}
-    readme = (ROOT / "README.md").read_text()
-    cited = set(re.findall(r"(Test\w+)::(test_\w+)", readme))
-    bare = set(re.findall(r"`(test_\w+)`", readme))
+    docs = (ROOT / "README.md").read_text() + (ROOT / "ROADMAP.md").read_text()
+    cited = set(re.findall(r"(Test\w+)::(test_\w+)", docs))
+    bare = set(re.findall(r"`(test_\w+)`", docs))
     assert (cited - methods, bare - names) == (set(), set())

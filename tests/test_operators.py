@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfopt.core import is_valid_genome
 from mfopt.engines import _Draws
 from mfopt.operators import (
     CrossoverWindow,
@@ -103,11 +102,6 @@ class TestOrderCrossover:
         assert list(c1) == [3, 2, 1, 4, 5, 8, 7, 6]
         assert list(c2) == [6, 7, 8, 5, 4, 1, 2, 3]
 
-    def test_identical_parents_fixed_point(self, rng):
-        a = rng.permutation(10) + 1
-        c1, c2 = order_crossover(a, a.copy(), rng=rng)
-        assert np.array_equal(c1, a) and np.array_equal(c2, a)
-
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
             order_crossover(np.arange(1, 5), np.arange(1, 6), rng=rng)
@@ -133,15 +127,6 @@ class TestOrderCrossover:
                         c1, c2 = order_crossover(a, b, window=w)
                         assert list(c1) == reference_ox(a, b, lo, lo + length)
                         assert list(c2) == reference_ox(b, a, lo, lo + length)
-
-    @given(st.integers(min_value=0, max_value=2 ** 31))
-    @settings(max_examples=200, deadline=None)
-    def test_children_are_permutations(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 60))
-        a, b = rng.permutation(n) + 1, rng.permutation(n) + 1
-        c1, c2 = order_crossover(a, b, rng=rng)
-        assert is_valid_genome(c1) and is_valid_genome(c2)
 
     def test_bad_matrix_windows(self, rng):
         # Parent matrices are refused whatever the window; the batch is build_children.
@@ -194,6 +179,7 @@ class TestDynamicOx:
         assert list(child) == [1, 4, 3, 2, 5]
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.booleans())
+    @example(seed=0, same_parents=True)
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, seed, same_parents):
         # Same child and same RNG state afterwards, so the engines' draw
@@ -218,11 +204,6 @@ class TestDynamicOx:
             child = dynamic_ox(dom, dom.astype(np.int32), 0.5, 0.5, 10,
                                np.random.default_rng(seed))
             assert not np.array_equal(child, dom)
-
-    def test_identical_parents_get_guard_swap(self, rng):
-        dom = np.arange(1, 11)
-        child = dynamic_ox(dom, dom.copy(), 0.5, 0.5, 10, rng)
-        assert int((child != dom).sum()) == 2  # one adjacent transposition
 
 
 class TestGenePositions:
