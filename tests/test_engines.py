@@ -24,7 +24,7 @@ from mfopt.engines import (
     transfer_outcome,
 )
 from mfopt.harness import load_environment
-from mfopt.operators import _two_points
+from mfopt.operators import CrossoverWindow, _two_points, order_crossover
 from mfopt.parsers import parse_problem
 
 
@@ -241,53 +241,81 @@ class TestRunInvariants:
         assert cut.bit_generator.state == whole.bit_generator.state
 
 
-class TestGeneration:
-    @pytest.mark.parametrize("runner", [run_mfea, run_dmfea2], ids=["mfea", "dmfea2"])
-    def test_builds_and_costs_each_child_once(self, runner, monkeypatch):
-        # One generation of 20 children on TE_8's four TSP and four CVRP tasks. Each child is
-        # a record of the generation's one build_children call or, as a dMFEA-II inter-task
-        # child, the genome of its own dynamic_ox call; each is costed once, on its skill task.
-        tasks = load_environment("TE_8").tasks
-        calls = {name: [] for name in ("evaluate_all_tasks", "_mfea_children", "build_children",
-                                        "dynamic_ox", "two_opt", "evaluate_skill_task",
-                                        "elitist_select")}
-        for name, seen in calls.items():
-            def spy(*args, real=getattr(mfopt.engines, name), seen=seen, **kw):
-                seen.append(args)
-                return real(*args, **kw)
-            monkeypatch.setattr(mfopt.engines, name, spy)
-        # rmp 0.5 gives MFEA both OX pairs and 2-opt pairs.
-        _, trace = runner(tasks, small_config(eval_budget=20 * 8 + 20, rmp_scalar=0.5),
-                          np.random.default_rng(4))
-        assert [r.evaluations for r in trace.records] == [160, 180]
-        ((initial, _),) = calls["evaluate_all_tasks"]
-        ((_, records),) = calls["build_children"]
-        records = np.array(records)
-        singles = [g for g, _, _ in calls["evaluate_skill_task"] if g.ndim == 1]
-        batches = {int(t): len(g) for g, t, _ in calls["evaluate_skill_task"] if g.ndim == 2}
-        assert len(initial) == len(records) + len(singles) == 20
-        assert len(singles) == len(calls["dynamic_ox"])
-        # One call per skill task with children, none empty: a child costed twice or never
-        # changes the sum.
-        assert 1 <= len(batches) == len(calls["evaluate_skill_task"]) - len(singles) <= len(tasks)
-        assert all(batches.values()) and sum(batches.values()) == len(records)
-        if runner is run_mfea:
-            assert not (calls["dynamic_ox"] or calls["two_opt"] or singles)
-            ox = records[:, 6] == 1
-            assert ox.any() and not ox.all()
-            # Pair p's two children are kept by order[2p] and order[2p + 1]; an OX child's
-            # donor is the other parent, a 2-opt child's its own.
-            ((_, order, _),) = calls["_mfea_children"]
-            partner = np.reshape(order, (-1, 2))[:, ::-1].ravel()
-            assert np.array_equal(records[:, 0], order)
-            assert np.array_equal(records[:, 1], np.where(ox, partner, order))
-        else:
-            assert len(records) and singles and not calls["_mfea_children"]  # both kinds
+def spied_generation(runner, monkeypatch):
+    """Run one generation of 20 children on TE_8's four TSP and four CVRP tasks with a
+    pass-through spy on each engine step; return the tasks and each step's calls."""
+    tasks = load_environment("TE_8").tasks
+    calls = {name: [] for name in ("evaluate_all_tasks", "_mfea_children", "build_children",
+                                    "dynamic_ox", "two_opt", "evaluate_skill_task",
+                                    "elitist_select")}
+    for name, seen in calls.items():
+        def spy(*args, real=getattr(mfopt.engines, name), seen=seen, **kw):
+            seen.append(args)
+            return real(*args, **kw)
+        monkeypatch.setattr(mfopt.engines, name, spy)
+    # rmp 0.5 gives MFEA both OX pairs and 2-opt pairs.
+    _, trace = runner(tasks, small_config(eval_budget=20 * 8 + 20, rmp_scalar=0.5),
+                      np.random.default_rng(4))
+    assert [r.evaluations for r in trace.records] == [160, 180]
+    ((initial, _),) = calls["evaluate_all_tasks"]
+    assert len(initial) == 20
+    return tasks, calls
+
+
+def generation_parts(calls):
+    """The generation's one build_children call's records and its one-genome cost calls."""
+    ((_, records),) = calls["build_children"]
+    singles = [g for g, _, _ in calls["evaluate_skill_task"] if g.ndim == 1]
+    return np.array(records), singles
+
+
+def assert_costed_once(tasks, calls):
+    # One batch call per skill task with records, none empty: a child costed twice or never
+    # changes the sum. Every child handed to selection has one finite cost, on its skill task.
+    records, singles = generation_parts(calls)
+    batches = {int(t): len(g) for g, t, _ in calls["evaluate_skill_task"] if g.ndim == 2}
+    assert 1 <= len(batches) == len(calls["evaluate_skill_task"]) - len(singles) <= len(tasks)
+    assert all(batches.values()) and sum(batches.values()) == len(records)
+    ((_, children, _),) = calls["elitist_select"]
+    assert (np.isfinite(children.costs).sum(axis=1) == 1).all()
+    for genome, row in zip(children.genomes, children.costs):
+        t = int(np.flatnonzero(np.isfinite(row))[0])
+        assert row[t] == evaluate_skill_task(genome, t, tasks)
+
+
+class TestMfeaBatches:
+    def test_one_generation_costs_at_most_k_calls(self, monkeypatch):
+        tasks, calls = spied_generation(run_mfea, monkeypatch)
+        records, singles = generation_parts(calls)
+        assert len(records) == 20 and not singles
+        assert_costed_once(tasks, calls)
+
+    def test_one_generation_builds_its_children_in_one_call_each(self, monkeypatch):
+        # OX children and 2-opt mutants are built once per generation, one
+        # record per child, never with one operator call per child.
+        _, calls = spied_generation(run_mfea, monkeypatch)
+        records, _ = generation_parts(calls)
+        assert records.shape == (20, 7)
+        assert not (calls["dynamic_ox"] or calls["two_opt"])
+        ox = records[:, 6] == 1
+        assert ox.any() and not ox.all()  # OX and 2-opt rows
+
+    def test_mfea_ox_children_equal_order_crossover(self, monkeypatch):
+        # Pair p's two children are kept by order[2p] and order[2p + 1]; an OX child's donor
+        # is the other parent, a 2-opt child's its own, and an OX child is the first child of
+        # order_crossover under its record's window.
+        _, calls = spied_generation(run_mfea, monkeypatch)
+        records, _ = generation_parts(calls)
+        ((_, order, _),) = calls["_mfea_children"]
+        ((genomes, _),) = calls["build_children"]
         ((_, children, _),) = calls["elitist_select"]
-        assert (np.isfinite(children.costs).sum(axis=1) == 1).all()
-        for genome, row in zip(children.genomes, children.costs):
-            t = int(np.flatnonzero(np.isfinite(row))[0])
-            assert row[t] == evaluate_skill_task(genome, t, tasks)
+        ox = records[:, 6] == 1
+        partner = np.reshape(order, (-1, 2))[:, ::-1].ravel()
+        assert np.array_equal(records[:, 0], order)
+        assert np.array_equal(records[:, 1], np.where(ox, partner, order))
+        for (p, q, lo, hi, *_), child in zip(records[ox], children.genomes[ox]):
+            expected, _ = order_crossover(genomes[p], genomes[q], CrossoverWindow(lo, hi - lo))
+            assert np.array_equal(child, expected)
 
 
 class TestAdaptiveSpecifics:
@@ -334,6 +362,23 @@ class TestAdaptiveSpecifics:
         assert all(is_valid_genome(b.genome) for b in best)
         for rec in trace.records:
             assert (np.diag(rec.rmp) == 1.0).all()
+
+    def test_one_generation_builds_its_dox_records_in_one_call(self, monkeypatch):
+        # Intra-task dOX children are records, built with one build_children
+        # call per generation; only inter-task children call dynamic_ox, one at
+        # a time.
+        _, calls = spied_generation(run_dmfea2, monkeypatch)
+        records, singles = generation_parts(calls)
+        assert len(records) and singles and not calls["_mfea_children"]  # both kinds
+        assert len(records) + len(singles) == 20
+        assert len(singles) == len(calls["dynamic_ox"])
+
+    def test_generation_costs_every_child_once(self, monkeypatch):
+        # Children whose cost updated the matrix and children batched with
+        # the generation alike get one finite cost, on their skill task.
+        tasks, calls = spied_generation(run_dmfea2, monkeypatch)
+        assert {g.ndim for g, _, _ in calls["evaluate_skill_task"]} == {1, 2}
+        assert_costed_once(tasks, calls)
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
