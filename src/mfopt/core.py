@@ -13,9 +13,9 @@ P members over K tasks is held as arrays, one row per member:
 
 The last three are derived from ``costs`` by ``assign_ranks_and_fitness``.
 
-Evaluation has one seam: ``evaluate_skill_task`` costs a genome matrix on
-one task with one projection and one cost call, and ``evaluate_all_tasks``
-is one such batch per task; ``engines`` says how a generation uses it.
+Evaluation has one seam: ``evaluate_skills`` costs each row of a genome matrix
+on its own skill task, with one cost call per TSP task and one ``tasks.cvrp_split``
+over every CVRP row; ``engines`` says how a generation uses it.
 """
 
 from __future__ import annotations
@@ -55,15 +55,25 @@ class Population:
 
 
 def evaluate_all_tasks(genomes: np.ndarray, problems) -> np.ndarray:
-    """n x K costs of a genome matrix on every task, one batch per task; used
-    for the initial population only (offspring get selective evaluation)."""
-    return np.column_stack([evaluate_skill_task(genomes, k, problems)
+    """n x K costs of a genome matrix, one call per task: the initial population's."""
+    return np.column_stack([evaluate_skills(genomes, np.full(len(genomes), k), problems)
                             for k in range(len(problems))])
 
 
+def evaluate_skills(genomes: np.ndarray, skills: np.ndarray, problems) -> np.ndarray:
+    """Each row's cost on its own task ``skills[r]``, every CVRP row in one ``cvrp_split``."""
+    costs = np.empty(len(genomes))
+    split = np.array([isinstance(t, tasks.CvrpInstance) for t in problems])[skills]
+    for t in np.unique(skills[~split]):
+        costs[skills == t] = evaluate_skill_task(genomes[skills == t], t, problems)
+    if split.any():  # a TSP-only batch skips the split's set-up
+        found, which = np.unique(skills[split], return_inverse=True)
+        costs[split] = tasks.cvrp_split(genomes[split], which, [problems[k] for k in found])
+    return costs
+
+
 def evaluate_skill_task(genomes: np.ndarray, skill: int, problems):
-    """Costs on task ``skill`` only (selective evaluation): a float for one
-    genome, a vector for a genome matrix."""
+    """Cost on task ``skill`` of one genome (a float; an inter-task child) or of each matrix row."""
     task = problems[skill]
     return task.cost(tasks.project(genomes, task.dimension))
 

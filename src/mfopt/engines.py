@@ -11,7 +11,7 @@ skill, cost); the loop takes as many as the budget allows, so a child's draws ar
 made only if the budget takes it. A dMFEA-II inter-task child is a genome, costed
 before the next draw because its cost updates a matrix cell; every other child is
 a record with cost ``UNEVALUATED``. That marker alone decides which children the
-loop builds (all records in one ``build_children`` call) and costs (per skill task).
+loop builds (all records in one ``build_children`` call) and costs (one ``evaluate_skills``).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .core import (
     elitist_select,
     evaluate_all_tasks,
     evaluate_skill_task,
+    evaluate_skills,
     random_genome,
 )
 from .operators import (_dox_window, _two_points, build_children, dynamic_ox, gene_positions,
@@ -227,9 +228,7 @@ def _evolve(tasks, config: EngineConfig, rng, children, rmp: RmpMatrix | None = 
         fixed, pos = np.flatnonzero(~deferred), np.flatnonzero(deferred)
         offspring[fixed] = np.reshape([built[r] for r in fixed], (-1, d_max))
         offspring[pos] = build_children(pop.genomes, [built[r] for r in pos])
-        for t in np.unique(skills[deferred]):
-            rows = deferred & (skills == t)
-            child_costs[rows] = evaluate_skill_task(offspring[rows], t, tasks)
+        child_costs[deferred] = evaluate_skills(offspring[deferred], skills[deferred], tasks)
         costs = np.full((len(made), k_tasks), UNEVALUATED)
         costs[np.arange(len(made)), skills] = child_costs
         evaluations += len(made)
@@ -285,7 +284,7 @@ def _dmfea2_children(pop, order, rng, config, tasks, rmp):
             # it beats the parent whose skill task it inherited.
             for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
                 genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
-                                    config.w, d_k, rng)
+                                    config.w, d_k, rng, positions=where[donor])
                 genome = two_opt(genome, rng) if rng.random() < config.p_m else genome
                 skill = ta if rng.random() < 0.5 else tb
                 cost = evaluate_skill_task(genome, skill, tasks)

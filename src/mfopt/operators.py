@@ -118,6 +118,7 @@ def dynamic_ox(
     w: float,
     d_k: int,
     rng: np.random.Generator,
+    positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dynamic parent-centric OX.
 
@@ -125,10 +126,10 @@ def dynamic_ox(
     inside the window the dominant's genes are re-ordered to follow their relative order in
     the donor, so the amount of transferred material scales with the learned transfer
     probability. If the donor imposes no change, one adjacent 2-opt swap at a freshly drawn
-    position makes the child differ.
+    position makes the child differ. ``positions`` is the donor's ``gene_positions`` row.
     """
     length = window_length(w, rmp_entry, d_k, len(dominant))
-    positions = gene_positions(donor)
+    positions = gene_positions(donor) if positions is None else positions
     lo, hi, swap = _dox_window(dominant, positions, length, rng)
     child = dominant.copy()
     window = child[lo:hi]  # sorted by the donor's positions, or the two genes swapped

@@ -89,8 +89,9 @@ class CvrpInstance:
     demands: np.ndarray          # (dimension,)
     capacity: int
     # (distances, depot distances, demands, capacity) by customer id, the depot being 0, as Python
-    # ints for cvrp_cost: list indexing is several times cheaper than numpy scalars.
+    # ints for one genome in cvrp_cost: list indexing is several times cheaper than numpy scalars.
     _lists: tuple = field(init=False, repr=False)
+    _table: np.ndarray = field(init=False, repr=False)  # row a: demand a, distances from a
 
     def __post_init__(self):
         self.customer_coords = _points(self.customer_coords, "customer_coords", 2)
@@ -108,8 +109,12 @@ class CvrpInstance:
                              f"[0, {self.capacity}]")
         if self.dimension < 2:
             raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
-        dist = _euc2d_matrix(np.vstack((depot, self.customer_coords)), 0, self.name).tolist()
-        self._lists = (dist, dist[0], [0, *self.demands.tolist()], int(self.capacity))
+        demands = [0, *self.demands.tolist()]
+        if sum(demands) >= 2**32:  # cvrp_split sums loads over a whole batch in int64
+            raise ValueError(f"instance {self.name!r} has a total demand of 2**32 or more")
+        dist = _euc2d_matrix(np.vstack((depot, self.customer_coords)), 0, self.name)
+        self._table = np.column_stack((demands, dist)).ravel()
+        self._lists = (dist.tolist(), dist[0].tolist(), demands, int(self.capacity))
 
     @property
     def dimension(self) -> int:
@@ -124,25 +129,42 @@ def cvrp_cost(perm: np.ndarray, inst: CvrpInstance):
 
     Greedy left to right: a route closes whenever the next customer would
     exceed capacity, and each route runs depot -> first -> ... -> last ->
-    depot. Summed in Python ints row by row without building routes; the
-    route-building ``cvrp_decode`` in ``tests/test_tasks.py`` is its
-    reference.
+    depot. One genome is summed in Python ints, a matrix by ``cvrp_split``;
+    the route-building ``cvrp_decode`` in ``tests/test_tasks.py`` is their reference.
     """
+    if perm.ndim > 1:
+        return cvrp_split(perm, np.zeros(len(perm), dtype=int), [inst])
     dist, depot, demands, cap = inst._lists
-    rows = perm.tolist()
-    costs = []
-    for idx in (rows if perm.ndim > 1 else (rows,)):
-        prev = idx[0]
-        total = depot[prev]
-        load = demands[prev]
-        for c in idx[1:]:
-            q = demands[c]
-            if load + q > cap:
-                total += depot[prev] + depot[c]
-                load = q
-            else:
-                total += dist[prev][c]
-                load += q
-            prev = c
-        costs.append(float(total + depot[prev]))
-    return np.array(costs) if perm.ndim > 1 else costs[0]
+    prev, *rest = perm.tolist()
+    total, load = depot[prev], demands[prev]
+    for c in rest:
+        if load + demands[c] > cap:
+            total, load = total + depot[prev] + depot[c], demands[c]
+        else:
+            total, load = total + dist[prev][c], load + demands[c]
+        prev = c
+    return float(total + depot[prev])
+
+
+def cvrp_split(genomes: np.ndarray, which: np.ndarray, instances) -> np.ndarray:
+    """``cvrp_cost`` of each unified genome on ``instances[which[r]]``: every row's genes in one
+    flat array keyed into its instance's ``_table``, and one ``searchsorted`` per route step."""
+    if not len(genomes):  # reduceat takes no empty batch
+        return np.zeros(0)
+    flat = np.concatenate([inst._table for inst in instances])
+    base = np.cumsum([1, *(inst._table.size for inst in instances[:-1])])[which]  # key of dist(0, 0)
+    dim = np.array([inst.dimension for inst in instances])[which]
+    cap = np.array([inst.capacity for inst in instances])[which]
+    keep = genomes <= dim[:, None]
+    key = (genomes * (dim + 2)[:, None] + base[:, None])[keep]  # the key of a gene's dist(g, 0)
+    starts, ends = np.cumsum(dim) - dim, np.cumsum(dim) - 1
+    q, prev = flat[key - 1], np.roll(key, 1)
+    prev[starts] = base
+    leg = flat[prev + genomes[keep]]  # the leg into each gene, from the depot at a row's start
+    at, end, load = starts, ends, np.cumsum(q)
+    while at.size:  # a route from ``at`` ends before the first load past its base load + cap
+        at = np.searchsorted(load, load[at] - q[at] + cap, side="right")
+        more = at <= end  # the rows not yet done
+        at, end, cap = at[more], end[more], cap[more]
+        leg[at] = flat[prev[at]] + flat[key[at]]  # a break goes back to the depot
+    return (np.add.reduceat(leg, starts) + flat[key[ends]]).astype(float)

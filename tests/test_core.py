@@ -13,6 +13,7 @@ from mfopt.core import (
     elitist_select,
     evaluate_all_tasks,
     evaluate_skill_task,
+    evaluate_skills,
     is_valid_genome,
     random_genome,
 )
@@ -149,19 +150,18 @@ class TestEvaluation:
                                 for t in bundled_tasks] for g in genomes])
         assert np.array_equal(evaluate_all_tasks(genomes, bundled_tasks), per_genome)
 
-        # Selective evaluation, grouped by skill as the MFEA engine does it;
-        # the last task is nobody's skill and stays unevaluated.
+        # Selective evaluation: every row on its own skill task in one call, as the engines
+        # cost a generation, and by skill group; the last task is nobody's skill.
         skills = rng.integers(len(bundled_tasks) - 1, size=len(genomes))
-        costs = np.full(per_genome.shape, UNEVALUATED)
+        expected = per_genome[np.arange(len(genomes)), skills]
+        assert np.array_equal(evaluate_skills(genomes, skills, bundled_tasks), expected)
         for t in np.unique(skills):
-            costs[skills == t, t] = evaluate_skill_task(genomes[skills == t], t, bundled_tasks)
-        expected = np.full(per_genome.shape, UNEVALUATED)
-        expected[np.arange(len(genomes)), skills] = per_genome[np.arange(len(genomes)), skills]
-        assert np.array_equal(costs, expected)
+            costs = evaluate_skill_task(genomes[skills == t], t, bundled_tasks)
+            assert np.array_equal(costs, expected[skills == t])
         # One genome at a time, the cost is a Python float.
         alone = [evaluate_skill_task(g, s, bundled_tasks) for g, s in zip(genomes, skills)]
         assert all(type(c) is float for c in alone)
-        assert alone == expected[np.arange(len(genomes)), skills].tolist()
+        assert alone == expected.tolist()
 
 
 class TestElitistSelect:

@@ -247,7 +247,7 @@ def spied_generation(runner, monkeypatch):
     tasks = load_environment("TE_8").tasks
     calls = {name: [] for name in ("evaluate_all_tasks", "_mfea_children", "build_children",
                                     "dynamic_ox", "two_opt", "evaluate_skill_task",
-                                    "elitist_select")}
+                                    "evaluate_skills", "elitist_select")}
     for name, seen in calls.items():
         def spy(*args, real=getattr(mfopt.engines, name), seen=seen, **kw):
             seen.append(args)
@@ -270,13 +270,17 @@ def generation_parts(calls):
 
 
 def assert_costed_once(tasks, calls):
-    # One batch call per skill task with records, none empty: a child costed twice or never
-    # changes the sum. Every child handed to selection has one finite cost, on its skill task.
+    # One evaluate_skills call costs every record child and one-genome calls every other
+    # child: each child is in exactly one of them, so a child costed twice or never changes
+    # the rows. Every child handed to selection has one finite cost, its own on its skill
+    # task (by the one-genome loop), so a cost landing on another row fails.
     records, singles = generation_parts(calls)
-    batches = {int(t): len(g) for g, t, _ in calls["evaluate_skill_task"] if g.ndim == 2}
-    assert 1 <= len(batches) == len(calls["evaluate_skill_task"]) - len(singles) <= len(tasks)
-    assert all(batches.values()) and sum(batches.values()) == len(records)
+    ((batch, skills, _),) = calls["evaluate_skills"]
+    assert len(batch) == len(skills) == len(records)
+    assert len(calls["evaluate_skill_task"]) == len(singles)
     ((_, children, _),) = calls["elitist_select"]
+    costed = [g.tobytes() for g in (*batch, *singles)]
+    assert sorted(costed) == sorted(g.tobytes() for g in children.genomes)
     assert (np.isfinite(children.costs).sum(axis=1) == 1).all()
     for genome, row in zip(children.genomes, children.costs):
         t = int(np.flatnonzero(np.isfinite(row))[0])
@@ -285,9 +289,12 @@ def assert_costed_once(tasks, calls):
 
 class TestMfeaBatches:
     def test_one_generation_costs_at_most_k_calls(self, monkeypatch):
+        # One call, so at most K: its batch holds TSP and CVRP children alike.
         tasks, calls = spied_generation(run_mfea, monkeypatch)
         records, singles = generation_parts(calls)
         assert len(records) == 20 and not singles
+        ((_, skills, _),) = calls["evaluate_skills"]
+        assert {isinstance(tasks[t], mfopt.tasks.CvrpInstance) for t in skills} == {False, True}
         assert_costed_once(tasks, calls)
 
     def test_one_generation_builds_its_children_in_one_call_each(self, monkeypatch):
@@ -377,7 +384,8 @@ class TestAdaptiveSpecifics:
         # Children whose cost updated the matrix and children batched with
         # the generation alike get one finite cost, on their skill task.
         tasks, calls = spied_generation(run_dmfea2, monkeypatch)
-        assert {g.ndim for g, _, _ in calls["evaluate_skill_task"]} == {1, 2}
+        records, singles = generation_parts(calls)
+        assert len(records) and singles
         assert_costed_once(tasks, calls)
 
 

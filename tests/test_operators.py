@@ -183,18 +183,21 @@ class TestDynamicOx:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, seed, same_parents):
         # Same child and same RNG state afterwards, so the engines' draw
-        # order is unchanged; identical parents force the fallback swap.
+        # order is unchanged; identical parents force the fallback swap. The
+        # donor's positions are built by dynamic_ox, or read from the donor's
+        # row of the parents' table, as the engine passes them.
         gen = np.random.default_rng(seed)
         n = int(gen.integers(2, 60))
         dom = gen.permutation(n) + 1
         don = dom.copy() if same_parents else gen.permutation(n) + 1
         d_k = int(gen.integers(1, n + 1))
         entry, w = float(gen.uniform(0.0, 1.0)), float(gen.uniform(0.1, 1.0))
-        rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-        child = dynamic_ox(dom, don, entry, w, d_k, rng)
-        expected = reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng)
-        assert np.array_equal(child, expected)
-        assert rng.random() == ref_rng.random()
+        for given_row in ({}, {"positions": gene_positions(np.array([dom, don]))[1]}):
+            rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+            child = dynamic_ox(dom, don, entry, w, d_k, rng, **given_row)
+            expected = reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng)
+            assert np.array_equal(child, expected)
+            assert rng.random() == ref_rng.random()
 
     def test_mixed_dtypes_still_change_the_child(self):
         # An int32 donor against an int64 dominant: the no-change test must

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from mfopt.tasks import (
     CvrpInstance,
     TspInstance,
     cvrp_cost,
+    cvrp_split,
     project,
     tsp_cost,
 )
@@ -32,7 +34,7 @@ def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
     whenever the next customer would exceed capacity (this is where the
     route-separating zeros are inserted). Distance per route is
     depot -> first -> ... -> last -> depot. The reference that tests check
-    ``cvrp_cost`` against.
+    ``cvrp_cost`` and ``cvrp_split`` against.
     """
     demands = inst.demands
     cap = inst.capacity
@@ -175,8 +177,9 @@ class TestCvrp:
         identity = np.arange(1, inst.dimension + 1)
         perms = [identity, identity[::-1].copy()]
         perms += [rng.permutation(inst.dimension) + 1 for _ in range(2000)]
-        for perm in perms:
-            assert cvrp_cost(perm, inst) == cvrp_decode(perm, inst).total_distance
+        expected = [cvrp_decode(perm, inst).total_distance for perm in perms]
+        assert [cvrp_cost(perm, inst) for perm in perms] == expected
+        assert cvrp_cost(np.array(perms), inst).tolist() == expected  # the batch split
 
     def test_single_route_when_capacity_suffices(self, tiny_cvrp):
         big = CvrpInstance(
@@ -195,8 +198,11 @@ class TestCvrp:
         ([2, 5, 1], np.nan, "capacity must be an integer, got nan"),
         ([2, 5, 1], "10", "capacity must be an integer, got '10'"),
         ([2, 5, 1], True, "capacity must be an integer, got True"),
+        # Unchecked, a batch of 2**31 such rows would wrap cvrp_split's int64 prefix loads.
+        ([2**31, 2**31, 0], 2**31,
+         r"instance 'bad' has a total demand of 2\*\*32 or more"),
     ], ids=["over capacity", "negative", "fractional demand", "NaN capacity", "string capacity",
-            "bool capacity"])
+            "bool capacity", "total demand 2**32"])
     def test_demand_outside_range_rejected(self, demands, capacity, match):
         # As the parser does, naming the first bad demand, or the field whose
         # type the parser would refuse.
@@ -255,3 +261,41 @@ class TestCvrp:
             if len(route):
                 assert inst.demands[route - 1].sum() <= cap
         assert plan.total_distance == cvrp_cost(p, inst)
+
+
+class TestCvrpSplit:
+    """``cvrp_split`` costs every row of a batch, across instances, as ``cvrp_decode``
+    costs the row's projection on its own instance."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 57, 300])
+    def test_matches_decode_on_bundled_mixed_batches(self, rows):
+        # Unified genomes longer than every instance, each row on a random one of the four.
+        bundled = load_environment("TE_4_2").tasks
+        rng = np.random.default_rng(rows)
+        genomes = np.array([rng.permutation(60) + 1 for _ in range(rows)]).reshape(rows, 60)
+        which = rng.integers(len(bundled), size=rows)
+        costs = cvrp_split(genomes, which, bundled)
+        assert costs.shape == (rows,) and costs.dtype == float
+        assert costs.tolist() == [cvrp_decode(project(g, bundled[w].dimension), bundled[w])
+                                  .total_distance for g, w in zip(genomes, which)]
+
+    @pytest.mark.parametrize("demands, capacity", [
+        ([4, 6, 3, 7, 10], 10),  # loads exactly at capacity, which make no break
+        ([9, 9, 9, 9, 9], 9),  # every demand equals the capacity: single-customer routes
+        ([5, 0, 5, 0, 0], 5),  # zero demands, also right after a full route
+        ([0, 0, 0, 0, 0], 1),  # one route of zero load
+        ([3, 1, 4, 1, 5], 2**63),  # capacities past int64, which no load reaches
+        ([3, 1, 4, 1, 5], 2**70),
+    ], ids=["load at capacity", "demand at capacity", "zero demands", "all zero", "2**63 capacity",
+            "2**70 capacity"])
+    def test_edge_loads_match_decode(self, tiny_cvrp, demands, capacity):
+        # Every order of five customers, alternating in one batch with the four-customer
+        # tiny_cvrp, so every break position is met and the rows' tables differ in size.
+        inst = CvrpInstance(name="edge", depot_coord=(1.0, 2.0),
+                            customer_coords=np.array([[9, 0], [0, 7], [-6, -1], [3, -8], [5, 5]]),
+                            demands=np.array(demands), capacity=capacity)
+        genomes = np.array(list(itertools.permutations(range(1, 6))))
+        which = np.arange(len(genomes)) % 2
+        expected = [cvrp_decode(project(g, 5 - w), (inst, tiny_cvrp)[w]).total_distance
+                    for g, w in zip(genomes, which)]
+        assert cvrp_split(genomes, which, [inst, tiny_cvrp]).tolist() == expected
