@@ -13,9 +13,8 @@ P members over K tasks is held as arrays, one row per member:
 
 The last three are derived from ``costs`` by ``assign_ranks_and_fitness``.
 
-Evaluation has one seam: ``evaluate_skills`` costs each row of a genome matrix
-on its own skill task, with one cost call per TSP task and one ``tasks.cvrp_split``
-over every CVRP row; ``engines`` says how a generation uses it.
+Every genome matrix is costed by ``tasks.batch_costs``, each row on its own task,
+TSP and CVRP alike; ``engines`` says how a generation uses it.
 """
 
 from __future__ import annotations
@@ -55,21 +54,9 @@ class Population:
 
 
 def evaluate_all_tasks(genomes: np.ndarray, problems) -> np.ndarray:
-    """n x K costs of a genome matrix, one call per task: the initial population's."""
-    return np.column_stack([evaluate_skills(genomes, np.full(len(genomes), k), problems)
-                            for k in range(len(problems))])
-
-
-def evaluate_skills(genomes: np.ndarray, skills: np.ndarray, problems) -> np.ndarray:
-    """Each row's cost on its own task ``skills[r]``, every CVRP row in one ``cvrp_split``."""
-    costs = np.empty(len(genomes))
-    split = np.array([isinstance(t, tasks.CvrpInstance) for t in problems])[skills]
-    for t in np.unique(skills[~split]):
-        costs[skills == t] = evaluate_skill_task(genomes[skills == t], t, problems)
-    if split.any():  # a TSP-only batch skips the split's set-up
-        found, which = np.unique(skills[split], return_inverse=True)
-        costs[split] = tasks.cvrp_split(genomes[split], which, [problems[k] for k in found])
-    return costs
+    """n x K costs of a genome matrix, one ``batch_costs`` call per task: the initial population's."""
+    which = np.zeros(len(genomes), dtype=int)
+    return np.column_stack([tasks.batch_costs(genomes, which, [task]) for task in problems])
 
 
 def evaluate_skill_task(genomes: np.ndarray, skill: int, problems):

@@ -11,7 +11,7 @@ skill, cost); the loop takes as many as the budget allows, so a child's draws ar
 made only if the budget takes it. A dMFEA-II inter-task child is a genome, costed
 before the next draw because its cost updates a matrix cell; every other child is
 a record with cost ``UNEVALUATED``. That marker alone decides which children the
-loop builds (all records in one ``build_children`` call) and costs (one ``evaluate_skills``).
+loop builds (all records in one ``build_children`` call) and costs (one ``batch_costs``).
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from .core import (
     elitist_select,
     evaluate_all_tasks,
     evaluate_skill_task,
-    evaluate_skills,
     random_genome,
 )
 from .operators import (_dox_window, _two_points, build_children, dynamic_ox, gene_positions,
                         two_opt, window_length)
+from .tasks import batch_costs
 from .operators import order_crossover  # noqa: F401  unused here; mfbench's tracer wraps it by name
 
 log = logging.getLogger(__name__)
@@ -227,8 +227,8 @@ def _evolve(tasks, config: EngineConfig, rng, children, rmp: RmpMatrix | None = 
         offspring = np.empty((len(made), d_max), dtype=np.int64)
         fixed, pos = np.flatnonzero(~deferred), np.flatnonzero(deferred)
         offspring[fixed] = np.reshape([built[r] for r in fixed], (-1, d_max))
-        offspring[pos] = build_children(pop.genomes, [built[r] for r in pos])
-        child_costs[deferred] = evaluate_skills(offspring[deferred], skills[deferred], tasks)
+        offspring[pos] = block = build_children(pop.genomes, [built[r] for r in pos])
+        child_costs[pos] = batch_costs(block, skills[pos], tasks)
         costs = np.full((len(made), k_tasks), UNEVALUATED)
         costs[np.arange(len(made)), skills] = child_costs
         evaluations += len(made)

@@ -1,10 +1,10 @@
 """TSP and CVRP task definitions over the unified permutation space.
 
-Each task exposes ``dimension`` and ``cost(perm)``; the engine projects
-unified genomes down to the task's dimension before evaluating. Both take
-one genome (a float cost) or a matrix of one per row (a vector). Distances
-follow the TSPLIB EUC_2D convention (nearest integer, half up), which is
-what the published optima of the bundled instances assume.
+Each task exposes ``dimension`` and ``cost(perm)`` of a genome projected onto
+it: one genome (a float cost) or a matrix of one per row (a vector). Every matrix
+is costed by ``batch_costs``, which takes unified genomes, each row on its own
+task. Distances follow the TSPLIB EUC_2D convention (nearest integer, half up),
+which is what the published optima of the bundled instances assume.
 """
 
 from __future__ import annotations
@@ -57,14 +57,16 @@ def project(genomes: np.ndarray, dimension: int) -> np.ndarray:
 class TspInstance:
     name: str
     coords: np.ndarray  # (dimension, 2)
-    _dist: np.ndarray = field(init=False, repr=False)  # by city id; row and column 0 unused
+    _table: np.ndarray = field(init=False, repr=False)  # CvrpInstance's layout, demands 0
+    _dist: np.ndarray = field(init=False, repr=False)  # its distances by city id; city 0 unused
 
     def __post_init__(self):
         self.coords = _points(self.coords, "coords", 2)
         if self.dimension < 3:
             raise ValueError("TSP instance needs at least 3 cities")
-        self._dist = np.zeros((self.dimension + 1,) * 2, dtype=np.int64)
-        self._dist[1:, 1:] = _euc2d_matrix(self.coords, 1, self.name)
+        table = np.zeros((self.dimension + 1, self.dimension + 2), dtype=np.int64)
+        table[1:, 2:] = _euc2d_matrix(self.coords, 1, self.name)
+        self._table, self._dist = table.ravel(), table[:, 1:]
 
     @property
     def dimension(self) -> int:
@@ -76,9 +78,10 @@ class TspInstance:
 
 def tsp_cost(perm: np.ndarray, inst: TspInstance):
     """Closed-tour length of each ``perm`` row (1-based city ids) on ``inst``."""
+    if perm.ndim > 1:
+        return batch_costs(perm, np.zeros(len(perm), dtype=int), [inst])
     d = inst._dist
-    total = d[perm[..., :-1], perm[..., 1:]].sum(axis=-1) + d[perm[..., -1], perm[..., 0]]
-    return float(total) if perm.ndim == 1 else total.astype(float)
+    return float(d[perm[:-1], perm[1:]].sum() + d[perm[-1], perm[0]])
 
 
 @dataclass
@@ -110,7 +113,7 @@ class CvrpInstance:
         if self.dimension < 2:
             raise ValueError(f"CVRP instance needs at least 2 customers, got {self.dimension}")
         demands = [0, *self.demands.tolist()]
-        if sum(demands) >= 2**32:  # cvrp_split sums loads over a whole batch in int64
+        if sum(demands) >= 2**32:  # batch_costs sums loads over a whole batch in int64
             raise ValueError(f"instance {self.name!r} has a total demand of 2**32 or more")
         dist = _euc2d_matrix(np.vstack((depot, self.customer_coords)), 0, self.name)
         self._table = np.column_stack((demands, dist)).ravel()
@@ -129,11 +132,11 @@ def cvrp_cost(perm: np.ndarray, inst: CvrpInstance):
 
     Greedy left to right: a route closes whenever the next customer would
     exceed capacity, and each route runs depot -> first -> ... -> last ->
-    depot. One genome is summed in Python ints, a matrix by ``cvrp_split``;
+    depot. One genome is summed in Python ints, a matrix by ``batch_costs``;
     the route-building ``cvrp_decode`` in ``tests/test_tasks.py`` is their reference.
     """
     if perm.ndim > 1:
-        return cvrp_split(perm, np.zeros(len(perm), dtype=int), [inst])
+        return batch_costs(perm, np.zeros(len(perm), dtype=int), [inst])
     dist, depot, demands, cap = inst._lists
     prev, *rest = perm.tolist()
     total, load = depot[prev], demands[prev]
@@ -146,25 +149,32 @@ def cvrp_cost(perm: np.ndarray, inst: CvrpInstance):
     return float(total + depot[prev])
 
 
-def cvrp_split(genomes: np.ndarray, which: np.ndarray, instances) -> np.ndarray:
-    """``cvrp_cost`` of each unified genome on ``instances[which[r]]``: every row's genes in one
-    flat array keyed into its instance's ``_table``, and one ``searchsorted`` per route step."""
+def batch_costs(genomes: np.ndarray, which: np.ndarray, instances) -> np.ndarray:
+    """Each unified genome's cost on ``instances[which[r]]``, TSP and CVRP alike: every row's
+    genes in one flat array keyed into its instance's ``_table``, a tour's first leg from its
+    last gene and a route's from the depot, and one ``searchsorted`` per route step."""
     if not len(genomes):  # reduceat takes no empty batch
         return np.zeros(0)
+    dim = np.array([inst.dimension for inst in instances])[which]
+    if dim.max() > genomes.shape[1]:
+        raise ValueError(f"task dimension {dim.max()} exceeds d_max {genomes.shape[1]}")
     flat = np.concatenate([inst._table for inst in instances])
     base = np.cumsum([1, *(inst._table.size for inst in instances[:-1])])[which]  # key of dist(0, 0)
-    dim = np.array([inst.dimension for inst in instances])[which]
-    cap = np.array([inst.capacity for inst in instances])[which]
-    keep = genomes <= dim[:, None]
-    key = (genomes * (dim + 2)[:, None] + base[:, None])[keep]  # the key of a gene's dist(g, 0)
-    starts, ends = np.cumsum(dim) - dim, np.cumsum(dim) - 1
-    q, prev = flat[key - 1], np.roll(key, 1)
-    prev[starts] = base
-    leg = flat[prev + genomes[keep]]  # the leg into each gene, from the depot at a row's start
-    at, end, load = starts, ends, np.cumsum(q)
-    while at.size:  # a route from ``at`` ends before the first load past its base load + cap
-        at = np.searchsorted(load, load[at] - q[at] + cap, side="right")
-        more = at <= end  # the rows not yet done
-        at, end, cap = at[more], end[more], cap[more]
-        leg[at] = flat[prev[at]] + flat[key[at]]  # a break goes back to the depot
-    return (np.add.reduceat(leg, starts) + flat[key[ends]]).astype(float)
+    genes = genomes[genomes <= dim[:, None]]
+    key = genes * np.repeat(dim + 2, dim) + np.repeat(base, dim)  # the key of a gene's dist(g, 0)
+    ends = np.cumsum(dim) - 1
+    starts, prev = ends + 1 - dim, np.empty_like(key)
+    prev[1:] = key[:-1]
+    route = np.array([isinstance(inst, CvrpInstance) for inst in instances])[which]
+    prev[starts] = np.where(route, base, key[ends])
+    leg = flat[prev + genes]  # the leg into each gene
+    if route.any():  # a TSP-only batch takes no route step
+        q = flat[key - 1]  # each gene's demand
+        at, end, load = starts[route], ends[route], np.cumsum(q)
+        cap = np.array([getattr(inst, "capacity", 0) for inst in instances])[which][route]
+        while at.size:  # a route from ``at`` ends before the first load past its base load + cap
+            at = np.searchsorted(load, load[at] - q[at] + cap, side="right")
+            more = at <= end  # the routes not yet done
+            at, end, cap = at[more], end[more], cap[more]
+            leg[at] = flat[prev[at]] + flat[key[at]]  # a break goes back to the depot
+    return (np.add.reduceat(leg, starts) + flat[key[ends]]).astype(float)  # a tour's dist(g, 0) is 0

@@ -13,7 +13,6 @@ from mfopt.core import (
     elitist_select,
     evaluate_all_tasks,
     evaluate_skill_task,
-    evaluate_skills,
     is_valid_genome,
     random_genome,
 )
@@ -112,28 +111,27 @@ class TestRanking:
 class TestEvaluation:
     @pytest.fixture
     def cost_calls(self, monkeypatch):
-        """Count objective evaluations: every call of ``tsp_cost``."""
+        """Count cost calls: every call of the batch kernel ``batch_costs`` or of ``tsp_cost``."""
         calls = []
-        real = mfopt.tasks.tsp_cost
+        for name in ("batch_costs", "tsp_cost"):
+            def counted(*args, name=name, real=getattr(mfopt.tasks, name)):
+                calls.append((name, args))
+                return real(*args)
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(mfopt.tasks, "tsp_cost", counted)
+            monkeypatch.setattr(mfopt.tasks, name, counted)
         return calls
 
     def test_evaluate_all_tasks_spends_k(self, square_tsp, line_tsp, cost_calls):
-        # One batch per task, however many genomes the matrix holds.
+        # One kernel call per task, however many genomes the matrix holds.
         costs = evaluate_all_tasks(np.tile(np.arange(1, 6), (3, 1)), [square_tsp, line_tsp])
-        assert len(cost_calls) == 2
+        assert [(name, len(args[0])) for name, args in cost_calls] == [("batch_costs", 3)] * 2
         assert costs.shape == (3, 2)
         assert all(math.isfinite(c) for c in costs.ravel())
 
     def test_evaluate_skill_task_spends_one(self, square_tsp, line_tsp, cost_calls):
-        # A single genome gets a scalar cost, on task 1 only.
+        # A single genome gets a scalar cost, on task 1 only, from tsp_cost and not the kernel.
         cost = evaluate_skill_task(np.arange(1, 6), 1, [square_tsp, line_tsp])
-        assert len(cost_calls) == 1
+        assert [name for name, _ in cost_calls] == ["tsp_cost"]
         assert cost == 8.0  # line tour 0-1-2-3-4-0
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
@@ -150,11 +148,11 @@ class TestEvaluation:
                                 for t in bundled_tasks] for g in genomes])
         assert np.array_equal(evaluate_all_tasks(genomes, bundled_tasks), per_genome)
 
-        # Selective evaluation: every row on its own skill task in one call, as the engines
-        # cost a generation, and by skill group; the last task is nobody's skill.
+        # Selective evaluation: every row on its own skill task in one kernel call, as the
+        # engines cost a generation, and by skill group; the last task is nobody's skill.
         skills = rng.integers(len(bundled_tasks) - 1, size=len(genomes))
         expected = per_genome[np.arange(len(genomes)), skills]
-        assert np.array_equal(evaluate_skills(genomes, skills, bundled_tasks), expected)
+        assert np.array_equal(mfopt.tasks.batch_costs(genomes, skills, bundled_tasks), expected)
         for t in np.unique(skills):
             costs = evaluate_skill_task(genomes[skills == t], t, bundled_tasks)
             assert np.array_equal(costs, expected[skills == t])

@@ -247,7 +247,7 @@ def spied_generation(runner, monkeypatch):
     tasks = load_environment("TE_8").tasks
     calls = {name: [] for name in ("evaluate_all_tasks", "_mfea_children", "build_children",
                                     "dynamic_ox", "two_opt", "evaluate_skill_task",
-                                    "evaluate_skills", "elitist_select")}
+                                    "batch_costs", "elitist_select")}
     for name, seen in calls.items():
         def spy(*args, real=getattr(mfopt.engines, name), seen=seen, **kw):
             seen.append(args)
@@ -270,12 +270,12 @@ def generation_parts(calls):
 
 
 def assert_costed_once(tasks, calls):
-    # One evaluate_skills call costs every record child and one-genome calls every other
+    # One batch_costs call costs every record child and one-genome calls every other
     # child: each child is in exactly one of them, so a child costed twice or never changes
     # the rows. Every child handed to selection has one finite cost, its own on its skill
     # task (by the one-genome loop), so a cost landing on another row fails.
     records, singles = generation_parts(calls)
-    ((batch, skills, _),) = calls["evaluate_skills"]
+    ((batch, skills, _),) = calls["batch_costs"]
     assert len(batch) == len(skills) == len(records)
     assert len(calls["evaluate_skill_task"]) == len(singles)
     ((_, children, _),) = calls["elitist_select"]
@@ -293,7 +293,7 @@ class TestMfeaBatches:
         tasks, calls = spied_generation(run_mfea, monkeypatch)
         records, singles = generation_parts(calls)
         assert len(records) == 20 and not singles
-        ((_, skills, _),) = calls["evaluate_skills"]
+        ((_, skills, _),) = calls["batch_costs"]
         assert {isinstance(tasks[t], mfopt.tasks.CvrpInstance) for t in skills} == {False, True}
         assert_costed_once(tasks, calls)
 

@@ -1,9 +1,11 @@
 """Every name a module of ``mfopt`` imports is read in that module. The
 package's ``__init__`` imports only to re-export, so it is not checked. And every
 function or class that a module of ``mfopt`` defines is named somewhere else. And every
-test that README.md or ROADMAP.md cites exists."""
+test that README.md or ROADMAP.md cites exists, as does every ``mfopt`` name README.md cites."""
 
 import ast
+import importlib
+import operator
 import re
 from pathlib import Path
 
@@ -82,3 +84,20 @@ def test_readme_names_only_existing_tests():
     cited = set(re.findall(r"(Test\w+)::(test_\w+)", docs))
     bare = set(re.findall(r"`(test_\w+)`", docs))
     assert (cited - methods, bare - names) == (set(), set())
+
+
+def test_readme_names_only_existing_attributes():
+    # A name README.md cites in backticks under a module of mfopt, as `core.name`,
+    # `tasks.name(...)` or `mfopt.harness.Name`, is an attribute of that module, so removing
+    # or renaming a function cannot leave README.md stale.
+    modules = "|".join(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    cited = re.findall(rf"`(?:mfopt\.)?((?:{modules})(?:\.\w+)+)[`(]",
+                       (ROOT / "README.md").read_text())
+    missing = []
+    for name in cited:
+        module, attrs = name.split(".", 1)
+        try:
+            operator.attrgetter(attrs)(importlib.import_module(f"mfopt.{module}"))
+        except AttributeError:
+            missing.append(name)
+    assert cited and not missing

@@ -11,8 +11,8 @@ from mfopt.parsers import euc2d_distance
 from mfopt.tasks import (
     CvrpInstance,
     TspInstance,
+    batch_costs,
     cvrp_cost,
-    cvrp_split,
     project,
     tsp_cost,
 )
@@ -34,7 +34,7 @@ def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
     whenever the next customer would exceed capacity (this is where the
     route-separating zeros are inserted). Distance per route is
     depot -> first -> ... -> last -> depot. The reference that tests check
-    ``cvrp_cost`` and ``cvrp_split`` against.
+    ``cvrp_cost`` and ``batch_costs`` against.
     """
     demands = inst.demands
     cap = inst.capacity
@@ -57,8 +57,8 @@ def cvrp_decode(perm: np.ndarray, inst: CvrpInstance) -> RoutePlan:
 
 
 def tour_length(perm: np.ndarray, inst: TspInstance) -> float:
-    """Closed-tour length summed from the coordinates with ``euc2d_distance``,
-    independently of the instance's own table: the reference for ``tsp_cost``."""
+    """Closed-tour length summed from the coordinates with ``euc2d_distance``, independently
+    of the instance's own table: the reference for ``tsp_cost`` and ``batch_costs``."""
     stops = inst.coords[perm - 1].tolist()
     return float(sum(euc2d_distance(a, b) for a, b in zip(stops, stops[1:] + stops[:1])))
 
@@ -198,7 +198,7 @@ class TestCvrp:
         ([2, 5, 1], np.nan, "capacity must be an integer, got nan"),
         ([2, 5, 1], "10", "capacity must be an integer, got '10'"),
         ([2, 5, 1], True, "capacity must be an integer, got True"),
-        # Unchecked, a batch of 2**31 such rows would wrap cvrp_split's int64 prefix loads.
+        # Unchecked, a batch of 2**31 such rows would wrap batch_costs' int64 prefix loads.
         ([2**31, 2**31, 0], 2**31,
          r"instance 'bad' has a total demand of 2\*\*32 or more"),
     ], ids=["over capacity", "negative", "fractional demand", "NaN capacity", "string capacity",
@@ -263,21 +263,33 @@ class TestCvrp:
         assert plan.total_distance == cvrp_cost(p, inst)
 
 
+def reference_cost(genome: np.ndarray, inst) -> float:
+    """The cost of ``genome``'s projection on ``inst``, by ``tour_length`` or ``cvrp_decode``."""
+    perm = project(genome, inst.dimension)
+    if isinstance(inst, TspInstance):
+        return tour_length(perm, inst)
+    return cvrp_decode(perm, inst).total_distance
+
+
 class TestCvrpSplit:
-    """``cvrp_split`` costs every row of a batch, across instances, as ``cvrp_decode``
-    costs the row's projection on its own instance."""
+    """``batch_costs`` costs every row of a batch, across TSP and CVRP instances, as
+    ``tour_length`` or ``cvrp_decode`` costs the row's projection on its own instance."""
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 57, 300])
     def test_matches_decode_on_bundled_mixed_batches(self, rows):
-        # Unified genomes longer than every instance, each row on a random one of the four.
-        bundled = load_environment("TE_4_2").tasks
+        # Unified genomes as wide as TE_8's widest instance, each row on a random one of its
+        # eight, of its four TSP instances or of its four CVRP instances.
+        bundled = load_environment("TE_8").tasks
+        tours = [k for k, inst in enumerate(bundled) if isinstance(inst, TspInstance)]
+        routes = [k for k in range(len(bundled)) if k not in tours]
         rng = np.random.default_rng(rows)
-        genomes = np.array([rng.permutation(60) + 1 for _ in range(rows)]).reshape(rows, 60)
-        which = rng.integers(len(bundled), size=rows)
-        costs = cvrp_split(genomes, which, bundled)
-        assert costs.shape == (rows,) and costs.dtype == float
-        assert costs.tolist() == [cvrp_decode(project(g, bundled[w].dimension), bundled[w])
-                                  .total_distance for g, w in zip(genomes, which)]
+        width = max(inst.dimension for inst in bundled)
+        genomes = np.array([rng.permutation(width) + 1 for _ in range(rows)]).reshape(rows, width)
+        for kinds in (tours + routes, tours, routes):
+            which = rng.choice(kinds, size=rows)
+            costs = batch_costs(genomes, which, bundled)
+            assert costs.shape == (rows,) and costs.dtype == float
+            assert costs.tolist() == [reference_cost(g, bundled[w]) for g, w in zip(genomes, which)]
 
     @pytest.mark.parametrize("demands, capacity", [
         ([4, 6, 3, 7, 10], 10),  # loads exactly at capacity, which make no break
@@ -288,14 +300,28 @@ class TestCvrpSplit:
         ([3, 1, 4, 1, 5], 2**70),
     ], ids=["load at capacity", "demand at capacity", "zero demands", "all zero", "2**63 capacity",
             "2**70 capacity"])
-    def test_edge_loads_match_decode(self, tiny_cvrp, demands, capacity):
+    def test_edge_loads_match_decode(self, tiny_cvrp, square_tsp, demands, capacity):
         # Every order of five customers, alternating in one batch with the four-customer
-        # tiny_cvrp, so every break position is met and the rows' tables differ in size.
+        # tiny_cvrp and the four-city square_tsp, so every break position is met, a tour's
+        # zero demands sit between routes and the rows' tables differ in size.
         inst = CvrpInstance(name="edge", depot_coord=(1.0, 2.0),
                             customer_coords=np.array([[9, 0], [0, 7], [-6, -1], [3, -8], [5, 5]]),
                             demands=np.array(demands), capacity=capacity)
+        instances = [inst, tiny_cvrp, square_tsp]
         genomes = np.array(list(itertools.permutations(range(1, 6))))
-        which = np.arange(len(genomes)) % 2
-        expected = [cvrp_decode(project(g, 5 - w), (inst, tiny_cvrp)[w]).total_distance
-                    for g, w in zip(genomes, which)]
-        assert cvrp_split(genomes, which, [inst, tiny_cvrp]).tolist() == expected
+        which = np.arange(len(genomes)) % 3
+        expected = [reference_cost(g, instances[w]) for g, w in zip(genomes, which)]
+        assert batch_costs(genomes, which, instances).tolist() == expected
+
+    @pytest.mark.parametrize("kind", [TspInstance, CvrpInstance], ids=["tsp", "cvrp"])
+    def test_narrow_genomes_rejected(self, kind):
+        # 40-gene rows on TE_4_3, whose instances have 49 to 52 cities or customers, through
+        # the kernel and through the task's own matrix cost, as project refuses them.
+        bundled = load_environment("TE_4_3").tasks
+        k = next(k for k, inst in enumerate(bundled) if isinstance(inst, kind))
+        genomes = np.tile(np.arange(1, 41), (3, 1))
+        match = f"task dimension {bundled[k].dimension} exceeds d_max 40"
+        with pytest.raises(ValueError, match=match):
+            batch_costs(genomes, np.full(3, k), bundled)
+        with pytest.raises(ValueError, match=match):
+            bundled[k].cost(genomes)
