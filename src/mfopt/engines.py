@@ -6,12 +6,12 @@ live in a learned symmetric K x K matrix updated online from the outcome
 of each transfer (child better or worse than the parent whose skill task
 it inherited).
 
-Each engine is a generator of a generation's children, pair by pair, as (child,
-skill, cost); the loop takes as many as the budget allows, so a child's draws are
-made only if the budget takes it. A dMFEA-II inter-task child is a genome, costed
-before the next draw because its cost updates a matrix cell; every other child is
-a record with cost ``UNEVALUATED``. That marker alone decides which children the
-loop builds (all records in one ``build_children`` call) and costs (one ``batch_costs``).
+Each engine returns a generation's children in pair order, as many as the budget takes.
+MFEA's generation draws in full, as arrays; the budget cuts the children it builds.
+dMFEA-II draws child by child and draws nothing for a child it does not make. Its
+inter-task child is a genome, costed before the next draw because its cost updates a
+matrix cell; every other child is a record row with cost ``UNEVALUATED``. That marker
+decides which children the loop builds (one ``build_children``) and costs (one ``batch_costs``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import logging
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import (_dox_window, _two_points, build_children, dynamic_ox, gene_positions,
-                        two_opt, window_length)
+from .operators import (_dox_window, _point_pairs, _two_points, build_children, dynamic_ox,
+                        gene_positions, two_opt, window_length)
 from .tasks import batch_costs
 from .operators import order_crossover  # noqa: F401  unused here; mfbench's tracer wraps it by name
 
@@ -195,8 +195,8 @@ class _Draws:
 
 
 def _evolve(tasks, config: EngineConfig, rng, children, rmp: RmpMatrix | None = None):
-    """The one outer loop. ``children(pop, order, draws)`` is the engine, a generator of a
-    generation's children in pair ``order``; ``rmp``, if any, is snapshotted in each record."""
+    """The one outer loop. ``children(pop, order, rng, left=n)`` is the engine, a generation's first
+    ``n`` children as (records, skills, costs, genomes); ``rmp``, if any, is in each record."""
     rng = np.random.default_rng(config.seed if rng is None else rng)
     k_tasks = len(tasks)
     config.check_init_budget(k_tasks)
@@ -212,46 +212,45 @@ def _evolve(tasks, config: EngineConfig, rng, children, rmp: RmpMatrix | None = 
     # Each task's best so far: with fewer members than tasks, selection can drop it.
     best, kept = pop.costs.min(axis=0), pop.genomes[pop.costs.argmin(axis=0)]
     trace = RunTrace()
-    draws = _Draws(rng)  # the pair loop's scalar draws; permutations come from rng itself
     while True:
         trace.records.append(GenerationRecord(len(trace.records), evaluations, best.tolist(),
                                               None if rmp is None else rmp.entries.tolist()))
         if evaluations >= config.eval_budget:
             return [TaskResult(float(c), g.copy()) for c, g in zip(best, kept)], trace
-        order = rng.permutation(len(pop.costs)).tolist()
-        # Lazy children: a child's draws are made only if the budget takes it.
-        made = list(islice(children(pop, order, draws), config.eval_budget - evaluations))
-        built, skills, child_costs = zip(*made)
-        skills, child_costs = np.array(skills), np.array(child_costs)
-        deferred = child_costs == UNEVALUATED  # the records
-        offspring = np.empty((len(made), d_max), dtype=np.int64)
-        fixed, pos = np.flatnonzero(~deferred), np.flatnonzero(deferred)
-        offspring[fixed] = np.reshape([built[r] for r in fixed], (-1, d_max))
-        offspring[pos] = block = build_children(pop.genomes, [built[r] for r in pos])
-        child_costs[pos] = batch_costs(block, skills[pos], tasks)
-        costs = np.full((len(made), k_tasks), UNEVALUATED)
-        costs[np.arange(len(made)), skills] = child_costs
-        evaluations += len(made)
+        order = rng.permutation(len(pop.costs))
+        records, skills, child_costs, genomes = children(pop, order, rng,
+                                                         left=config.eval_budget - evaluations)
+        deferred = child_costs == UNEVALUATED  # the records' rows
+        offspring = np.empty((len(skills), d_max), dtype=np.int64)
+        offspring[~deferred] = np.reshape(genomes, (-1, d_max))
+        offspring[deferred] = block = build_children(pop.genomes, records)
+        child_costs[deferred] = batch_costs(block, skills[deferred], tasks)
+        costs = np.full((len(skills), k_tasks), UNEVALUATED)
+        costs[np.arange(len(skills)), skills] = child_costs
+        evaluations += len(skills)
         found = costs.min(axis=0)
         better = found < best
         best[better], kept[better] = found[better], offspring[costs[:, better].argmin(axis=0)]
         pop = elitist_select(pop, Population(offspring, costs), config.population_size)
 
 
-def _mfea_children(pop, order, rng, config):
-    """The baseline scalar-RMP scheme; yields (record, skill, UNEVALUATED) per child."""
-    skill_of, n = pop.skill.tolist(), pop.genomes.shape[1]
-    for ia, ib in zip(order[::2], order[1::2]):
-        ta, tb = skill_of[ia], skill_of[ib]
-        if ta != tb and rng.random() > config.rmp_scalar:
-            # An empty window keeps each parent whole: each child is a 2-opt mutant.
-            for p, t in ((ia, ta), (ib, tb)):
-                yield (p, p, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED
-            continue
-        lo, hi = _two_points(n + 1, rng)  # the OX pair: each child keeps one parent's segment
-        for p, q in ((ia, ib), (ib, ia)):
-            skill = ta if ta == tb or rng.random() < 0.5 else tb
-            yield (p, q, lo, hi, 0, 0, 1), skill, UNEVALUATED
+def _mfea_children(pop, order, rng, *, left, config):
+    """The baseline scalar-RMP scheme. A generation draws in full, as arrays in this order: P/2
+    transfer uniforms, P/2 OX cut pairs over range(n + 1), P 2-opt pairs over range(n) and P
+    skill coins; ``left`` cuts the children it builds. A pair of one skill, or whose uniform is
+    at most ``rmp_scalar``, crosses: each child keeps its parent's segment and takes its mate's
+    skill if its coin is below 0.5. Any other pair makes 2-opt mutants on their own skills."""
+    n, half = pop.genomes.shape[1], len(order) // 2
+    transfer = rng.random(half)
+    cuts = np.repeat(_point_pairs(n + 1, half, rng), 2, axis=1)  # one window per pair
+    moves = _point_pairs(n, 2 * half, rng)
+    coins = rng.random(2 * half) < 0.5
+    mates = order.reshape(-1, 2)[:, ::-1].ravel()
+    own, other = pop.skill[order], pop.skill[mates]
+    ox = np.repeat(transfer <= config.rmp_scalar, 2) | (own == other)
+    records = np.column_stack((order, np.where(ox, mates, order), *(cuts * ox), *(moves * ~ox), ox))
+    skills = np.where(ox & coins, other, own)
+    return records[:left], skills[:left], np.full(len(order), UNEVALUATED)[:left], []
 
 
 def _other_member(bucket, idx, r):
@@ -259,10 +258,10 @@ def _other_member(bucket, idx, r):
     return bucket[r] if bucket[r] < idx else bucket[r + 1]
 
 
-def _dmfea2_children(pop, order, rng, config, tasks, rmp):
-    """The adaptive matrix scheme, intra-task mates drawn from the skill ``buckets``; yields
-    (genome, skill, cost) per inter-task child, after its update, and (record, skill,
-    UNEVALUATED) per other child."""
+def _dmfea2_pairs(pop, order, rng, config, tasks, rmp):
+    """The adaptive matrix scheme's pair loop, intra-task mates drawn from the skill
+    ``buckets``; yields (genome, skill, cost) per inter-task child, after its update, and
+    (record, skill, UNEVALUATED) per other child."""
     skill_of, n = pop.skill.tolist(), pop.genomes.shape[1]
     dims = [t.dimension for t in tasks]
     buckets = [np.flatnonzero(pop.skill == t).tolist() for t in range(len(tasks))]
@@ -307,6 +306,14 @@ def _dmfea2_children(pop, order, rng, config, tasks, rmp):
             yield (idx, idx if swap else mate, lo, hi, *move, 0), t, UNEVALUATED
 
 
+def _dmfea2_children(pop, order, rng, *, left, draws, **scheme):
+    """The pair loop's first ``left`` children, drawn through the run's ``_Draws`` over ``rng``."""
+    built, skills, costs = zip(*islice(_dmfea2_pairs(pop, order.tolist(), draws, **scheme), left))
+    kept = np.array(costs) != UNEVALUATED  # the inter-task genomes, costed in the loop
+    records = np.fromiter(chain.from_iterable(compress(built, ~kept)), np.int64).reshape(-1, 7)
+    return records, np.array(skills), np.array(costs), list(compress(built, kept))
+
+
 def run_mfea(tasks, config: EngineConfig,
              rng: np.random.Generator | np.random.SeedSequence | int | None = None):
     """Baseline multifactorial loop with a fixed scalar mating probability."""
@@ -319,5 +326,6 @@ def run_dmfea2(tasks, config: EngineConfig,
     crossover sized by its entries."""
     rmp = RmpMatrix.initial(len(tasks), config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor)
-    return _evolve(tasks, config, rng,
-                   partial(_dmfea2_children, config=config, tasks=tasks, rmp=rmp), rmp)
+    rng = np.random.default_rng(config.seed if rng is None else rng)  # shared with _evolve
+    return _evolve(tasks, config, rng, partial(_dmfea2_children, draws=_Draws(rng), config=config,
+                                               tasks=tasks, rmp=rmp), rmp)

@@ -4,15 +4,14 @@ the donor's ``gene_positions`` row (one table per generation in the engine),
 and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
 one child per record over a genome matrix: it builds the crossover windows with one
 gene-keyed table, then reverses each 2-opt segment by index. Where an operator takes an
-``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and the engines' draw object
-(``Generator``'s ``integers(n)`` and ``random()`` alone) serve alike.
+``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and dMFEA-II's draw object
+serve alike; MFEA draws a generation's points as arrays with ``_point_pairs``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +37,14 @@ def _two_points(n: int, rng: np.random.Generator) -> tuple[int, int]:
     b = n - 1 if b == a else b
     rng.integers(2**32)
     return (a, b) if a < b else (b, a)
+
+
+def _point_pairs(n: int, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` pairs of distinct points of range(n) as (lower, higher) arrays, by Floyd's rule:
+    ``integers(n - 1, size)``, then ``integers(n, size)`` with a repeat taken as n - 1."""
+    a, b = rng.integers(n - 1, size=size), rng.integers(n, size=size)
+    b[b == a] = n - 1
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def order_crossover(
@@ -138,12 +145,12 @@ def dynamic_ox(
 
 
 def build_children(genomes: np.ndarray, records) -> np.ndarray:
-    """One child per record ``(a, b, lo, hi, i, j, ox)`` over the rows of ``genomes``:
+    """One child per row ``(a, b, lo, hi, i, j, ox)`` of the (m, 7) ``records`` over ``genomes``:
     genome a with its genes in [lo, hi), or outside it if ox, put in the order they
     take in b (read cyclically from hi if ox; reversed if b is a), then 2-opted at
     (i, j) if i < j. One gene-keyed table builds the windows; [i, j] is reversed by index."""
     n = genomes.shape[1]
-    a, b, lo, hi, i, j, ox = np.fromiter(chain.from_iterable(records), np.int64).reshape(-1, 7).T
+    a, b, lo, hi, i, j, ox = np.asarray(records, np.int64).reshape(-1, 7).T
     cycled = sliding_window_view(np.hstack((genomes, genomes)), n, axis=1)
     donors = cycled[b, hi * ox]  # row b, read from hi if ox
     donors[a == b] = np.compress(a == b, donors, axis=0)[:, ::-1]

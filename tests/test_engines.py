@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 from types import SimpleNamespace
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 import mfopt.engines
 import mfopt.tasks
 from conftest import format_tsplib, format_vrp
-from mfopt.core import evaluate_skill_task, is_valid_genome
+from mfopt.core import UNEVALUATED, Population, evaluate_skill_task, is_valid_genome
 from mfopt.engines import (
     EngineConfig,
     GenerationRecord,
     RmpMatrix,
     RunTrace,
     _Draws,
+    _mfea_children,
     _other_member,
     rmp_update,
     run_dmfea2,
@@ -211,33 +213,48 @@ class TestRunInvariants:
                 assert config.delta_inc < 1 or (steps <= 0).all()
                 assert config.delta_dec < 1 or (steps >= 0).all()
 
-    def test_a_best_dropped_by_selection_is_still_reported(self):
-        # With 2 members for 4 tasks, selection drops berlin52's best member
-        # (24,884) at generation 99, and the population's best reads 29,463.
+    def test_a_best_dropped_by_selection_is_still_reported(self, monkeypatch):
+        # With 2 members for 4 tasks, selection drops berlin52's best member in some
+        # generation; a spy on selection finds it, and the trace still reports each task's
+        # best so far: the best of the initial population and of every selection's union.
         tasks = load_environment("TE_4_1").tasks
+        unions, survivors = [], []
+
+        def spy(current, offspring, p_size, real=mfopt.engines.elitist_select):
+            unions.append(np.vstack((current.costs, offspring.costs)).min(axis=0))
+            kept = real(current, offspring, p_size)
+            survivors.append(kept.costs.min(axis=0))
+            return kept
+        monkeypatch.setattr(mfopt.engines, "elitist_select", spy)
         best, trace = run_mfea(tasks, EngineConfig(population_size=2, eval_budget=400),
                                np.random.default_rng(1))
         costs = np.array([r.best_costs for r in trace.records])
-        assert costs[98, 0] == 24_884
-        assert (np.diff(costs, axis=0) <= 0).all()
+        so_far = np.minimum.accumulate(np.vstack((costs[0], *unions)))
+        assert np.array_equal(costs, so_far)
+        assert (np.array(survivors)[:, 0] > so_far[1:, 0]).any()  # berlin52's best dropped
         assert best[0].cost == costs[-1, 0] == evaluate_skill_task(best[0].genome, 0, tasks)
 
     @pytest.mark.parametrize("budget", [5, 7, 9])
-    @pytest.mark.parametrize("rmp_scalar, second_child_draws", [
-        (0.0, lambda draws: _two_points(52, draws)),  # a 2-opt pair: the second child's move
-        (1.0, lambda draws: draws.random()),  # an OX pair: the second child's skill
-    ], ids=["two_opt", "ox"])
-    def test_a_run_draws_nothing_for_a_child_it_does_not_make(self, rmp_scalar,
+    @pytest.mark.parametrize("runner, k_tasks, fields, second_child_draws", [
+        (run_mfea, 2, dict(rmp_scalar=0.0), None),  # pairs of two skills mutate
+        (run_mfea, 2, dict(rmp_scalar=1.0), None),  # every pair crosses
+        (run_dmfea2, 1, dict(p_m=0.0), lambda draws: draws.random()),  # the child's p_m coin
+        (run_dmfea2, 1, dict(p_m=1.0), lambda draws: (draws.random(), _two_points(52, draws))),
+    ], ids=["two_opt", "ox", "dmfea2_ox", "dmfea2_ox_two_opt"])
+    def test_a_run_draws_nothing_for_a_child_it_does_not_make(self, runner, k_tasks, fields,
                                                                second_child_draws, budget):
-        # Seeded at 0, the last generation's one pair is inter-task at each of these budgets,
-        # and the odd budget cuts it after its first child. Drawing the second child's share
-        # must bring the run's generator to where a run one evaluation longer leaves its own.
-        tasks = load_environment("TE_4_1").tasks[:2]
+        # An odd budget cuts the last generation's one pair after its first child. MFEA draws
+        # its generation in full, so the cut run's generator stands where a run one evaluation
+        # longer leaves its own. dMFEA-II draws nothing for the cut child: on one task its
+        # pair is same-skill OX, and drawing the second child's share (its p_m coin, and its
+        # move at p_m 1) brings the generator there.
+        tasks = load_environment("TE_4_1").tasks[:k_tasks]
         cut, whole = np.random.default_rng(0), np.random.default_rng(0)
         for gen, b in ((cut, budget), (whole, budget + 1)):
-            run_mfea(tasks, small_config(population_size=2, eval_budget=b,
-                                         rmp_scalar=rmp_scalar), gen)
-        second_child_draws(_Draws(cut))
+            runner(tasks, small_config(population_size=2, eval_budget=b, **fields), gen)
+        if second_child_draws:
+            assert cut.bit_generator.state != whole.bit_generator.state
+            second_child_draws(_Draws(cut))
         assert cut.bit_generator.state == whole.bit_generator.state
 
 
@@ -323,6 +340,88 @@ class TestMfeaBatches:
         for (p, q, lo, hi, *_), child in zip(records[ox], children.genomes[ox]):
             expected, _ = order_crossover(genomes[p], genomes[q], CrossoverWindow(lo, hi - lo))
             assert np.array_equal(child, expected)
+
+
+def reference_mfea_generation(skill, order, rng, n, rmp_scalar):
+    """MFEA's generation, pair by pair, from its documented array draws: P/2 transfer uniforms,
+    P/2 OX cut pairs over range(n + 1), P 2-opt pairs over range(n) and P skill coins, each pair
+    of points by Floyd's rule. Returns each child's record and skill."""
+    half = len(order) // 2
+    transfer = rng.random(half)
+    cuts = [rng.integers(n, size=half), rng.integers(n + 1, size=half)]
+    moves = [rng.integers(n - 1, size=2 * half), rng.integers(n, size=2 * half)]
+    coins = rng.random(2 * half)
+
+    def points(a, b, top):  # Floyd's second point is ``top`` when it repeats the first
+        return sorted((int(a), top if b == a else int(b)))
+    records, skills = [], []
+    for k, (p, q) in enumerate(zip(order[::2], order[1::2])):
+        if skill[p] == skill[q] or transfer[k] <= rmp_scalar:
+            lo, hi = points(cuts[0][k], cuts[1][k], n)
+            for c, (x, y) in enumerate(((p, q), (q, p))):  # heads: the mate's skill
+                records.append((x, y, lo, hi, 0, 0, 1))
+                skills.append(skill[y] if coins[2 * k + c] < 0.5 else skill[x])
+        else:
+            for c, x in enumerate((p, q)):
+                i, j = points(moves[0][2 * k + c], moves[1][2 * k + c], n - 1)
+                records.append((x, x, 0, 0, i, j, 0))
+                skills.append(skill[x])
+    return records, skills
+
+
+class TestMfeaDraws:
+    @staticmethod
+    def generation(rmp_scalar, left=40):
+        """One generation of 40 members of 9 genes on 3 tasks: the population, its order, its
+        children, the generator after them and a copy of the generator before them."""
+        gen = np.random.default_rng(0)
+        pop = Population(np.tile(np.arange(1, 10), (40, 1)), np.zeros((40, 3)),
+                         skill=gen.integers(3, size=40))
+        order, before = gen.permutation(40), copy.deepcopy(gen)
+        config = small_config(rmp_scalar=rmp_scalar)
+        made = _mfea_children(pop, order, gen, left=left, config=config)
+        return pop, order, made, gen, before
+
+    @pytest.mark.parametrize("rmp_scalar", [0.0, 0.5, 1.0])
+    def test_generation_equals_its_pair_by_pair_reference(self, rmp_scalar):
+        pop, order, (records, skills, costs, genomes), gen, twin = self.generation(rmp_scalar)
+        expected, expected_skills = reference_mfea_generation(pop.skill, order, twin, 9, rmp_scalar)
+        assert records.dtype == np.int64 and records.tolist() == [list(r) for r in expected]
+        assert skills.tolist() == expected_skills
+        assert (costs == UNEVALUATED).all() and len(costs) == 40 and not len(genomes)
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("rmp_scalar", [0.0, 0.5, 1.0])
+    def test_each_pair_gives_two_ox_rows_or_two_two_opt_rows(self, rmp_scalar):
+        # A same-skill pair gives two OX rows on the shared skill, a pair that does not
+        # transfer two 2-opt-only rows, each on its own parent's skill. rmp_scalar 0 lets no
+        # pair of two skills transfer and rmp_scalar 1 lets every pair transfer.
+        pop, order, (records, skills, _, _), _, _ = self.generation(rmp_scalar)
+        kinds = set()
+        for (first, second), (sa, sb), (p, q) in zip(records.reshape(-1, 2, 7),
+                                                   skills.reshape(-1, 2), order.reshape(-1, 2)):
+            tp, tq = pop.skill[p], pop.skill[q]
+            if first[6]:  # an OX pair: one window, each parent's segment kept, no move
+                lo, hi = first[2:4]
+                assert first.tolist() == [p, q, lo, hi, 0, 0, 1]
+                assert second.tolist() == [q, p, lo, hi, 0, 0, 1] and 0 <= lo < hi <= 9
+                assert {sa, sb} <= {tp, tq} and (tp != tq or sa == sb == tp)
+            else:  # two 2-opt mutants with empty windows
+                assert tp != tq and rmp_scalar < 1
+                for row, x in ((first, p), (second, q)):
+                    assert row[:4].tolist() == [x, x, 0, 0] and 0 <= row[4] < row[5] < 9
+                assert (sa, sb) == (tp, tq)
+            kinds.add((bool(first[6]), tp == tq))
+        assert kinds == {0.0: {(True, True), (False, False)},
+                         0.5: {(True, True), (True, False), (False, False)},
+                         1.0: {(True, True), (True, False)}}[rmp_scalar]
+
+    def test_the_budget_cuts_the_children_not_the_draws(self):
+        _, _, whole, after, _ = self.generation(0.5)
+        _, _, cut, cut_after, _ = self.generation(0.5, left=7)
+        for w, c in zip(whole, cut):
+            assert np.array_equal(w[:7], c)
+        assert cut_after.bit_generator.state == after.bit_generator.state
 
 
 class TestAdaptiveSpecifics:
@@ -455,7 +554,8 @@ class TestDrawReplay:
 
     @pytest.mark.parametrize("bits, runner, pop, budget, seed", DRAWN_RUNS)
     def test_replayed_run_equals_direct_run(self, bits, runner, pop, budget, seed, monkeypatch):
-        # A run through _Draws equals one that draws from the Generator itself.
+        # A dMFEA-II run through _Draws equals one that draws from the Generator itself. MFEA
+        # draws its generations as arrays from the Generator, so it makes no _Draws at all.
         tasks = load_environment("TE_8").tasks
         config = small_config(population_size=pop, eval_budget=budget)
         drawn, direct = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
@@ -466,7 +566,7 @@ class TestDrawReplay:
         monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: SimpleNamespace(
             integers=lambda n: rng.integers(n), random=lambda: rng.random()))
         best_d, trace_d = runner(tasks, config, direct)
-        assert len(made) == 1 and made[0] is drawn  # one per run
+        assert made == ([drawn] if runner is run_dmfea2 else [])  # one per dMFEA-II run
         assert trace_r.records[-1].evaluations == budget
         assert trace_r.to_jsonl() == trace_d.to_jsonl()
         assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)

@@ -10,6 +10,7 @@ from mfopt.engines import _Draws
 from mfopt.operators import (
     CrossoverWindow,
     _dox_window,
+    _point_pairs,
     _two_points,
     build_children,
     dynamic_ox,
@@ -91,6 +92,23 @@ class TestTwoPoints:
         assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
         assert rng.random() == ref.random()
         assert rng.integers(n) == ref.integers(n)
+
+
+class TestPointPairs:
+    @pytest.mark.parametrize("n", [2, 3, 53, 2**32])
+    def test_pairs_are_distinct_ascending_and_in_range(self, n):
+        lo, hi = _point_pairs(n, 20_000, np.random.default_rng(n))
+        assert lo.shape == hi.shape == (20_000,)
+        assert ((0 <= lo) & (lo < hi) & (hi < n)).all()
+
+    def test_pairs_are_uniform_over_the_pairs(self):
+        # Floyd's rule gives each of the n(n - 1)/2 pairs of range(n) the same chance.
+        from scipy.stats import chisquare
+        n, size = 7, 42_000
+        lo, hi = _point_pairs(n, size, np.random.default_rng(11))
+        pairs = np.bincount(lo * n + hi, minlength=n * n).reshape(n, n)[np.triu_indices(n, 1)]
+        assert pairs.sum() == size  # every pair is ascending
+        assert chisquare(pairs).pvalue > 0.01
 
 
 class TestOrderCrossover:
