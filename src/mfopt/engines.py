@@ -6,12 +6,10 @@ live in a learned symmetric K x K matrix updated online from the outcome
 of each transfer (child better or worse than the parent whose skill task
 it inherited).
 
-Each engine returns a generation's children in pair order, as many as the budget takes.
-MFEA's generation draws in full, as arrays; the budget cuts the children it builds.
-dMFEA-II draws child by child and draws nothing for a child it does not make. Its
-inter-task child is a genome, costed before the next draw because its cost updates a
-matrix cell; every other child is a record row with cost ``UNEVALUATED``. That marker
-decides which children the loop builds (one ``build_children``) and costs (one ``batch_costs``).
+Each engine draws a generation in full, as arrays, and returns its children in pair order, as
+many as the budget takes. dMFEA-II's inter-task child is a genome, costed as it is made because
+its cost updates a matrix cell; every other child is a record row with cost ``UNEVALUATED``. That
+marker decides which children the loop builds (one ``build_children``) and costs (one ``batch_costs``).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import logging
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, compress, islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,8 +32,8 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import (_dox_window, _point_pairs, _two_points, build_children, dynamic_ox,
-                        gene_positions, two_opt, window_length)
+from .operators import (_point_pairs, build_children, dynamic_ox, gene_positions, two_opt,
+                        window_length)
 from .tasks import batch_costs
 from .operators import order_crossover  # noqa: F401  unused here; mfbench's tracer wraps it by name
 
@@ -175,25 +173,6 @@ class TaskResult:
     genome: np.ndarray
 
 
-class _Draws:
-    """A Generator's two scalar calls in a run's pair loop, ``integers(n)`` and ``random()``:
-    its bit generator's own C calls, ``next_uint32`` under numpy's arithmetic (Lemire's method)
-    and ``next_double`` itself, so values and state equal numpy's. The calls skip numpy's
-    per-generator lock: share no Generator across threads during a run."""
-    def __init__(self, rng):
-        bits, self._rng = rng.bit_generator.ctypes, rng  # the C state lives as long as rng
-        self._u32 = partial(bits.next_uint32, bits.state_address)
-        self.random = partial(bits.next_double, bits.state_address)
-
-    def integers(self, n):
-        if n == 1:
-            return 0
-        m = self._u32() * n
-        while m & 0xFFFFFFFF < n and m & 0xFFFFFFFF < (0x100000000 - n) % n:  # numpy's test order
-            m = self._u32() * n
-        return m >> 32
-
-
 def _evolve(tasks, config: EngineConfig, rng, children, rmp: RmpMatrix | None = None):
     """The one outer loop. ``children(pop, order, rng, left=n)`` is the engine, a generation's first
     ``n`` children as (records, skills, costs, genomes); ``rmp``, if any, is in each record."""
@@ -253,65 +232,71 @@ def _mfea_children(pop, order, rng, *, left, config):
     return records[:left], skills[:left], np.full(len(order), UNEVALUATED)[:left], []
 
 
-def _other_member(bucket, idx, r):
-    """The ``r``-th member other than ``idx`` of the sorted ``bucket``, which holds ``idx``."""
-    return bucket[r] if bucket[r] < idx else bucket[r + 1]
+def _mates(skill, order, ranks):
+    """Each ``order`` member's ``ranks``-th other member of its skill bucket, in index order (for
+    a member alone in its skill, any member)."""
+    counts = np.bincount(skill)
+    members, first = np.argsort(skill, kind="stable"), np.cumsum(counts) - counts
+    rank = np.argsort(members) - first[skill]  # each member's place in its bucket
+    return members.take(first[skill[order]] + ranks + (ranks >= rank[order]), mode="clip")
 
 
-def _dmfea2_pairs(pop, order, rng, config, tasks, rmp):
-    """The adaptive matrix scheme's pair loop, intra-task mates drawn from the skill
-    ``buckets``; yields (genome, skill, cost) per inter-task child, after its update, and
-    (record, skill, UNEVALUATED) per other child."""
-    skill_of, n = pop.skill.tolist(), pop.genomes.shape[1]
-    dims = [t.dimension for t in tasks]
-    buckets = [np.flatnonzero(pop.skill == t).tolist() for t in range(len(tasks))]
-    where = gene_positions(pop.genomes)
-    # Intra-task dOX windows: the unit diagonal is never updated, so one length per task.
-    lengths = [window_length(config.w, rmp.get(t, t), d, n) for t, d in enumerate(dims)]
-    for ia, ib in zip(order[::2], order[1::2]):
+def _windows_change(genomes, where, rows, mates, starts, lengths):
+    """Whether dOX changes each row's window [start, start + length) by its mate's order: a
+    descent in the mate's ``where`` positions of the window's genes, ``_dox_window``'s test."""
+    steps = np.arange(lengths.max())
+    cols = np.minimum(starts[:, None] + steps, genomes.shape[1] - 1)  # padded to the longest
+    seen = where[mates[:, None], genomes[rows[:, None], cols]]
+    return ((np.diff(seen, axis=1) < 0) & (steps[1:] < lengths[:, None])).any(axis=1)
+
+
+def _dmfea2_children(pop, order, rng, *, left, config, tasks, rmp):
+    """The adaptive matrix scheme. A generation draws in full, as arrays in this order: P/2
+    transfer uniforms, P/2 OX cut pairs over range(n + 1), P ``p_m`` coins, P 2-opt pairs over
+    range(n), P mate ranks over each bucket's size less 1 (at least 1), P dOX window starts over
+    n - L_t + 1, P swap starts over n - 1, P skill coins and 5P uniforms; ``left`` cuts the
+    children it builds. A pair of one skill crosses by OX. A pair of two skills whose uniform is
+    at most its live entry makes two dOX children, each costed at once to update the entry; only
+    this walk is sequential, its draws int(u * m) over the 5P block. Any other child crosses by
+    dOX with a same-skill mate (window length L_t per task: the diagonal stays 1), or if alone in
+    its skill is a 2-opt mutant. A coin below p_m adds a 2-opt move."""
+    n, size, half = pop.genomes.shape[1], len(order), len(order) // 2
+    own, counts = pop.skill[order], np.bincount(pop.skill, minlength=len(tasks))
+    span = np.array([window_length(config.w, rmp.get(k, k), t.dimension, n)
+                     for k, t in enumerate(tasks)])[own]
+    transfer = rng.random(half).tolist()
+    cuts = np.repeat(_point_pairs(n + 1, half, rng), 2, axis=1)  # one window per pair
+    mutate, moves = rng.random(size) < config.p_m, _point_pairs(n, size, rng)
+    mates = _mates(pop.skill, order, rng.integers(np.maximum(counts[own] - 1, 1)))
+    starts, swaps = rng.integers(n - span + 1), rng.integers(n - 1, size=size)
+    coins, block = rng.random(size) < 0.5, iter(rng.random(5 * size).tolist())
+    walk = SimpleNamespace(integers=lambda m: int(next(block) * m))  # the operators' one call
+    where, skill_of, pairs = gene_positions(pop.genomes), pop.skill.tolist(), order.reshape(-1, 2)
+    partner = pairs[:, ::-1].ravel()
+    same, lone = own == pop.skill[partner], counts[own] == 1  # a lone member's pair has two skills
+    skills, costs, genomes = own.copy(), np.full(size, UNEVALUATED), []
+    for k in np.flatnonzero(~same[:left:2]).tolist():
+        ia, ib = pairs[k].tolist()
         ta, tb = skill_of[ia], skill_of[ib]
-        if ta == tb:
-            lo, hi = _two_points(n + 1, rng)
-            for a, b in ((ia, ib), (ib, ia)):
-                move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-                yield (a, b, lo, hi, *move, 1), ta, UNEVALUATED
+        if transfer[k] > (entry := rmp.get(ta, tb)):
             continue
-
-        entry = rmp.get(ta, tb)
-        if rng.random() <= entry:
-            # Inter-task parent-centric crossover; each child updates (ta, tb) by whether
-            # it beats the parent whose skill task it inherited.
-            for dominant, donor, d_k in ((ia, ib, dims[ta]), (ib, ia, dims[tb])):
-                genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry,
-                                    config.w, d_k, rng, positions=where[donor])
-                genome = two_opt(genome, rng) if rng.random() < config.p_m else genome
-                skill = ta if rng.random() < 0.5 else tb
-                cost = evaluate_skill_task(genome, skill, tasks)
-                parent = ia if skill == ta else ib
-                rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[parent, skill]))
-                yield genome, skill, cost
-            continue
-
-        # Intra-task branch: each parent crosses with a random same-skill mate at
-        # its diagonal entry, fixed at 1, and updates no matrix cell.
-        for idx, t in ((ia, ta), (ib, tb)):
-            bucket = buckets[t]
-            if len(bucket) == 1:
-                log.info("no same-skill mate for task %d; falling back to 2-opt", t)
-                yield (idx, idx, 0, 0, *_two_points(n, rng), 0), t, UNEVALUATED  # 2-opted
-                continue
-            mate = _other_member(bucket, idx, int(rng.integers(len(bucket) - 1)))
-            lo, hi, swap = _dox_window(pop.genomes[idx], where[mate], lengths[t], rng)
-            move = _two_points(n, rng) if rng.random() < config.p_m else (0, 0)
-            yield (idx, idx if swap else mate, lo, hi, *move, 0), t, UNEVALUATED
-
-
-def _dmfea2_children(pop, order, rng, *, left, draws, **scheme):
-    """The pair loop's first ``left`` children, drawn through the run's ``_Draws`` over ``rng``."""
-    built, skills, costs = zip(*islice(_dmfea2_pairs(pop, order.tolist(), draws, **scheme), left))
-    kept = np.array(costs) != UNEVALUATED  # the inter-task genomes, costed in the loop
-    records = np.fromiter(chain.from_iterable(compress(built, ~kept)), np.int64).reshape(-1, 7)
-    return records, np.array(skills), np.array(costs), list(compress(built, kept))
+        # Each child updates (ta, tb) by whether it beats the parent whose skill it inherited.
+        for c, dominant, donor, t in ((2 * k, ia, ib, ta), (2 * k + 1, ib, ia, tb))[:left - 2 * k]:
+            genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry, config.w,
+                                tasks[t].dimension, walk, positions=where[donor])
+            genome = two_opt(genome, walk) if mutate[c] else genome
+            skills[c] = skill = ta if coins[c] else tb
+            costs[c] = cost = evaluate_skill_task(genome, skill, tasks)
+            rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[ia if skill == ta else ib, skill]))
+            genomes.append(genome)
+    changed = _windows_change(pop.genomes, where, order, mates, starts, span) & ~lone
+    window = np.where(changed, (starts, starts + span), (swaps, swaps + 2)) * ~lone
+    records = np.column_stack((order, np.where(same, partner, np.where(changed, mates, order)),
+                               *np.where(same, cuts, window), *(moves * (mutate | lone)), same))
+    kept = costs[:left] == UNEVALUATED
+    if alone := sorted(set(own[:left][lone[:left] & kept].tolist())):
+        log.info("no same-skill mate for tasks %s; falling back to 2-opt", alone)
+    return records[:left][kept], skills[:left], costs[:left], genomes
 
 
 def run_mfea(tasks, config: EngineConfig,
@@ -326,6 +311,5 @@ def run_dmfea2(tasks, config: EngineConfig,
     crossover sized by its entries."""
     rmp = RmpMatrix.initial(len(tasks), config.rmp_init, config.delta_inc,
                             config.delta_dec, config.rmp_floor)
-    rng = np.random.default_rng(config.seed if rng is None else rng)  # shared with _evolve
-    return _evolve(tasks, config, rng, partial(_dmfea2_children, draws=_Draws(rng), config=config,
-                                               tasks=tasks, rmp=rmp), rmp)
+    return _evolve(tasks, config, rng,
+                   partial(_dmfea2_children, config=config, tasks=tasks, rmp=rmp), rmp)

@@ -4,8 +4,9 @@ the donor's ``gene_positions`` row (one table per generation in the engine),
 and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
 one child per record over a genome matrix: it builds the crossover windows with one
 gene-keyed table, then reverses each 2-opt segment by index. Where an operator takes an
-``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and dMFEA-II's draw object
-serve alike; MFEA draws a generation's points as arrays with ``_point_pairs``.
+``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and dMFEA-II's inter-task walk
+over a block of uniforms serve alike; the engines draw a generation's points as arrays with
+``_point_pairs``.
 """
 
 from __future__ import annotations

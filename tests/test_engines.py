@@ -11,22 +11,25 @@ from hypothesis import strategies as st
 import mfopt.engines
 import mfopt.tasks
 from conftest import format_tsplib, format_vrp
-from mfopt.core import UNEVALUATED, Population, evaluate_skill_task, is_valid_genome
+from mfopt.core import (UNEVALUATED, Population, evaluate_all_tasks, evaluate_skill_task,
+                        is_valid_genome)
 from mfopt.engines import (
     EngineConfig,
     GenerationRecord,
     RmpMatrix,
     RunTrace,
-    _Draws,
+    _dmfea2_children,
+    _mates,
     _mfea_children,
-    _other_member,
+    _windows_change,
     rmp_update,
     run_dmfea2,
     run_mfea,
     transfer_outcome,
 )
 from mfopt.harness import load_environment
-from mfopt.operators import CrossoverWindow, _two_points, order_crossover
+from mfopt.operators import (CrossoverWindow, _dox_window, dynamic_ox, gene_positions,
+                             order_crossover, two_opt, window_length)
 from mfopt.parsers import parse_problem
 
 
@@ -235,26 +238,21 @@ class TestRunInvariants:
         assert best[0].cost == costs[-1, 0] == evaluate_skill_task(best[0].genome, 0, tasks)
 
     @pytest.mark.parametrize("budget", [5, 7, 9])
-    @pytest.mark.parametrize("runner, k_tasks, fields, second_child_draws", [
-        (run_mfea, 2, dict(rmp_scalar=0.0), None),  # pairs of two skills mutate
-        (run_mfea, 2, dict(rmp_scalar=1.0), None),  # every pair crosses
-        (run_dmfea2, 1, dict(p_m=0.0), lambda draws: draws.random()),  # the child's p_m coin
-        (run_dmfea2, 1, dict(p_m=1.0), lambda draws: (draws.random(), _two_points(52, draws))),
+    @pytest.mark.parametrize("runner, k_tasks, fields", [
+        (run_mfea, 2, dict(rmp_scalar=0.0)),  # pairs of two skills mutate
+        (run_mfea, 2, dict(rmp_scalar=1.0)),  # every pair crosses
+        (run_dmfea2, 1, dict(p_m=0.0)),  # one task: every pair is same-skill OX
+        (run_dmfea2, 1, dict(p_m=1.0)),  # and each child is 2-opted
     ], ids=["two_opt", "ox", "dmfea2_ox", "dmfea2_ox_two_opt"])
     def test_a_run_draws_nothing_for_a_child_it_does_not_make(self, runner, k_tasks, fields,
-                                                               second_child_draws, budget):
-        # An odd budget cuts the last generation's one pair after its first child. MFEA draws
-        # its generation in full, so the cut run's generator stands where a run one evaluation
-        # longer leaves its own. dMFEA-II draws nothing for the cut child: on one task its
-        # pair is same-skill OX, and drawing the second child's share (its p_m coin, and its
-        # move at p_m 1) brings the generator there.
+                                                               budget):
+        # An odd budget cuts the last generation's one pair after its first child. Each engine
+        # draws its generation in full and builds no cut child, so the cut run's generator
+        # stands where a run one evaluation longer leaves its own.
         tasks = load_environment("TE_4_1").tasks[:k_tasks]
         cut, whole = np.random.default_rng(0), np.random.default_rng(0)
         for gen, b in ((cut, budget), (whole, budget + 1)):
             runner(tasks, small_config(population_size=2, eval_budget=b, **fields), gen)
-        if second_child_draws:
-            assert cut.bit_generator.state != whole.bit_generator.state
-            second_child_draws(_Draws(cut))
         assert cut.bit_generator.state == whole.bit_generator.state
 
 
@@ -424,6 +422,140 @@ class TestMfeaDraws:
         assert cut_after.bit_generator.state == after.bit_generator.state
 
 
+def reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left):
+    """dMFEA-II's generation, pair by pair, from its documented array draws: P/2 transfer
+    uniforms, P/2 OX cut pairs over range(n + 1), P p_m coins, P 2-opt pairs over range(n), P mate
+    ranks over each bucket's size less 1 (at least 1), P dOX window starts over n - L_t + 1, P swap
+    starts over n - 1, P skill coins and 5P uniforms, which inter-task children read in turn as
+    int(u * m) for each draw over range(m). Returns the first ``left`` children, each as (record,
+    skill, genome, cost), record None for an inter-task child, and updates ``rmp``."""
+    size, half, n = len(order), len(order) // 2, pop.genomes.shape[1]
+    buckets = [np.flatnonzero(pop.skill == t).tolist() for t in range(len(tasks))]
+    lengths = [window_length(config.w, 1.0, t.dimension, n) for t in tasks]
+    transfer = rng.random(half)
+    cuts = [rng.integers(n, size=half), rng.integers(n + 1, size=half)]
+    mutate = rng.random(size) < config.p_m
+    moves = [rng.integers(n - 1, size=size), rng.integers(n, size=size)]
+    ranks = rng.integers([max(len(buckets[pop.skill[x]]) - 1, 1) for x in order])
+    starts = rng.integers([n - lengths[pop.skill[x]] + 1 for x in order])
+    swaps = rng.integers(n - 1, size=size)
+    coins = rng.random(size)
+    block = iter(rng.random(5 * size).tolist())
+    walk = SimpleNamespace(integers=lambda m: int(next(block) * m))
+
+    def points(a, b, top):  # Floyd's second point is ``top`` when it repeats the first
+        return [*sorted((int(a), top if b == a else int(b)))]
+    children = []
+    for k, (p, q) in enumerate(zip(order[::2], order[1::2])):
+        tp, tq = int(pop.skill[p]), int(pop.skill[q])
+        entry = rmp.get(tp, tq)  # read once per pair
+        crosses = transfer[k] <= entry
+        for c, x, y, tx in ((2 * k, p, q, tp), (2 * k + 1, q, p, tq)):
+            if c == left:
+                return children
+            move = points(moves[0][c], moves[1][c], n - 1) if mutate[c] else [0, 0]
+            if tp == tq:
+                lo, hi = points(cuts[0][k], cuts[1][k], n)
+                children.append(((x, y, lo, hi, *move, 1), tx, None, UNEVALUATED))
+            elif crosses:  # inter-task dOX, costed at once, its outcome updating the entry
+                genome = dynamic_ox(pop.genomes[x], pop.genomes[y], entry, config.w,
+                                    tasks[tx].dimension, walk)
+                genome = two_opt(genome, walk) if mutate[c] else genome
+                skill = tp if coins[c] < 0.5 else tq
+                cost = evaluate_skill_task(genome, skill, tasks)
+                rmp_update(rmp, tp, tq, transfer_outcome(cost, pop.costs[p if skill == tp else q, skill]))
+                children.append((None, skill, genome, cost))
+            elif len(buckets[tx]) == 1:  # alone in its skill: a 2-opt mutant, whatever its coin
+                move = points(moves[0][c], moves[1][c], n - 1)
+                children.append(((x, x, 0, 0, *move, 0), tx, None, UNEVALUATED))
+            else:  # intra-task dOX with the ranks[c]-th other member of x's bucket
+                bucket, r = buckets[tx], ranks[c]
+                mate = bucket[r] if bucket[r] < x else bucket[r + 1]
+                drawn = iter((starts[c], swaps[c]))
+                lo, hi, swap = _dox_window(pop.genomes[x], gene_positions(pop.genomes[mate]),
+                                           lengths[tx], SimpleNamespace(integers=lambda m: next(drawn)))
+                children.append(((x, x if swap else mate, lo, hi, *move, 0), tx, None, UNEVALUATED))
+    return children
+
+
+def near_identical_genomes(gen, size, n, swaps):
+    """``size`` genomes, each one permutation of 1..n with ``swaps`` random adjacent swaps, so that
+    dOX windows often keep their mate's order."""
+    genomes = np.tile(gen.permutation(n) + 1, (size, 1))
+    for row in genomes:
+        for i in gen.integers(n - 1, size=swaps):
+            row[i:i + 2] = row[i + 1], row[i]
+    return genomes
+
+
+class TestDmfea2Draws:
+    @staticmethod
+    def generation(rmp_init, left=40, lone=False):
+        """One generation of 40 near-identical members on TE_8's eight tasks (member 17 alone on
+        task 7 if ``lone``), by the engine and by the reference from a twin generator. Asserts
+        that they agree; returns the engine's children, the reference's and the generator."""
+        tasks = load_environment("TE_8").tasks
+        gen = np.random.default_rng(5)
+        genomes = near_identical_genomes(gen, 40, 76, 3)
+        skill = gen.integers(7 if lone else 8, size=40)
+        if lone:
+            skill[17] = 7
+        pop = Population(genomes, evaluate_all_tasks(genomes, tasks), skill=skill)
+        order, twin = gen.permutation(40), copy.deepcopy(gen)
+        config = small_config(rmp_init=rmp_init, rmp_floor=min(rmp_init, 0.1), p_m=0.5, w=0.2)
+        rmp, ref_rmp = (RmpMatrix.initial(8, rmp_init, config.delta_inc, config.delta_dec,
+                                          config.rmp_floor) for _ in range(2))
+        made = _dmfea2_children(pop, order, gen, left=left, config=config, tasks=tasks, rmp=rmp)
+        expected = reference_dmfea2_generation(pop, order, twin, config, tasks, ref_rmp, left)
+        records, skills, costs, genomes = made
+        rows, ref_skills, ref_genomes, ref_costs = zip(*expected)
+        assert records.dtype == np.int64
+        assert records.tolist() == [list(r) for r in rows if r is not None]
+        assert skills.tolist() == list(ref_skills) and costs.tolist() == list(ref_costs)
+        inter = [g for g in ref_genomes if g is not None]
+        assert len(genomes) == len(inter) and all(map(np.array_equal, genomes, inter))
+        assert np.array_equal(rmp.entries, ref_rmp.entries)
+        assert gen.bit_generator.state == twin.bit_generator.state
+        return made, rows, gen
+
+    @pytest.mark.parametrize("rmp_init, lone", [(0.0, False), (0.95, False), (1.0, False),
+                                                (0.0, True)], ids=["0", "default", "1", "lone"])
+    def test_generation_equals_its_pair_by_pair_reference(self, rmp_init, lone):
+        # The cases reach each kind of child: rmp 0 lets no pair of two skills transfer, 1
+        # every such pair; a lone member falls back to 2-opt, and a dOX window may keep its
+        # mate's order and swap two genes instead.
+        _, rows, _ = self.generation(rmp_init, lone=lone)
+        kinds = {"inter" if r is None else "ox" if r[6] else "two_opt" if r[3] == 0
+                 else "swap" if r[0] == r[1] else "dox" for r in rows}
+        assert kinds == {0.0: {"ox", "dox", "swap"}, 0.95: {"ox", "dox", "swap", "inter"},
+                         1.0: {"ox", "inter"}}[rmp_init] | ({"two_opt"} if lone else set())
+
+    def test_the_budget_cuts_the_children_not_the_draws(self):
+        # Cut after 17 children, inside a transferring pair that a transferring pair follows,
+        # the generation still equals its reference and leaves the generator where the whole
+        # generation leaves it.
+        _, _, after = self.generation(0.95)
+        (_, skills, _, _), rows, cut_after = self.generation(0.95, left=17)
+        assert len(skills) == 17 and rows[16] is None
+        assert cut_after.bit_generator.state == after.bit_generator.state
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), swaps=st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_gathered_no_change_rule_equals_dox_window_row_by_row(self, seed, n, swaps):
+        # Near-identical genomes keep many windows in their mate's order, so both outcomes occur.
+        gen = np.random.default_rng(seed)
+        genomes = near_identical_genomes(gen, 8, n, swaps)
+        rows, mates = gen.integers(8, size=30), gen.integers(8, size=30)
+        lengths = gen.integers(1, n, size=30)
+        starts = gen.integers(n - lengths + 1)
+        changed = _windows_change(genomes, gene_positions(genomes), rows, mates, starts, lengths)
+        for row, mate, start, length, change in zip(rows, mates, starts, lengths, changed):
+            drawn = iter((start, 0))
+            _, _, swap = _dox_window(genomes[row], gene_positions(genomes[mate]), length,
+                                     SimpleNamespace(integers=lambda m: next(drawn)))
+            assert change == (not swap)
+
+
 class TestAdaptiveSpecifics:
     def test_trace_carries_rmp_snapshots(self, two_tasks):
         _, trace = run_dmfea2(two_tasks, small_config(eval_budget=600),
@@ -446,14 +578,19 @@ class TestAdaptiveSpecifics:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_mate_is_the_rth_other_member(self, seed):
-        # The pick equals the searchsorted formula on a sorted bucket that
-        # holds idx, for every r.
+        # Every member of a skill bucket of two or more gets, for its rank r, the pick of the
+        # searchsorted formula on its sorted bucket, which holds it.
         gen = np.random.default_rng(seed)
-        bucket = np.sort(gen.choice(200, int(gen.integers(2, 40)), replace=False))
-        idx = int(gen.choice(bucket))
-        for r in range(len(bucket) - 1):
-            expected = bucket[r + (r >= np.searchsorted(bucket, idx))]
-            assert _other_member(bucket, idx, r) == expected
+        size = int(gen.integers(2, 60))
+        skill = gen.integers(int(gen.integers(1, 6)), size=size)
+        order = gen.permutation(size)
+        counts = np.bincount(skill)[skill[order]]
+        ranks = gen.integers(np.maximum(counts - 1, 1))
+        mates = _mates(skill, order, ranks)
+        for idx, r, mate, count in zip(order, ranks, mates, counts):
+            bucket = np.flatnonzero(skill == skill[idx])
+            if count > 1:
+                assert mate == bucket[r + (r >= np.searchsorted(bucket, idx))]
 
     def test_no_same_skill_mate_falls_back_to_two_opt(self, caplog):
         # Two members on two tasks: a pair of different skills that takes the
@@ -464,6 +601,7 @@ class TestAdaptiveSpecifics:
         with caplog.at_level(logging.INFO, logger="mfopt.engines"):
             best, trace = run_dmfea2(tasks, config, np.random.default_rng(0))
         assert "no same-skill mate" in caplog.text
+        assert len(caplog.records) < len(trace.records)  # one line per generation at most
         assert trace.records[-1].evaluations == 400
         assert all(is_valid_genome(b.genome) for b in best)
         for rec in trace.records:
@@ -486,89 +624,3 @@ class TestAdaptiveSpecifics:
         records, singles = generation_parts(calls)
         assert len(records) and singles
         assert_costed_once(tasks, calls)
-
-
-BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
-                  np.random.MT19937]
-
-
-def _same_state(a, b):
-    """Bit-generator states compared recursively, since Philox's holds arrays."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-
-
-# The pair loop's two scalar calls, as (method, args, kwargs), and the permutation each
-# generation draws from the Generator itself; the ranges n include Lemire's edge cases and
-# _two_points' one-word 2^32.
-RANGES = st.sampled_from([1, 2, 76, 2**31 + 1, 2**32 - 1, 2**32]) | st.integers(1, 2**32 - 1)
-DRAW_CALLS = st.one_of(
-    RANGES.map(lambda n: ("integers", (n,), {})),
-    st.just(("random", (), {})),
-    st.just(("permutation", (7,), {})))
-
-
-POP_BUDGETS = [(2, 301), (20, 1013), (200, 12_000)]
-SEEDS = [3, 4]
-# Every bit generator, runner, population, budget and seed. numpy's default, PCG64, keeps
-# the bare id; every other bit generator's id ends in its name.
-DRAWN_RUNS = [pytest.param(bits, runner, pop, budget, seed, id="-".join(
-                  [str(seed), str(pop), str(budget), runner.__name__.removeprefix("run_")]
-                  + ([] if bits is np.random.PCG64 else [bits.__name__])))
-              for bits in BIT_GENERATORS for runner in (run_mfea, run_dmfea2)
-              for pop, budget in POP_BUDGETS for seed in SEEDS]
-
-
-class TestDrawReplay:
-    @given(bits=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**64 - 1),
-           calls=st.lists(DRAW_CALLS, max_size=60))
-    # n = 2^31 + 1 rejects about one product in two; after a one-word draw, PCG64 serves the
-    # next 32-bit word from its buffered half.
-    @example(bits=np.random.PCG64, seed=0, calls=[("integers", (2**31 + 1,), {})] * 20)
-    @example(bits=np.random.PCG64, seed=0,
-             calls=[("integers", (2**32,), {}), ("integers", (2**31 + 1,), {})])
-    @settings(max_examples=1500, deadline=None)
-    def test_replay_equals_numpy_draws_and_state(self, bits, seed, calls):
-        # For every numpy bit generator: values, the full final state and the next
-        # permutation all equal numpy's own calls, with a permutation drawn by the
-        # Generator itself between any two of them.
-        real, twin = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
-        draws = _Draws(real)
-        for method, args, kwargs in calls:
-            source = real if method == "permutation" else draws
-            assert np.array_equal(getattr(source, method)(*args, **kwargs),
-                                  getattr(twin, method)(*args, **kwargs))
-        assert _same_state(real.bit_generator.state, twin.bit_generator.state)
-        assert np.array_equal(real.permutation(50), twin.permutation(50))
-
-    def test_rejection_edge_equals_numpy(self):
-        # n = 2^31 + 1 rejects a product whose low 32 bits fall below (2^32 - n) mod n
-        # = 2^31 - 1; the buffered half 2^31 - 2 gives (2^31 - 2) n mod 2^32 = 2^31 - 2, one below.
-        real, twin = np.random.default_rng(0), np.random.default_rng(0)
-        for gen in (real, twin):
-            gen.bit_generator.state = {**gen.bit_generator.state, "has_uint32": 1,
-                                       "uinteger": 2**31 - 2}
-        assert _Draws(real).integers(2**31 + 1) == twin.integers(2**31 + 1)
-        assert real.bit_generator.state == twin.bit_generator.state
-
-    @pytest.mark.parametrize("bits, runner, pop, budget, seed", DRAWN_RUNS)
-    def test_replayed_run_equals_direct_run(self, bits, runner, pop, budget, seed, monkeypatch):
-        # A dMFEA-II run through _Draws equals one that draws from the Generator itself. MFEA
-        # draws its generations as arrays from the Generator, so it makes no _Draws at all.
-        tasks = load_environment("TE_8").tasks
-        config = small_config(population_size=pop, eval_budget=budget)
-        drawn, direct = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
-        made = []  # the generators each _Draws draws from
-        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: made.append(rng) or _Draws(rng))
-        best_r, trace_r = runner(tasks, config, drawn)
-        # The reference: the Generator's own two calls, so any other call form fails the run.
-        monkeypatch.setattr(mfopt.engines, "_Draws", lambda rng: SimpleNamespace(
-            integers=lambda n: rng.integers(n), random=lambda: rng.random()))
-        best_d, trace_d = runner(tasks, config, direct)
-        assert made == ([drawn] if runner is run_dmfea2 else [])  # one per dMFEA-II run
-        assert trace_r.records[-1].evaluations == budget
-        assert trace_r.to_jsonl() == trace_d.to_jsonl()
-        assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)
-                   for r, d in zip(best_r, best_d))
-        assert _same_state(drawn.bit_generator.state, direct.bit_generator.state)
