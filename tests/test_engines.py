@@ -31,6 +31,7 @@ from mfopt.harness import load_environment
 from mfopt.operators import (CrossoverWindow, _dox_window, dynamic_ox, gene_positions,
                              order_crossover, two_opt, window_length)
 from mfopt.parsers import parse_problem
+from test_operators import BIT_GENERATORS, _same_state
 
 
 @pytest.fixture
@@ -554,6 +555,75 @@ class TestDmfea2Draws:
             _, _, swap = _dox_window(genomes[row], gene_positions(genomes[mate]), length,
                                      SimpleNamespace(integers=lambda m: next(drawn)))
             assert change == (not swap)
+
+
+class _Logged(np.random.Generator):
+    """A Generator that logs each draw call made on it, with the value drawn; given a ``log``, it
+    checks each call against the log and serves the logged value, drawing nothing itself. It
+    draws through a plain twin on its bit generator, so numpy's own inner calls stay unlogged."""
+
+    def __init__(self, bit_generator, log=None):
+        super().__init__(bit_generator)
+        self.twin, self.log = np.random.Generator(bit_generator), []
+        self.replay = None if log is None else iter(log)
+
+    def _draw(self, method, *args, **kwargs):
+        if self.replay is None:
+            value = getattr(self.twin, method)(*args, **kwargs)
+            self.log.append((method, args, kwargs, copy.deepcopy(value)))
+            return value
+        logged = next(self.replay)
+        assert _same_state((method, args, kwargs), logged[:3])
+        return copy.deepcopy(logged[3])
+
+    def random(self, *args, **kwargs):
+        return self._draw("random", *args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self._draw("integers", *args, **kwargs)
+
+    def permutation(self, *args, **kwargs):
+        return self._draw("permutation", *args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        return self._draw("choice", *args, **kwargs)
+
+    def shuffle(self, *args, **kwargs):
+        return self._draw("shuffle", *args, **kwargs)
+
+
+POP_BUDGETS = [(2, 301), (20, 1013), (200, 12_000)]
+SEEDS = [3, 4]
+# Every bit generator, runner, population, budget and seed. numpy's default, PCG64, keeps
+# the bare id; every other bit generator's id ends in its name.
+DRAWN_RUNS = [pytest.param(bits, runner, pop, budget, seed, id="-".join(
+                  [str(seed), str(pop), str(budget), runner.__name__.removeprefix("run_")]
+                  + ([] if bits is np.random.PCG64 else [bits.__name__])))
+              for bits in BIT_GENERATORS for runner in (run_mfea, run_dmfea2)
+              for pop, budget in POP_BUDGETS for seed in SEEDS]
+
+
+class TestDrawReplay:
+    @pytest.mark.parametrize("bits, runner, pop, budget, seed", DRAWN_RUNS)
+    def test_replayed_run_equals_direct_run(self, bits, runner, pop, budget, seed):
+        # For every bit generator, a run is a function of its Generator calls alone: served
+        # the logged run's values call by call, a generator seeded otherwise replays it, so
+        # no draw bypasses the Generator's methods. Logging changes nothing: the logged run
+        # equals a direct one and leaves its bit generator in the same state.
+        tasks = load_environment("TE_8").tasks
+        config = small_config(population_size=pop, eval_budget=budget)
+        direct, logged = np.random.Generator(bits(seed)), _Logged(bits(seed))
+        runs = [runner(tasks, config, gen) for gen in (direct, logged)]
+        replayed = _Logged(bits(seed + 1), logged.log)
+        runs.append(runner(tasks, config, replayed))
+        assert logged.log and next(replayed.replay, None) is None  # every logged call served
+        assert _same_state(logged.bit_generator.state, direct.bit_generator.state)
+        (best_d, trace_d), *others = runs
+        assert trace_d.records[-1].evaluations == budget
+        for best, trace in others:
+            assert trace.to_jsonl() == trace_d.to_jsonl()
+            assert all(is_valid_genome(r.genome) and np.array_equal(r.genome, d.genome)
+                       for r, d in zip(best, best_d))
 
 
 class TestAdaptiveSpecifics:

@@ -26,9 +26,12 @@ BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.ran
 
 
 def _same_state(a, b):
-    """Bit-generator states compared recursively, since Philox's holds arrays."""
+    """Bit-generator states and draw calls compared recursively, since they hold arrays
+    (Philox's state does)."""
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_state, a, b))
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
