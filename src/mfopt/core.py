@@ -14,7 +14,8 @@ P members over K tasks is held as arrays, one row per member:
 The last three are derived from ``costs`` by ``assign_ranks_and_fitness``.
 
 Every genome matrix is costed by ``tasks.batch_costs``, each row on its own task,
-TSP and CVRP alike; ``engines`` says how a generation uses it.
+TSP and CVRP alike; ``engines`` says how a generation uses it. ``evaluate_skill_task``
+costs one genome alone.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ def evaluate_all_tasks(genomes: np.ndarray, problems) -> np.ndarray:
     return np.column_stack([tasks.batch_costs(genomes, which, [task]) for task in problems])
 
 
-def evaluate_skill_task(genomes: np.ndarray, skill: int, problems):
-    """Cost on task ``skill`` of one genome (a float; an inter-task child) or of each matrix row."""
+def evaluate_skill_task(genome: np.ndarray, skill: int, problems) -> float:
+    """Cost on task ``skill`` of one genome: a dMFEA-II inter-task child, costed alone."""
     task = problems[skill]
-    return task.cost(tasks.project(genomes, task.dimension))
+    return task.cost(tasks.project(genome, task.dimension))
 
 
 def assign_ranks_and_fitness(pop: Population) -> Population:

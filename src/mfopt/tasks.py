@@ -1,10 +1,9 @@
 """TSP and CVRP task definitions over the unified permutation space.
 
-Each task exposes ``dimension`` and ``cost(perm)`` of a genome projected onto
-it: one genome (a float cost) or a matrix of one per row (a vector). Every matrix
-is costed by ``batch_costs``, which takes unified genomes, each row on its own
-task. Distances follow the TSPLIB EUC_2D convention (nearest integer, half up),
-which is what the published optima of the bundled instances assume.
+Each task exposes ``dimension`` and ``cost(perm)``, the float cost of one genome
+projected onto it. ``batch_costs`` is the only code that costs a genome matrix,
+each row on its own task. Distances follow the TSPLIB EUC_2D convention (nearest
+integer, half up), which is what the published optima of the bundled instances assume.
 """
 
 from __future__ import annotations
@@ -40,17 +39,13 @@ def _euc2d_matrix(points: np.ndarray, first: int, name: str) -> np.ndarray:
     return np.floor(np.sqrt((diff ** 2).sum(axis=2)) + 0.5).astype(np.int64)
 
 
-def project(genomes: np.ndarray, dimension: int) -> np.ndarray:
-    """Project unified genomes, one or one per row, onto a task's dimension.
-
-    Keeps each row's values {1..dimension} in genome order. A row holds
-    exactly ``dimension`` of them, so each result row is a permutation of
-    {1..dimension}.
-    """
-    if dimension > genomes.shape[-1]:
-        raise ValueError(f"task dimension {dimension} exceeds d_max {genomes.shape[-1]}")
-    kept = genomes[genomes <= dimension]
-    return kept if genomes.ndim == 1 else kept.reshape(genomes.shape[:-1] + (dimension,))
+def project(genome: np.ndarray, dimension: int) -> np.ndarray:
+    """One genome's values {1..dimension} in genome order, a permutation of them. A matrix
+    (the mask would flatten it into one tour) or a genome narrower than ``dimension`` is refused."""
+    if genome.ndim != 1 or dimension > len(genome):
+        raise ValueError(f"project takes one genome of at least {dimension} genes, got shape "
+                         f"{genome.shape}; batch_costs costs a genome matrix")
+    return genome[genome <= dimension]
 
 
 @dataclass
@@ -77,9 +72,7 @@ class TspInstance:
 
 
 def tsp_cost(perm: np.ndarray, inst: TspInstance):
-    """Closed-tour length of each ``perm`` row (1-based city ids) on ``inst``."""
-    if perm.ndim > 1:
-        return batch_costs(perm, np.zeros(len(perm), dtype=int), [inst])
+    """Closed-tour length of the tour ``perm`` (1-based city ids) on ``inst``."""
     d = inst._dist
     return float(d[perm[:-1], perm[1:]].sum() + d[perm[-1], perm[0]])
 
@@ -128,15 +121,13 @@ class CvrpInstance:
 
 
 def cvrp_cost(perm: np.ndarray, inst: CvrpInstance):
-    """Total routed distance of the greedy capacity decoding of each ``perm`` row.
+    """Total routed distance of the greedy capacity decoding of the customer order ``perm``.
 
     Greedy left to right: a route closes whenever the next customer would
     exceed capacity, and each route runs depot -> first -> ... -> last ->
-    depot. One genome is summed in Python ints, a matrix by ``batch_costs``;
-    the route-building ``cvrp_decode`` in ``tests/test_tasks.py`` is their reference.
+    depot. It is summed in Python ints; ``batch_costs`` is the same rule on a genome
+    matrix, and the route-building ``cvrp_decode`` in ``tests/test_tasks.py`` is their reference.
     """
-    if perm.ndim > 1:
-        return batch_costs(perm, np.zeros(len(perm), dtype=int), [inst])
     dist, depot, demands, cap = inst._lists
     prev, *rest = perm.tolist()
     total, load = depot[prev], demands[prev]

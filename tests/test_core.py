@@ -134,6 +134,18 @@ class TestEvaluation:
         assert [name for name, _ in cost_calls] == ["tsp_cost"]
         assert cost == 8.0  # line tour 0-1-2-3-4-0
 
+    def test_one_genome_entries_refuse_a_genome_matrix(self, square_tsp, line_tsp, tiny_cvrp):
+        # project would flatten the rows into one tour and cost it; the batch is batch_costs.
+        genomes = np.tile(np.arange(1, 6), (2, 1))
+        with pytest.raises(ValueError, match="one genome.*batch_costs"):
+            mfopt.tasks.project(genomes, 4)
+        with pytest.raises(ValueError, match="one genome.*batch_costs"):
+            evaluate_skill_task(genomes, 1, [square_tsp, line_tsp])
+        # tsp_cost and cvrp_cost read one tour's genes, so a matrix raises, not a number.
+        for inst in (square_tsp, tiny_cvrp):
+            with pytest.raises((TypeError, ValueError)):
+                inst.cost(genomes[:, :4])
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
            repeats=st.lists(st.integers(0, 11), max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -149,13 +161,10 @@ class TestEvaluation:
         assert np.array_equal(evaluate_all_tasks(genomes, bundled_tasks), per_genome)
 
         # Selective evaluation: every row on its own skill task in one kernel call, as the
-        # engines cost a generation, and by skill group; the last task is nobody's skill.
+        # engines cost a generation; the last task is nobody's skill.
         skills = rng.integers(len(bundled_tasks) - 1, size=len(genomes))
         expected = per_genome[np.arange(len(genomes)), skills]
         assert np.array_equal(mfopt.tasks.batch_costs(genomes, skills, bundled_tasks), expected)
-        for t in np.unique(skills):
-            costs = evaluate_skill_task(genomes[skills == t], t, bundled_tasks)
-            assert np.array_equal(costs, expected[skills == t])
         # One genome at a time, the cost is a Python float.
         alone = [evaluate_skill_task(g, s, bundled_tasks) for g, s in zip(genomes, skills)]
         assert all(type(c) is float for c in alone)

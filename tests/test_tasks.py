@@ -80,22 +80,14 @@ class TestProject:
         with pytest.raises(ValueError):
             project(np.array([2, 1]), 3)
 
-    @given(permutations, st.integers(min_value=1, max_value=40),
-           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @given(permutations, st.integers(min_value=1, max_value=40))
     @settings(max_examples=100, deadline=None)
-    def test_projection_is_valid_and_idempotent(self, perm, dim, seed):
+    def test_projection_is_valid_and_idempotent(self, perm, dim):
         g = np.array(perm)
         dim = min(dim, len(g))
         p = project(g, dim)
         assert sorted(p) == list(range(1, dim + 1))
         assert np.array_equal(project(p, dim), p)
-        # A matrix projects row by row, each row as it does alone.
-        rng = np.random.default_rng(seed)
-        rows = np.array([g, *(rng.permutation(len(g)) + 1 for _ in range(3))])
-        projected = project(rows, dim)
-        assert projected.shape == (4, dim)
-        assert all(np.array_equal(row, project(alone, dim))
-                   for row, alone in zip(projected, rows))
 
 
 class TestTsp:
@@ -147,9 +139,10 @@ class TestTsp:
         assert c == tsp_cost(np.roll(p, 1), inst)
         assert c == tsp_cost(p[::-1].copy(), inst)
         assert c >= 0
-        # Matrix rows: the same tour rotated and reversed, and another one.
+        # Kernel rows: the same tour rotated and reversed, and another one.
         rows = np.array([p, np.roll(p, 1), p[::-1], rng.permutation(n) + 1])
-        assert tsp_cost(rows, inst).tolist() == [c, c, c, tour_length(rows[3], inst)]
+        assert batch_costs(rows, np.zeros(4, dtype=int), [inst]).tolist() == [
+            c, c, c, tour_length(rows[3], inst)]
 
     @pytest.mark.parametrize("name", ["berlin52", "eil51", "st70", "eil76"])
     def test_cost_matches_coordinates_on_bundled(self, name):
@@ -160,7 +153,7 @@ class TestTsp:
                           *(rng.permutation(inst.dimension) + 1 for _ in range(500))])
         expected = [tour_length(perm, inst) for perm in perms]
         assert [tsp_cost(perm, inst) for perm in perms] == expected
-        assert tsp_cost(perms, inst).tolist() == expected
+        assert batch_costs(perms, np.zeros(len(perms), dtype=int), [inst]).tolist() == expected
 
 
 class TestCvrp:
@@ -175,11 +168,11 @@ class TestCvrp:
         inst = next(t for t in load_environment("TE_4_2").tasks if t.name == name)
         rng = np.random.default_rng(0)
         identity = np.arange(1, inst.dimension + 1)
-        perms = [identity, identity[::-1].copy()]
-        perms += [rng.permutation(inst.dimension) + 1 for _ in range(2000)]
+        perms = np.array([identity, identity[::-1],
+                          *(rng.permutation(inst.dimension) + 1 for _ in range(2000))])
         expected = [cvrp_decode(perm, inst).total_distance for perm in perms]
         assert [cvrp_cost(perm, inst) for perm in perms] == expected
-        assert cvrp_cost(np.array(perms), inst).tolist() == expected  # the batch split
+        assert batch_costs(perms, np.zeros(len(perms), dtype=int), [inst]).tolist() == expected
 
     def test_single_route_when_capacity_suffices(self, tiny_cvrp):
         big = CvrpInstance(
@@ -273,7 +266,8 @@ def reference_cost(genome: np.ndarray, inst) -> float:
 
 class TestCvrpSplit:
     """``batch_costs`` costs every row of a batch, across TSP and CVRP instances, as
-    ``tour_length`` or ``cvrp_decode`` costs the row's projection on its own instance."""
+    ``tour_length`` or ``cvrp_decode`` costs the row's projection on its own instance. The
+    class keeps the name of the CVRP split that ``batch_costs`` replaced."""
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 57, 300])
     def test_matches_decode_on_bundled_mixed_batches(self, rows):
@@ -315,13 +309,11 @@ class TestCvrpSplit:
 
     @pytest.mark.parametrize("kind", [TspInstance, CvrpInstance], ids=["tsp", "cvrp"])
     def test_narrow_genomes_rejected(self, kind):
-        # 40-gene rows on TE_4_3, whose instances have 49 to 52 cities or customers, through
-        # the kernel and through the task's own matrix cost, as project refuses them.
+        # 40-gene rows on TE_4_3, whose instances have 49 to 52 cities or customers, as
+        # project refuses one such genome.
         bundled = load_environment("TE_4_3").tasks
         k = next(k for k, inst in enumerate(bundled) if isinstance(inst, kind))
         genomes = np.tile(np.arange(1, 41), (3, 1))
         match = f"task dimension {bundled[k].dimension} exceeds d_max 40"
         with pytest.raises(ValueError, match=match):
             batch_costs(genomes, np.full(3, k), bundled)
-        with pytest.raises(ValueError, match=match):
-            bundled[k].cost(genomes)
