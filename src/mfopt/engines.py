@@ -8,8 +8,8 @@ it inherited).
 
 Each engine draws a generation in full, as arrays, and returns its children in pair order, as
 many as the budget takes. dMFEA-II's inter-task child is a genome, costed as it is made because
-its cost updates a matrix cell; every other child is a record row with cost ``UNEVALUATED``. That
-marker decides which children the loop builds (one ``build_children``) and costs (one ``batch_costs``).
+its cost updates a matrix cell; every other child is a record row, cost ``UNEVALUATED``, built by
+one ``build_children`` (which decides dOX's no-change swap) and costed by one ``batch_costs``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .core import (
     evaluate_skill_task,
     random_genome,
 )
-from .operators import (_point_pairs, build_children, dynamic_ox, gene_positions, two_opt,
-                        window_length)
+from .operators import _point_pairs, build_children, dynamic_ox, two_opt, window_length
 from .tasks import batch_costs
 from .operators import order_crossover  # noqa: F401  unused here; mfbench's tracer wraps it by name
 
@@ -227,7 +226,8 @@ def _mfea_children(pop, order, rng, *, left, config):
     mates = order.reshape(-1, 2)[:, ::-1].ravel()
     own, other = pop.skill[order], pop.skill[mates]
     ox = np.repeat(transfer <= config.rmp_scalar, 2) | (own == other)
-    records = np.column_stack((order, np.where(ox, mates, order), *(cuts * ox), *(moves * ~ox), ox))
+    records = np.column_stack((order, np.where(ox, mates, order), *(cuts * ox), *(moves * ~ox), ox,
+                               np.zeros_like(ox)))
     skills = np.where(ox & coins, other, own)
     return records[:left], skills[:left], np.full(len(order), UNEVALUATED)[:left], []
 
@@ -241,15 +241,6 @@ def _mates(skill, order, ranks):
     return members.take(first[skill[order]] + ranks + (ranks >= rank[order]), mode="clip")
 
 
-def _windows_change(genomes, where, rows, mates, starts, lengths):
-    """Whether dOX changes each row's window [start, start + length) by its mate's order: a
-    descent in the mate's ``where`` positions of the window's genes, ``_dox_window``'s test."""
-    steps = np.arange(lengths.max())
-    cols = np.minimum(starts[:, None] + steps, genomes.shape[1] - 1)  # padded to the longest
-    seen = where[mates[:, None], genomes[rows[:, None], cols]]
-    return ((np.diff(seen, axis=1) < 0) & (steps[1:] < lengths[:, None])).any(axis=1)
-
-
 def _dmfea2_children(pop, order, rng, *, left, config, tasks, rmp):
     """The adaptive matrix scheme. A generation draws in full, as arrays in this order: P/2
     transfer uniforms, P/2 OX cut pairs over range(n + 1), P ``p_m`` coins, P 2-opt pairs over
@@ -258,8 +249,9 @@ def _dmfea2_children(pop, order, rng, *, left, config, tasks, rmp):
     children it builds. A pair of one skill crosses by OX. A pair of two skills whose uniform is
     at most its live entry makes two dOX children, each costed at once to update the entry; only
     this walk is sequential, its draws int(u * m) over the 5P block. Any other child crosses by
-    dOX with a same-skill mate (window length L_t per task: the diagonal stays 1), or if alone in
-    its skill is a 2-opt mutant. A coin below p_m adds a 2-opt move."""
+    dOX with a same-skill mate (window length L_t per task: the diagonal stays 1; its swap start
+    if the window keeps the mate's order), or if alone in its skill is a 2-opt mutant. A coin
+    below p_m adds a 2-opt move."""
     n, size, half = pop.genomes.shape[1], len(order), len(order) // 2
     own, counts = pop.skill[order], np.bincount(pop.skill, minlength=len(tasks))
     span = np.array([window_length(config.w, rmp.get(k, k), t.dimension, n)
@@ -271,7 +263,7 @@ def _dmfea2_children(pop, order, rng, *, left, config, tasks, rmp):
     starts, swaps = rng.integers(n - span + 1), rng.integers(n - 1, size=size)
     coins, block = rng.random(size) < 0.5, iter(rng.random(5 * size).tolist())
     walk = SimpleNamespace(integers=lambda m: int(next(block) * m))  # the operators' one call
-    where, skill_of, pairs = gene_positions(pop.genomes), pop.skill.tolist(), order.reshape(-1, 2)
+    skill_of, pairs = pop.skill.tolist(), order.reshape(-1, 2)
     partner = pairs[:, ::-1].ravel()
     same, lone = own == pop.skill[partner], counts[own] == 1  # a lone member's pair has two skills
     skills, costs, genomes = own.copy(), np.full(size, UNEVALUATED), []
@@ -283,16 +275,16 @@ def _dmfea2_children(pop, order, rng, *, left, config, tasks, rmp):
         # Each child updates (ta, tb) by whether it beats the parent whose skill it inherited.
         for c, dominant, donor, t in ((2 * k, ia, ib, ta), (2 * k + 1, ib, ia, tb))[:left - 2 * k]:
             genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry, config.w,
-                                tasks[t].dimension, walk, positions=where[donor])
+                                tasks[t].dimension, walk)
             genome = two_opt(genome, walk) if mutate[c] else genome
             skills[c] = skill = ta if coins[c] else tb
             costs[c] = cost = evaluate_skill_task(genome, skill, tasks)
             rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[ia if skill == ta else ib, skill]))
             genomes.append(genome)
-    changed = _windows_change(pop.genomes, where, order, mates, starts, span) & ~lone
-    window = np.where(changed, (starts, starts + span), (swaps, swaps + 2)) * ~lone
-    records = np.column_stack((order, np.where(same, partner, np.where(changed, mates, order)),
-                               *np.where(same, cuts, window), *(moves * (mutate | lone)), same))
+    dox = ~same & ~lone  # intra-task dOX rows
+    records = np.column_stack((order, np.where(same, partner, np.where(dox, mates, order)),
+                               *np.where(dox, (starts, starts + span), cuts * same),
+                               *(moves * (mutate | lone)), same, swaps * dox))
     kept = costs[:left] == UNEVALUATED
     if alone := sorted(set(own[:left][lone[:left] & kept].tolist())):
         log.info("no same-skill mate for tasks %s; falling back to 2-opt", alone)

@@ -1,12 +1,12 @@
 """Variation operators: Order Crossover, dynamic parent-centric OX (dOX),
-whose window is sized by the adaptive transfer matrix and whose draw reads
-the donor's ``gene_positions`` row (one table per generation in the engine),
-and 2-opt. Each takes one genome (OX a pair); ``build_children`` is the batch,
-one child per record over a genome matrix: it builds the crossover windows with one
-gene-keyed table, then reverses each 2-opt segment by index. Where an operator takes an
-``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and dMFEA-II's inter-task walk
-over a block of uniforms serve alike; the engines draw a generation's points as arrays with
-``_point_pairs``.
+whose window is sized by the adaptive transfer matrix and which swaps two adjacent genes
+instead when the donor keeps the window's genes in order, and 2-opt. Each takes one genome
+(OX a pair); ``build_children`` is the batch, one child per record over a genome matrix: it
+builds the crossover windows with one gene-keyed table, makes dOX's no-change swap in each row
+the window pass left unchanged, then reverses each 2-opt segment by index. Where an operator
+takes an ``rng``, it calls only ``rng.integers(n)``, so a ``Generator`` and dMFEA-II's inter-task
+walk over a block of uniforms serve alike; the engines draw a generation's points as arrays
+with ``_point_pairs``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def order_crossover(
     lo, hi = (window.start, window.start + window.length) if window else _two_points(n + 1, rng)
     if hi > n:
         raise ValueError("window exceeds genome bounds")
-    return tuple(build_children(np.array((a, b)), ((0, 1, lo, hi, 0, 0, 1), (1, 0, lo, hi, 0, 0, 1))))
+    return tuple(build_children(np.array((a, b)), [(x, 1 - x, lo, hi, 0, 0, 1, 0) for x in (0, 1)]))
 
 
 def window_length(w: float, rmp_entry: float, d_k: int, d_max: int) -> int:
@@ -93,16 +93,16 @@ def two_opt(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _gene_keys(genomes: np.ndarray) -> np.ndarray:
-    """Keys into one flat table by gene: row r's gene g is entry (n + 1) r + g; one genome, g."""
-    if genomes.ndim == 1:
-        return genomes
+    """Keys into one flat table by gene: row r's gene g is entry (n + 1) r + g."""
     return genomes + (genomes.shape[1] + 1) * np.arange(len(genomes))[:, None]
 
 
-def gene_positions(genomes: np.ndarray) -> np.ndarray:
-    """``where[..., g]``: the position of gene g in one genome, or in each row of a matrix."""
-    where = np.empty((*genomes.shape[:-1], genomes.shape[-1] + 1), dtype=np.int64)
-    where.reshape(-1)[_gene_keys(genomes)] = np.arange(genomes.shape[-1])
+def gene_positions(genome: np.ndarray) -> np.ndarray:
+    """``where[g]``: the position of gene g in one genome."""
+    if genome.ndim != 1:
+        raise ValueError(f"gene_positions takes one genome, got shape {genome.shape}")
+    where = np.empty(len(genome) + 1, dtype=np.int64)
+    where[genome] = np.arange(len(genome))
     return where
 
 
@@ -119,25 +119,18 @@ def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
     return lo, lo + 2, True
 
 
-def dynamic_ox(
-    dominant: np.ndarray,
-    donor: np.ndarray,
-    rmp_entry: float,
-    w: float,
-    d_k: int,
-    rng: np.random.Generator,
-    positions: np.ndarray | None = None,
-) -> np.ndarray:
+def dynamic_ox(dominant: np.ndarray, donor: np.ndarray, rmp_entry: float, w: float, d_k: int,
+               rng: np.random.Generator) -> np.ndarray:
     """Dynamic parent-centric OX.
 
     The child equals the dominant parent outside a cutting window of length w * rmp * d_k;
     inside the window the dominant's genes are re-ordered to follow their relative order in
     the donor, so the amount of transferred material scales with the learned transfer
     probability. If the donor imposes no change, one adjacent 2-opt swap at a freshly drawn
-    position makes the child differ. ``positions`` is the donor's ``gene_positions`` row.
+    position makes the child differ, as ``build_children`` does at a record's swap start.
     """
     length = window_length(w, rmp_entry, d_k, len(dominant))
-    positions = gene_positions(donor) if positions is None else positions
+    positions = gene_positions(donor)
     lo, hi, swap = _dox_window(dominant, positions, length, rng)
     child = dominant.copy()
     window = child[lo:hi]  # sorted by the donor's positions, or the two genes swapped
@@ -146,21 +139,26 @@ def dynamic_ox(
 
 
 def build_children(genomes: np.ndarray, records) -> np.ndarray:
-    """One child per row ``(a, b, lo, hi, i, j, ox)`` of the (m, 7) ``records`` over ``genomes``:
-    genome a with its genes in [lo, hi), or outside it if ox, put in the order they
-    take in b (read cyclically from hi if ox; reversed if b is a), then 2-opted at
-    (i, j) if i < j. One gene-keyed table builds the windows; [i, j] is reversed by index."""
+    """One child per row ``(a, b, lo, hi, i, j, ox, s)`` of the (m, 8) ``records`` over
+    ``genomes``: genome a with its genes in [lo, hi), or outside it if ox, put in the order
+    they take in b (read cyclically from hi if ox); if ox is clear and that non-empty window
+    comes out unchanged, dOX's no-change swap of positions s and s + 1; then 2-opted at (i, j)
+    if i < j. One gene-keyed table builds the windows; [i, j] is reversed by index."""
+    if np.size(records) and np.shape(records)[1:] != (8,):
+        raise ValueError(f"records are rows of 8 columns, got shape {np.shape(records)}")
     n = genomes.shape[1]
-    a, b, lo, hi, i, j, ox = np.asarray(records, np.int64).reshape(-1, 7).T
+    a, b, lo, hi, i, j, ox, s = np.asarray(records, np.int64).reshape(-1, 8).T
     cycled = sliding_window_view(np.hstack((genomes, genomes)), n, axis=1)
     donors = cycled[b, hi * ox]  # row b, read from hi if ox
-    donors[a == b] = np.compress(a == b, donors, axis=0)[:, ::-1]
     cols = np.arange(n)
     inside = (cols >= lo[:, None]) ^ (cols >= hi[:, None]) ^ ox.astype(bool)[:, None]
     children = genomes[a]
     chosen = np.zeros(children.size + len(children), dtype=bool)  # by gene, row by row
     chosen[_gene_keys(children)] = inside
     children[inside] = donors[chosen[_gene_keys(donors)]]
+    d = np.flatnonzero((ox == 0) & (lo < hi))  # dOX rows: swap s, s + 1 if the window kept order
+    d = d[(children[d] == genomes[a[d]]).all(axis=1), None]
+    children[d, s[d] + (0, 1)] = children[d, s[d] + (1, 0)]
     m = np.flatnonzero(i < j)  # 2-opt: position c of [i, j] takes the gene at i + j - c
     i, j = i[m, None], j[m, None]
     children[m] = children[m[:, None], np.where((i <= cols) & (cols <= j), i + j - cols, cols)]

@@ -21,15 +21,14 @@ from mfopt.engines import (
     _dmfea2_children,
     _mates,
     _mfea_children,
-    _windows_change,
     rmp_update,
     run_dmfea2,
     run_mfea,
     transfer_outcome,
 )
 from mfopt.harness import load_environment
-from mfopt.operators import (CrossoverWindow, _dox_window, dynamic_ox, gene_positions,
-                             order_crossover, two_opt, window_length)
+from mfopt.operators import (CrossoverWindow, _dox_window, build_children, dynamic_ox,
+                             gene_positions, order_crossover, two_opt, window_length)
 from mfopt.parsers import parse_problem
 from test_operators import BIT_GENERATORS, _same_state
 
@@ -317,7 +316,7 @@ class TestMfeaBatches:
         # record per child, never with one operator call per child.
         _, calls = spied_generation(run_mfea, monkeypatch)
         records, _ = generation_parts(calls)
-        assert records.shape == (20, 7)
+        assert records.shape == (20, 8)
         assert not (calls["dynamic_ox"] or calls["two_opt"])
         ox = records[:, 6] == 1
         assert ox.any() and not ox.all()  # OX and 2-opt rows
@@ -357,12 +356,12 @@ def reference_mfea_generation(skill, order, rng, n, rmp_scalar):
         if skill[p] == skill[q] or transfer[k] <= rmp_scalar:
             lo, hi = points(cuts[0][k], cuts[1][k], n)
             for c, (x, y) in enumerate(((p, q), (q, p))):  # heads: the mate's skill
-                records.append((x, y, lo, hi, 0, 0, 1))
+                records.append((x, y, lo, hi, 0, 0, 1, 0))
                 skills.append(skill[y] if coins[2 * k + c] < 0.5 else skill[x])
         else:
             for c, x in enumerate((p, q)):
                 i, j = points(moves[0][2 * k + c], moves[1][2 * k + c], n - 1)
-                records.append((x, x, 0, 0, i, j, 0))
+                records.append((x, x, 0, 0, i, j, 0, 0))
                 skills.append(skill[x])
     return records, skills
 
@@ -396,18 +395,19 @@ class TestMfeaDraws:
         # pair of two skills transfer and rmp_scalar 1 lets every pair transfer.
         pop, order, (records, skills, _, _), _, _ = self.generation(rmp_scalar)
         kinds = set()
-        for (first, second), (sa, sb), (p, q) in zip(records.reshape(-1, 2, 7),
+        for (first, second), (sa, sb), (p, q) in zip(records.reshape(-1, 2, 8),
                                                    skills.reshape(-1, 2), order.reshape(-1, 2)):
             tp, tq = pop.skill[p], pop.skill[q]
             if first[6]:  # an OX pair: one window, each parent's segment kept, no move
                 lo, hi = first[2:4]
-                assert first.tolist() == [p, q, lo, hi, 0, 0, 1]
-                assert second.tolist() == [q, p, lo, hi, 0, 0, 1] and 0 <= lo < hi <= 9
+                assert first.tolist() == [p, q, lo, hi, 0, 0, 1, 0]
+                assert second.tolist() == [q, p, lo, hi, 0, 0, 1, 0] and 0 <= lo < hi <= 9
                 assert {sa, sb} <= {tp, tq} and (tp != tq or sa == sb == tp)
             else:  # two 2-opt mutants with empty windows
                 assert tp != tq and rmp_scalar < 1
                 for row, x in ((first, p), (second, q)):
                     assert row[:4].tolist() == [x, x, 0, 0] and 0 <= row[4] < row[5] < 9
+                    assert row[6:].tolist() == [0, 0]
                 assert (sa, sb) == (tp, tq)
             kinds.add((bool(first[6]), tp == tq))
         assert kinds == {0.0: {(True, True), (False, False)},
@@ -428,7 +428,8 @@ def reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left):
     ranks over each bucket's size less 1 (at least 1), P dOX window starts over n - L_t + 1, P swap
     starts over n - 1, P skill coins and 5P uniforms, which inter-task children read in turn as
     int(u * m) for each draw over range(m). Returns the first ``left`` children, each as (record,
-    skill, genome, cost), record None for an inter-task child, and updates ``rmp``."""
+    skill, genome, cost, swap), record None for an inter-task child and swap True for an intra-task
+    dOX child whose window keeps its mate's order, and updates ``rmp``."""
     size, half, n = len(order), len(order) // 2, pop.genomes.shape[1]
     buckets = [np.flatnonzero(pop.skill == t).tolist() for t in range(len(tasks))]
     lengths = [window_length(config.w, 1.0, t.dimension, n) for t in tasks]
@@ -456,7 +457,7 @@ def reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left):
             move = points(moves[0][c], moves[1][c], n - 1) if mutate[c] else [0, 0]
             if tp == tq:
                 lo, hi = points(cuts[0][k], cuts[1][k], n)
-                children.append(((x, y, lo, hi, *move, 1), tx, None, UNEVALUATED))
+                children.append(((x, y, lo, hi, *move, 1, 0), tx, None, UNEVALUATED, False))
             elif crosses:  # inter-task dOX, costed at once, its outcome updating the entry
                 genome = dynamic_ox(pop.genomes[x], pop.genomes[y], entry, config.w,
                                     tasks[tx].dimension, walk)
@@ -464,17 +465,18 @@ def reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left):
                 skill = tp if coins[c] < 0.5 else tq
                 cost = evaluate_skill_task(genome, skill, tasks)
                 rmp_update(rmp, tp, tq, transfer_outcome(cost, pop.costs[p if skill == tp else q, skill]))
-                children.append((None, skill, genome, cost))
+                children.append((None, skill, genome, cost, False))
             elif len(buckets[tx]) == 1:  # alone in its skill: a 2-opt mutant, whatever its coin
                 move = points(moves[0][c], moves[1][c], n - 1)
-                children.append(((x, x, 0, 0, *move, 0), tx, None, UNEVALUATED))
+                children.append(((x, x, 0, 0, *move, 0, 0), tx, None, UNEVALUATED, False))
             else:  # intra-task dOX with the ranks[c]-th other member of x's bucket
                 bucket, r = buckets[tx], ranks[c]
                 mate = bucket[r] if bucket[r] < x else bucket[r + 1]
                 drawn = iter((starts[c], swaps[c]))
-                lo, hi, swap = _dox_window(pop.genomes[x], gene_positions(pop.genomes[mate]),
-                                           lengths[tx], SimpleNamespace(integers=lambda m: next(drawn)))
-                children.append(((x, x if swap else mate, lo, hi, *move, 0), tx, None, UNEVALUATED))
+                _, _, swap = _dox_window(pop.genomes[x], gene_positions(pop.genomes[mate]),
+                                         lengths[tx], SimpleNamespace(integers=lambda m: next(drawn)))
+                record = (x, mate, starts[c], starts[c] + lengths[tx], *move, 0, swaps[c])
+                children.append((record, tx, None, UNEVALUATED, swap))
     return children
 
 
@@ -508,7 +510,7 @@ class TestDmfea2Draws:
         made = _dmfea2_children(pop, order, gen, left=left, config=config, tasks=tasks, rmp=rmp)
         expected = reference_dmfea2_generation(pop, order, twin, config, tasks, ref_rmp, left)
         records, skills, costs, genomes = made
-        rows, ref_skills, ref_genomes, ref_costs = zip(*expected)
+        rows, ref_skills, ref_genomes, ref_costs, _ = zip(*expected)
         assert records.dtype == np.int64
         assert records.tolist() == [list(r) for r in rows if r is not None]
         assert skills.tolist() == list(ref_skills) and costs.tolist() == list(ref_costs)
@@ -516,7 +518,7 @@ class TestDmfea2Draws:
         assert len(genomes) == len(inter) and all(map(np.array_equal, genomes, inter))
         assert np.array_equal(rmp.entries, ref_rmp.entries)
         assert gen.bit_generator.state == twin.bit_generator.state
-        return made, rows, gen
+        return made, expected, gen
 
     @pytest.mark.parametrize("rmp_init, lone", [(0.0, False), (0.95, False), (1.0, False),
                                                 (0.0, True)], ids=["0", "default", "1", "lone"])
@@ -524,9 +526,9 @@ class TestDmfea2Draws:
         # The cases reach each kind of child: rmp 0 lets no pair of two skills transfer, 1
         # every such pair; a lone member falls back to 2-opt, and a dOX window may keep its
         # mate's order and swap two genes instead.
-        _, rows, _ = self.generation(rmp_init, lone=lone)
+        _, expected, _ = self.generation(rmp_init, lone=lone)
         kinds = {"inter" if r is None else "ox" if r[6] else "two_opt" if r[3] == 0
-                 else "swap" if r[0] == r[1] else "dox" for r in rows}
+                 else "swap" if swap else "dox" for r, *_, swap in expected}
         assert kinds == {0.0: {"ox", "dox", "swap"}, 0.95: {"ox", "dox", "swap", "inter"},
                          1.0: {"ox", "inter"}}[rmp_init] | ({"two_opt"} if lone else set())
 
@@ -535,25 +537,30 @@ class TestDmfea2Draws:
         # the generation still equals its reference and leaves the generator where the whole
         # generation leaves it.
         _, _, after = self.generation(0.95)
-        (_, skills, _, _), rows, cut_after = self.generation(0.95, left=17)
-        assert len(skills) == 17 and rows[16] is None
+        (_, skills, _, _), expected, cut_after = self.generation(0.95, left=17)
+        assert len(skills) == 17 and expected[16][0] is None
         assert cut_after.bit_generator.state == after.bit_generator.state
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), swaps=st.integers(0, 4))
     @settings(max_examples=100, deadline=None)
-    def test_gathered_no_change_rule_equals_dox_window_row_by_row(self, seed, n, swaps):
+    def test_kernel_no_change_swap_equals_dynamic_ox_row_by_row(self, seed, n, swaps):
+        # Each intra-task dOX row that build_children builds equals dynamic_ox driven by the
+        # row's window start and swap start, so the kernel's no-change swap is _dox_window's.
         # Near-identical genomes keep many windows in their mate's order, so both outcomes occur.
         gen = np.random.default_rng(seed)
         genomes = near_identical_genomes(gen, 8, n, swaps)
         rows, mates = gen.integers(8, size=30), gen.integers(8, size=30)
         lengths = gen.integers(1, n, size=30)
-        starts = gen.integers(n - lengths + 1)
-        changed = _windows_change(genomes, gene_positions(genomes), rows, mates, starts, lengths)
-        for row, mate, start, length, change in zip(rows, mates, starts, lengths, changed):
-            drawn = iter((start, 0))
-            _, _, swap = _dox_window(genomes[row], gene_positions(genomes[mate]), length,
-                                     SimpleNamespace(integers=lambda m: next(drawn)))
-            assert change == (not swap)
+        starts, swap_starts = gen.integers(n - lengths + 1), gen.integers(n - 1, size=30)
+        none = np.zeros(30, np.int64)  # no 2-opt move and ox clear
+        records = np.column_stack((rows, mates, starts, starts + lengths, none, none, none,
+                                   swap_starts))
+        for (row, mate, start, _, _, _, _, s), length, child in zip(
+                records.tolist(), lengths.tolist(), build_children(genomes, records)):
+            drawn = iter((start, s))  # window_length(1, 1, L, n) is L, for L < n
+            expected = dynamic_ox(genomes[row], genomes[mate], 1.0, 1.0, length,
+                                  SimpleNamespace(integers=lambda m: next(drawn)))
+            assert np.array_equal(child, expected)
 
 
 class _Logged(np.random.Generator):

@@ -1,5 +1,6 @@
 import copy
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,21 +211,18 @@ class TestDynamicOx:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, seed, same_parents):
         # Same child and same RNG state afterwards, so the engines' draw
-        # order is unchanged; identical parents force the fallback swap. The
-        # donor's positions are built by dynamic_ox, or read from the donor's
-        # row of the parents' table, as the engine passes them.
+        # order is unchanged; identical parents force the fallback swap.
         gen = np.random.default_rng(seed)
         n = int(gen.integers(2, 60))
         dom = gen.permutation(n) + 1
         don = dom.copy() if same_parents else gen.permutation(n) + 1
         d_k = int(gen.integers(1, n + 1))
         entry, w = float(gen.uniform(0.0, 1.0)), float(gen.uniform(0.1, 1.0))
-        for given_row in ({}, {"positions": gene_positions(np.array([dom, don]))[1]}):
-            rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-            child = dynamic_ox(dom, don, entry, w, d_k, rng, **given_row)
-            expected = reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng)
-            assert np.array_equal(child, expected)
-            assert rng.random() == ref_rng.random()
+        rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+        child = dynamic_ox(dom, don, entry, w, d_k, rng)
+        expected = reference_dynamic_ox(dom, don, entry, w, d_k, ref_rng)
+        assert np.array_equal(child, expected)
+        assert rng.random() == ref_rng.random()
 
     def test_mixed_dtypes_still_change_the_child(self):
         # An int32 donor against an int64 dominant: the no-change test must
@@ -241,15 +239,15 @@ class TestGenePositions:
            st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=8))
     @settings(max_examples=200, deadline=None)
     def test_inverts_every_row(self, seed, n, m):
-        # where[r, genomes[r]] == arange(n): one genome, a matrix, and int32 genomes.
+        # where[genome] == arange(n) for each row, int64 and int32 alike; a matrix is refused.
         gen = np.random.default_rng(seed)
         genomes = np.array([gen.permutation(n) + 1 for _ in range(m)])
         for g in (genomes, genomes.astype(np.int32)):
-            where = gene_positions(g)
-            assert where.shape == (m, n + 1)
-            for r in range(m):
-                assert np.array_equal(where[r, g[r]], np.arange(n))
-                assert np.array_equal(gene_positions(g[r])[g[r]], np.arange(n))
+            for row in g:
+                where = gene_positions(row)
+                assert where.shape == (n + 1,) and np.array_equal(where[row], np.arange(n))
+            with pytest.raises(ValueError, match="one genome"):
+                gene_positions(g)
 
 
 class TestBuildChildren:
@@ -258,6 +256,17 @@ class TestBuildChildren:
         genomes = np.array([np.arange(1, 7), np.arange(6, 0, -1)])
         children = build_children(genomes, [])
         assert children.shape == (0, 6) and children.dtype == genomes.dtype
+
+    def test_refuses_records_not_eight_columns_wide(self):
+        # A (7, 8) block read as rows of 7 would be 8 wrong children; a block of any other
+        # width, one bare row or a stack of blocks is refused, and only [] may hold no row.
+        genomes = np.array([np.arange(1, 7), np.arange(6, 0, -1)])
+        row = (0, 1, 1, 4, 2, 5, 0, 3)
+        assert build_children(genomes, [row] * 7).shape == (7, 6)
+        for records in ([row[:7]] * 8, [row + (0,)] * 7, row, [[row] * 2] * 2):
+            with pytest.raises(ValueError, match="rows of 8 columns"):
+                build_children(genomes, records)
+        assert build_children(genomes, np.empty((0, 8), np.int64)).shape == (0, 6)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=2, max_value=80), st.integers(min_value=1, max_value=16))
@@ -269,13 +278,13 @@ class TestBuildChildren:
         # OX pairs, dOX children (no-change swaps and one-gene windows
         # included), 2-opt-only children and empty-window fallbacks, each kind
         # with or without a 2-opt move: a random one, one over the whole
-        # genome, or an adjacent one. Row k equals its record's reference, and
-        # the batch leaves its genomes as they were.
+        # genome, or an adjacent one. A row that makes no no-change swap has a
+        # random swap start. Row k equals its record's reference, and the
+        # batch leaves its genomes as they were.
         gen = np.random.default_rng(seed)
         rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
         pool = [gen.permutation(n) + 1 for _ in range(m)]
         genomes = np.array(pool + pool)  # row m + p is a twin of row p
-        where = gene_positions(genomes)  # one table for the batch, as the engine builds it
         before = genomes.copy()
 
         def move(optional=True):  # a random, whole-genome or adjacent move, or none
@@ -288,32 +297,39 @@ class TestBuildChildren:
                        (int(gen.integers(n)), n), (0, n - 1), (1, n), (0, n)]
             return windows[int(gen.integers(len(windows)))]
 
+        def anywhere():  # a swap start that no row but a no-change dOX row reads
+            return int(gen.integers(n - 1))
+
         rows = []  # (record, reference child before its move)
         for _ in range(m):
             p, q = (int(x) for x in gen.integers(2 * m, size=2))
             kind = int(gen.integers(5))
             if kind == 0 and p != q:  # an OX pair
                 lo, hi = ox_window()
-                rows.append(((p, q, lo, hi, *move(), 1), reference_ox(genomes[p], genomes[q], lo, hi)))
-                rows.append(((q, p, lo, hi, *move(), 1), reference_ox(genomes[q], genomes[p], lo, hi)))
+                rows.append(((p, q, lo, hi, *move(), 1, anywhere()),
+                             reference_ox(genomes[p], genomes[q], lo, hi)))
+                rows.append(((q, p, lo, hi, *move(), 1, anywhere()),
+                             reference_ox(genomes[q], genomes[p], lo, hi)))
             elif kind in (1, 2):  # dOX, against a random mate or against the twin
                 q = (p + m) % (2 * m) if kind == 2 else q
                 d_k, entry = int(gen.integers(1, n + 1)), float(gen.uniform(0.1, 1.0))
                 w = 0.05 if gen.random() < 0.2 else float(gen.uniform(0.1, 1.0))
-                length = window_length(w, entry, d_k, n)
-                lo, hi, swap = _dox_window(genomes[p], where[q], length, rng)
-                assert hi - lo == (2 if swap else length)
+                length, drawn = window_length(w, entry, d_k, n), []
+                logged = SimpleNamespace(  # rng, keeping each draw
+                    integers=lambda k: drawn.append(int(rng.integers(k))) or drawn[-1])
+                _, _, swap = _dox_window(genomes[p], gene_positions(genomes[q]), length, logged)
+                start, s = drawn[0], drawn[1] if swap else anywhere()
                 child = reference_dynamic_ox(genomes[p], genomes[q], entry, w, d_k, ref_rng)
-                rows.append(((p, p if swap else q, lo, hi, *move(), 0), child))
+                rows.append(((p, q, start, start + length, *move(), 0, s), child))
             elif kind == 3:  # a 2-opt-only child, as MFEA and the no-mate fallback draw it
-                rows.append(((p, p, 0, 0, *move(optional=False), 0), genomes[p]))
+                rows.append(((p, p, 0, 0, *move(optional=False), 0, anywhere()), genomes[p]))
             else:  # an empty window anywhere, with any donor
                 lo = int(gen.integers(n + 1))
-                rows.append(((p, q, lo, lo, *move(), 0), genomes[p]))
+                rows.append(((p, q, lo, lo, *move(), 0, anywhere()), genomes[p]))
         rows = [rows[k] for k in gen.permutation(len(rows))]
         children = build_children(genomes, [record for record, _ in rows])
         assert children.shape == (len(rows), n)
-        for child, ((*_, i, j, _), reference) in zip(children, rows):
+        for child, ((*_, i, j, _, _), reference) in zip(children, rows):
             expected = reverse(np.array(reference), i, j) if i < j else np.array(reference)
             assert np.array_equal(child, expected)
         assert np.array_equal(genomes, before)
