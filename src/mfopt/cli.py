@@ -49,10 +49,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", type=Path, default=ExperimentPlan.output_dir)
 
 
-def _config(args) -> EngineConfig:
-    return EngineConfig(**{name: getattr(args, name) for _, name, _ in ENGINE_FLAGS})
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mfopt",
@@ -87,8 +83,9 @@ def main(argv=None) -> int:
         if args.command == "report":
             rows, outputs = reaggregate(args.outdir, args.environment), REPORT_FILES
         else:
+            config = EngineConfig(**{name: getattr(args, name) for _, name, _ in ENGINE_FLAGS})
             plan = ExperimentPlan(
-                config=_config(args), environment=load_environment(args.environment),
+                config=config, environment=load_environment(args.environment),
                 engines=tuple(args.engines), repetitions=args.reps, output_dir=args.outdir)
             args.outdir.mkdir(parents=True, exist_ok=True)
             runs = ["single"] if args.command == "run" else [*map(BENCH_RUN.format, range(args.reps))]

@@ -92,33 +92,6 @@ def two_opt(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _gene_keys(genomes: np.ndarray) -> np.ndarray:
-    """Keys into one flat table by gene: row r's gene g is entry (n + 1) r + g."""
-    return genomes + (genomes.shape[1] + 1) * np.arange(len(genomes))[:, None]
-
-
-def gene_positions(genome: np.ndarray) -> np.ndarray:
-    """``where[g]``: the position of gene g in one genome."""
-    if genome.ndim != 1:
-        raise ValueError(f"gene_positions takes one genome, got shape {genome.shape}")
-    where = np.empty(len(genome) + 1, dtype=np.int64)
-    where[genome] = np.arange(len(genome))
-    return where
-
-
-def _dox_window(dominant, positions, length, rng) -> tuple[int, int, bool]:
-    """dOX's draws, reading the donor's ``gene_positions`` row: its window [lo, hi), or, if
-    the donor keeps the window's genes in order, the adjacent swap [lo, lo + 2) (flag True)."""
-    n, at = len(dominant), -1
-    lo = int(rng.integers(n - length + 1))
-    for p in positions[dominant[lo:lo + length]].tolist():  # rising up to a descent
-        if p < at:
-            return lo, lo + length, False
-        at = p
-    lo = int(rng.integers(n - 1))
-    return lo, lo + 2, True
-
-
 def dynamic_ox(dominant: np.ndarray, donor: np.ndarray, rmp_entry: float, w: float, d_k: int,
                rng: np.random.Generator) -> np.ndarray:
     """Dynamic parent-centric OX.
@@ -129,12 +102,23 @@ def dynamic_ox(dominant: np.ndarray, donor: np.ndarray, rmp_entry: float, w: flo
     probability. If the donor imposes no change, one adjacent 2-opt swap at a freshly drawn
     position makes the child differ, as ``build_children`` does at a record's swap start.
     """
-    length = window_length(w, rmp_entry, d_k, len(dominant))
-    positions = gene_positions(donor)
-    lo, hi, swap = _dox_window(dominant, positions, length, rng)
-    child = dominant.copy()
-    window = child[lo:hi]  # sorted by the donor's positions, or the two genes swapped
-    window[:] = window[::-1] if swap else window[positions[window].argsort()]
+    if dominant.ndim != 1 or dominant.shape != donor.shape:
+        raise ValueError(f"dynamic_ox takes two 1-D genomes of one length, "
+                         f"got shapes {dominant.shape} and {donor.shape}")
+    n = len(dominant)
+    length = window_length(w, rmp_entry, d_k, n)
+    where = np.empty(n + 1, dtype=np.int64)  # where[g]: the position of gene g in the donor
+    where[donor] = np.arange(n)
+    child, at = dominant.copy(), -1
+    lo = int(rng.integers(n - length + 1))
+    for p in where[dominant[lo:lo + length]].tolist():  # rising up to a descent
+        if p < at:
+            window = child[lo:lo + length]
+            window[:] = window[where[window].argsort()]
+            return child
+        at = p
+    lo = int(rng.integers(n - 1))  # the donor keeps the window's order: swap two genes
+    child[lo:lo + 2] = child[lo + 1], child[lo]
     return child
 
 
@@ -154,8 +138,9 @@ def build_children(genomes: np.ndarray, records) -> np.ndarray:
     inside = (cols >= lo[:, None]) ^ (cols >= hi[:, None]) ^ ox.astype(bool)[:, None]
     children = genomes[a]
     chosen = np.zeros(children.size + len(children), dtype=bool)  # by gene, row by row
-    chosen[_gene_keys(children)] = inside
-    children[inside] = donors[chosen[_gene_keys(donors)]]
+    keys = (n + 1) * np.arange(len(children))[:, None]  # row r's gene g is entry (n + 1) r + g
+    chosen[children + keys] = inside
+    children[inside] = donors[chosen[donors + keys]]
     d = np.flatnonzero((ox == 0) & (lo < hi))  # dOX rows: swap s, s + 1 if the window kept order
     d = d[(children[d] == genomes[a[d]]).all(axis=1), None]
     children[d, s[d] + (0, 1)] = children[d, s[d] + (1, 0)]

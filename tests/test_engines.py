@@ -27,10 +27,11 @@ from mfopt.engines import (
     transfer_outcome,
 )
 from mfopt.harness import load_environment
-from mfopt.operators import (CrossoverWindow, _dox_window, build_children, dynamic_ox,
-                             gene_positions, order_crossover, two_opt, window_length)
+from mfopt.operators import (CrossoverWindow, build_children, dynamic_ox, order_crossover,
+                             window_length)
 from mfopt.parsers import parse_problem
-from test_operators import BIT_GENERATORS, _same_state
+from test_operators import BIT_GENERATORS, _same_state, reference_dynamic_ox, reverse
+from test_tasks import reference_cost
 
 
 @pytest.fixture
@@ -427,9 +428,10 @@ def reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left):
     uniforms, P/2 OX cut pairs over range(n + 1), P p_m coins, P 2-opt pairs over range(n), P mate
     ranks over each bucket's size less 1 (at least 1), P dOX window starts over n - L_t + 1, P swap
     starts over n - 1, P skill coins and 5P uniforms, which inter-task children read in turn as
-    int(u * m) for each draw over range(m). Returns the first ``left`` children, each as (record,
-    skill, genome, cost, swap), record None for an inter-task child and swap True for an intra-task
-    dOX child whose window keeps its mate's order, and updates ``rmp``."""
+    int(u * m) for each draw over range(m). Inter-task children are built, costed and judged by
+    the tests' own oracles, not by the engine's operators. Returns the first ``left`` children,
+    each as (record, skill, genome, cost, swap), record None for an inter-task child and swap
+    True for an intra-task dOX child whose window keeps its mate's order, and updates ``rmp``."""
     size, half, n = len(order), len(order) // 2, pop.genomes.shape[1]
     buckets = [np.flatnonzero(pop.skill == t).tolist() for t in range(len(tasks))]
     lengths = [window_length(config.w, 1.0, t.dimension, n) for t in tasks]
@@ -459,12 +461,14 @@ def reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left):
                 lo, hi = points(cuts[0][k], cuts[1][k], n)
                 children.append(((x, y, lo, hi, *move, 1, 0), tx, None, UNEVALUATED, False))
             elif crosses:  # inter-task dOX, costed at once, its outcome updating the entry
-                genome = dynamic_ox(pop.genomes[x], pop.genomes[y], entry, config.w,
-                                    tasks[tx].dimension, walk)
-                genome = two_opt(genome, walk) if mutate[c] else genome
+                genome = reference_dynamic_ox(pop.genomes[x], pop.genomes[y], entry, config.w,
+                                              tasks[tx].dimension, walk)
+                if mutate[c]:  # 2-opt by _two_points' three draws: Floyd's pair, then one word
+                    a, b, _ = (walk.integers(m) for m in (n - 1, n, 2**32))
+                    genome = reverse(genome, *points(a, b, n - 1))
                 skill = tp if coins[c] < 0.5 else tq
-                cost = evaluate_skill_task(genome, skill, tasks)
-                rmp_update(rmp, tp, tq, transfer_outcome(cost, pop.costs[p if skill == tp else q, skill]))
+                cost = reference_cost(genome, tasks[skill])
+                rmp_update(rmp, tp, tq, cost < pop.costs[p if skill == tp else q, skill])
                 children.append((None, skill, genome, cost, False))
             elif len(buckets[tx]) == 1:  # alone in its skill: a 2-opt mutant, whatever its coin
                 move = points(moves[0][c], moves[1][c], n - 1)
@@ -472,10 +476,10 @@ def reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left):
             else:  # intra-task dOX with the ranks[c]-th other member of x's bucket
                 bucket, r = buckets[tx], ranks[c]
                 mate = bucket[r] if bucket[r] < x else bucket[r + 1]
-                drawn = iter((starts[c], swaps[c]))
-                _, _, swap = _dox_window(pop.genomes[x], gene_positions(pop.genomes[mate]),
-                                         lengths[tx], SimpleNamespace(integers=lambda m: next(drawn)))
-                record = (x, mate, starts[c], starts[c] + lengths[tx], *move, 0, swaps[c])
+                lo, hi = starts[c], starts[c] + lengths[tx]
+                where = np.argsort(pop.genomes[mate])  # where[g - 1]: gene g's place in the mate
+                swap = bool((np.diff(where[pop.genomes[x][lo:hi] - 1]) > 0).all())
+                record = (x, mate, lo, hi, *move, 0, swaps[c])
                 children.append((record, tx, None, UNEVALUATED, swap))
     return children
 
@@ -545,7 +549,7 @@ class TestDmfea2Draws:
     @settings(max_examples=100, deadline=None)
     def test_kernel_no_change_swap_equals_dynamic_ox_row_by_row(self, seed, n, swaps):
         # Each intra-task dOX row that build_children builds equals dynamic_ox driven by the
-        # row's window start and swap start, so the kernel's no-change swap is _dox_window's.
+        # row's window start and swap start, so the kernel's no-change swap is dynamic_ox's.
         # Near-identical genomes keep many windows in their mate's order, so both outcomes occur.
         gen = np.random.default_rng(seed)
         genomes = near_identical_genomes(gen, 8, n, swaps)

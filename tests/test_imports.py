@@ -1,7 +1,8 @@
 """Every name a module of ``mfopt`` imports is read in that module. The
 package's ``__init__`` imports only to re-export, so it is not checked. And every
 function or class that a module of ``mfopt`` defines is named somewhere else. And every
-test that README.md or ROADMAP.md cites exists, as does every ``mfopt`` name README.md cites."""
+test that README.md or ROADMAP.md cites exists, as does every ``mfopt`` name README.md cites,
+module-qualified or a bare private name."""
 
 import ast
 import importlib
@@ -101,3 +102,13 @@ def test_readme_names_only_existing_attributes():
         except AttributeError:
             missing.append(name)
     assert cited and not missing
+
+
+def test_readme_names_only_existing_private_definitions():
+    # A bare private name README.md cites in backticks, as `_two_points` or `_evolve(...)`, is
+    # a function or class that a module of mfopt defines; dunder names are not private.
+    cited = set(re.findall(r"`(_(?!_)\w+)[`(]", (ROOT / "README.md").read_text()))
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert cited and not cited - defined

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +10,10 @@ from hypothesis import strategies as st
 
 from mfopt.operators import (
     CrossoverWindow,
-    _dox_window,
     _point_pairs,
     _two_points,
     build_children,
     dynamic_ox,
-    gene_positions,
     order_crossover,
     two_opt,
     window_length,
@@ -233,21 +232,15 @@ class TestDynamicOx:
                                np.random.default_rng(seed))
             assert not np.array_equal(child, dom)
 
-
-class TestGenePositions:
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=8))
-    @settings(max_examples=200, deadline=None)
-    def test_inverts_every_row(self, seed, n, m):
-        # where[genome] == arange(n) for each row, int64 and int32 alike; a matrix is refused.
-        gen = np.random.default_rng(seed)
-        genomes = np.array([gen.permutation(n) + 1 for _ in range(m)])
-        for g in (genomes, genomes.astype(np.int32)):
-            for row in g:
-                where = gene_positions(row)
-                assert where.shape == (n + 1,) and np.array_equal(where[row], np.arange(n))
-            with pytest.raises(ValueError, match="one genome"):
-                gene_positions(g)
+    def test_refuses_a_matrix_or_parents_of_two_lengths(self, rng):
+        # Parents of two lengths are not one gene set, and a matrix is not one genome: each
+        # is refused with both shapes named, as order_crossover refuses them.
+        dom = np.arange(1, 6)
+        for dominant, donor in ((dom, np.arange(1, 8)), (dom, np.arange(1, 4)),
+                                (np.tile(dom, (2, 1)), dom), (dom, np.tile(dom, (2, 1))),
+                                (np.tile(dom, (2, 1)), np.tile(dom, (2, 1)))):
+            with pytest.raises(ValueError, match=re.escape(f"{dominant.shape} and {donor.shape}")):
+                dynamic_ox(dominant, donor, 0.5, 0.5, 5, rng)
 
 
 class TestBuildChildren:
@@ -317,8 +310,8 @@ class TestBuildChildren:
                 length, drawn = window_length(w, entry, d_k, n), []
                 logged = SimpleNamespace(  # rng, keeping each draw
                     integers=lambda k: drawn.append(int(rng.integers(k))) or drawn[-1])
-                _, _, swap = _dox_window(genomes[p], gene_positions(genomes[q]), length, logged)
-                start, s = drawn[0], drawn[1] if swap else anywhere()
+                dynamic_ox(genomes[p], genomes[q], entry, w, d_k, logged)  # a swap draws twice
+                start, s = drawn[0], drawn[1] if len(drawn) == 2 else anywhere()
                 child = reference_dynamic_ox(genomes[p], genomes[q], entry, w, d_k, ref_rng)
                 rows.append(((p, q, start, start + length, *move(), 0, s), child))
             elif kind == 3:  # a 2-opt-only child, as MFEA and the no-mate fallback draw it
