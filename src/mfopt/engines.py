@@ -111,25 +111,20 @@ class RmpMatrix:
         return self.entries.item(i, j)
 
 
-def rmp_update(m: RmpMatrix, i: int, j: int, transfer_positive: bool) -> RmpMatrix:
-    """Apply one transfer outcome to entry (i, j), mirroring (j, i).
+def rmp_update(m: RmpMatrix, i: int, j: int, transfer_positive: bool) -> None:
+    """Apply one transfer outcome to off-diagonal entry (i, j) in place, mirroring (j, i).
 
     Positive transfer divides by delta_inc (clamped at 1.0); negative
     multiplies by delta_dec (clamped at the floor).
     """
+    if i == j:  # the unit diagonal does not learn; dOX sizes its intra-task windows from it
+        raise ValueError(f"rmp_update: ({i}, {j}) is a diagonal cell")
     entry = m.entries.item(i, j)
     if transfer_positive:  # as min(1.0, entry / delta_inc), with no overflow past 1
         entry = 1.0 if entry >= m.delta_inc else entry / m.delta_inc
     else:
         entry = max(m.floor, entry * m.delta_dec)
     m.entries[i, j] = m.entries[j, i] = entry
-    return m
-
-
-def transfer_outcome(child_cost: float, parent_cost: float) -> bool:
-    """True iff the child strictly improves on the parent's cost for the
-    skill task the child inherited. Equal cost counts as negative."""
-    return child_cost < parent_cost
 
 
 @dataclass
@@ -272,14 +267,14 @@ def _dmfea2_children(pop, order, rng, *, left, config, tasks, rmp):
         ta, tb = skill_of[ia], skill_of[ib]
         if transfer[k] > (entry := rmp.get(ta, tb)):
             continue
-        # Each child updates (ta, tb) by whether it beats the parent whose skill it inherited.
+        # A child's transfer is positive iff it beats the parent whose skill it took; a tie is not.
         for c, dominant, donor, t in ((2 * k, ia, ib, ta), (2 * k + 1, ib, ia, tb))[:left - 2 * k]:
             genome = dynamic_ox(pop.genomes[dominant], pop.genomes[donor], entry, config.w,
                                 tasks[t].dimension, walk)
             genome = two_opt(genome, walk) if mutate[c] else genome
             skills[c] = skill = ta if coins[c] else tb
             costs[c] = cost = evaluate_skill_task(genome, skill, tasks)
-            rmp_update(rmp, ta, tb, transfer_outcome(cost, pop.costs[ia if skill == ta else ib, skill]))
+            rmp_update(rmp, ta, tb, cost < pop.costs[ia if skill == ta else ib, skill])
             genomes.append(genome)
     dox = ~same & ~lone  # intra-task dOX rows
     records = np.column_stack((order, np.where(same, partner, np.where(dox, mates, order)),

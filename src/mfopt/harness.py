@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -210,8 +210,7 @@ def emit_report(rows: list[ReportRow], output_dir: Path) -> dict[str, Path]:
     csv_path, json_path = (output_dir / name for name in REPORT_FILES)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["environment", "engine", "instance", "mean", "std",
-                     "wilcoxon", "optimum"])
+    writer.writerow(f.name for f in fields(ReportRow))
     for r in rows:
         writer.writerow([r.environment, r.engine, r.instance,
                          f"{r.mean:.4f}", f"{r.std:.4f}", r.wilcoxon,

@@ -1,4 +1,5 @@
 import copy
+import json
 import logging
 import math
 from types import SimpleNamespace
@@ -24,12 +25,14 @@ from mfopt.engines import (
     rmp_update,
     run_dmfea2,
     run_mfea,
-    transfer_outcome,
 )
 from mfopt.harness import load_environment
 from mfopt.operators import (CrossoverWindow, build_children, dynamic_ox, order_crossover,
                              window_length)
 from mfopt.parsers import parse_problem
+from test_acceptance import reference_ox
+from test_core import reference_ranks, reference_survivors
+from test_golden import DMFEA2_RUNS, ODD_BUDGET_RUNS
 from test_operators import BIT_GENERATORS, _same_state, reference_dynamic_ox, reverse
 from test_tasks import reference_cost
 
@@ -76,12 +79,14 @@ class TestRmpMatrix:
         assert m.get(0, 1) == m.get(1, 0) == expected
         assert floor <= m.get(0, 1) <= 1.0
 
-
-class TestTransferOutcome:
-    def test_strict_improvement_required(self):
-        assert transfer_outcome(9.0, 10.0)
-        assert not transfer_outcome(10.0, 10.0)
-        assert not transfer_outcome(11.0, 10.0)
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("cell", [0, 2])
+    def test_update_refuses_a_diagonal_cell(self, cell, positive):
+        # The unit diagonal never learns: dOX sizes its intra-task windows from it.
+        m = RmpMatrix.initial(3, 0.95, 0.99, 0.99)
+        with pytest.raises(ValueError, match=rf"\({cell}, {cell}\)"):
+            rmp_update(m, cell, cell, positive)
+        assert (np.diag(m.entries) == 1.0).all()
 
 
 class TestEngineConfig:
@@ -565,6 +570,111 @@ class TestDmfea2Draws:
             expected = dynamic_ox(genomes[row], genomes[mate], 1.0, 1.0, length,
                                   SimpleNamespace(integers=lambda m: next(drawn)))
             assert np.array_equal(child, expected)
+
+
+def reference_child(genomes, record):
+    """A record's child by the tests' operators: ``reference_ox`` if ox, else, if its window is
+    non-empty, ``reference_dynamic_ox`` driven by the record's window and swap start; then
+    ``reverse`` at (i, j) if i < j."""
+    a, b, lo, hi, i, j, ox, s = record
+    if ox:
+        child = np.array(reference_ox(genomes[a], genomes[b], lo, hi))
+    elif lo < hi:  # window_length(1, 1, L, n) is L, for L < n
+        drawn = iter((lo, s))
+        child = reference_dynamic_ox(genomes[a], genomes[b], 1.0, 1.0, hi - lo,
+                                     SimpleNamespace(integers=lambda m: next(drawn)))
+    else:
+        child = genomes[a]
+    return reverse(child, i, j) if i < j else child
+
+
+def reference_run(dmfea2, tasks, config, seed):
+    """A whole run of either engine from the tests' own parts, as its trace's JSONL and each
+    task's best genome. The initial population is P draws of ``rng.permutation``, each costed
+    on every task. Each generation draws its order with ``rng.permutation`` and takes its draws
+    and children from the generation reference, on the members' skills by ``reference_ranks``.
+    It builds each record child with ``reference_child`` and costs it on its skill with
+    ``reference_cost`` (the reference built and costed the inter-task children). Each task's
+    best becomes the first child that strictly beats it, and the ``reference_survivors`` of the
+    members followed by the children are the next population."""
+    rng, size, k_tasks = np.random.default_rng(seed), config.population_size, len(tasks)
+    n = max(t.dimension for t in tasks)
+    genomes = np.array([rng.permutation(n) + 1 for _ in range(size)])
+    costs = np.array([[reference_cost(g, t) for t in tasks] for g in genomes])
+    rmp = RmpMatrix.initial(k_tasks, config.rmp_init, config.delta_inc, config.delta_dec,
+                            config.rmp_floor) if dmfea2 else None
+    evaluations, best, kept = size * k_tasks, costs.min(axis=0), genomes[costs.argmin(axis=0)]
+    lines = []
+    while True:
+        lines.append(json.dumps(dict(generation=len(lines), evaluations=evaluations,
+                                     best_costs=best.tolist(),
+                                     rmp=None if rmp is None else rmp.entries.tolist())) + "\n")
+        if evaluations >= config.eval_budget:
+            return "".join(lines), kept
+        _, skill, _ = reference_ranks(costs)
+        order, left = rng.permutation(size), config.eval_budget - evaluations
+        if dmfea2:
+            pop = SimpleNamespace(genomes=genomes, costs=costs, skill=skill)
+            made = [child[:4] for child in
+                    reference_dmfea2_generation(pop, order, rng, config, tasks, rmp, left)]
+        else:
+            made = [(r, s, None, UNEVALUATED) for r, s in
+                    zip(*reference_mfea_generation(skill, order, rng, n, config.rmp_scalar))][:left]
+        children, child_costs = [], np.full((len(made), k_tasks), UNEVALUATED)
+        for c, (record, s, genome, cost) in enumerate(made):
+            if genome is None:  # a record child
+                genome = reference_child(genomes, record)
+                cost = reference_cost(genome, tasks[s])
+            children.append(genome)
+            child_costs[c, s] = cost
+        evaluations += len(made)
+        for t in range(k_tasks):
+            c = int(child_costs[:, t].argmin())
+            if child_costs[c, t] < best[t]:
+                best[t], kept[t] = child_costs[c, t], children[c]
+        keep = reference_survivors(np.vstack((costs, child_costs)), size)
+        genomes, costs = np.vstack((genomes, children))[keep], np.vstack((costs, child_costs))[keep]
+
+
+# The golden gate's odd budgets on TE_8, TE_4_1 and TE_4_3, and its population 2 and
+# w = p_m = 1 runs, at population 20 unless they set it.
+WHOLE_RUNS = ([(name, dict(eval_budget=budget)) for name, budget in ODD_BUDGET_RUNS]
+              + [(name, fields) for name, _, fields in DMFEA2_RUNS])
+
+
+@pytest.mark.parametrize("dmfea2", [False, True], ids=["mfea", "dmfea2"])
+class TestWholeRun:
+    @staticmethod
+    def assert_equals_reference(dmfea2, tasks, config, seed):
+        best, trace = (run_dmfea2 if dmfea2 else run_mfea)(tasks, config,
+                                                           np.random.default_rng(seed))
+        jsonl, kept = reference_run(dmfea2, tasks, config, seed)
+        assert trace.to_jsonl() == jsonl
+        assert [r.genome.tolist() for r in best] == kept.tolist()
+
+    @pytest.mark.parametrize("name, fields", WHOLE_RUNS,
+                             ids=[f"{name}-" + "-".join(f"{k}{v}" for k, v in fields.items())
+                                  for name, fields in WHOLE_RUNS])
+    def test_run_equals_its_reference(self, dmfea2, name, fields):
+        tasks = load_environment(name).tasks
+        self.assert_equals_reference(dmfea2, tasks, small_config(**fields), 0)
+
+    @given(texts=st.lists(problem_texts(), min_size=1, max_size=4), fields=EDGE_CONFIGS,
+           pop=st.sampled_from([2, 4]), extra=st.integers(min_value=0, max_value=41),
+           seed=st.integers(0, 2**32 - 1))
+    # At the defaults, two dMFEA-II children of one generation tie for a new best: the first is kept.
+    @example(texts=[format_tsplib(mfopt.tasks.TspInstance("gen", np.array(coords, dtype=float)))
+                    for coords in ([[80, 40], [45, 29], [17, 27], [73, 36], [100, 58], [67, 53]],
+                                   [[35, 61], [64, 87], [68, 60], [56, 5], [39, 31], [63, 31]])],
+             fields=dict(floor_init=(0.1, 0.95)), pop=4, extra=24, seed=2141173626)
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_run_equals_its_reference(self, dmfea2, texts, fields, pop, extra, seed):
+        tasks = [parse_problem(text) for text in texts]
+        floor, init = fields["floor_init"]
+        fields = {k: v for k, v in fields.items() if k != "floor_init"}
+        config = EngineConfig(population_size=pop, eval_budget=pop * len(tasks) + extra,
+                              rmp_floor=floor, rmp_init=init, **fields)
+        self.assert_equals_reference(dmfea2, tasks, config, seed)
 
 
 class _Logged(np.random.Generator):
